@@ -1,6 +1,6 @@
 """Lower bound via breaking all leaf SCCs of the information-flow digraph.
 
-The procedure mutates a working copy (G, U) of the graphs until no leaf
+The procedure steps a working state (G, U) of the graphs until no leaf
 SCC remains, which makes the digraph grounded.  Each mutation is chosen
 so the optimal codelength cannot increase, and only pruning removes an
 out-vertex, so the final out-vertex count is a valid lower bound.
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from . import graphs
-from .model import GraphPair, edge_key
+from .model import GraphPair, bits, edge_key
 
 DEFAULT_STATE_BUDGET = 20_000
 
@@ -44,8 +44,11 @@ class _BudgetExceeded(Exception):
 
 
 class _DeterministicChooser:
+    """Takes the first option; options may be a lazy iterable.  Both
+    choosers return None when there are no options."""
+
     def pick(self, options):
-        return options[0]
+        return next(iter(options), None)
 
 
 class _ScriptChooser:
@@ -56,6 +59,9 @@ class _ScriptChooser:
         self.pos = 0
 
     def pick(self, options):
+        options = list(options)
+        if not options:
+            return None
         if self.pos < len(self.script):
             idx = self.script[self.pos]
             self.pos += 1
@@ -76,13 +82,17 @@ class _Budget:
 
 @dataclass
 class GroundingTrace:
-    """Mutable working state of one grounding run plus its step log."""
+    """Working state of one grounding run plus its step log.
+
+    ``graphs`` is the current state.  It is immutable and caches every
+    query made on it; only the four ``_apply_*`` steps replace it, and a
+    clone shares it until one of them runs.
+    """
 
     original: GraphPair
     n_real: int
-    arcs: set[tuple[int, int]]
-    edges: set[tuple[int, int]]
-    dummies: set[int]
+    graphs: GraphPair
+    dummies: frozenset[int] = frozenset()
     log: list[Step] = field(default_factory=list)
     n_connected: int = 0
     n_iv: int = 0
@@ -93,44 +103,37 @@ class GroundingTrace:
 
     @classmethod
     def from_graphs(cls, g: GraphPair) -> "GroundingTrace":
-        return cls(original=g, n_real=g.n, arcs=set(g.arcs),
-                   edges=set(g.edges), dummies=set())
+        return cls(original=g, n_real=g.n, graphs=g)
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return self.graphs.arcs
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return self.graphs.edges
 
     @property
     def dummy_count(self) -> int:
         return len(self.dummies)
 
-    @property
-    def graphs(self) -> GraphPair:
-        return GraphPair(n=self.n_real + len(self.dummies),
-                         arcs=frozenset(self.arcs), edges=frozenset(self.edges))
-
     def clone(self) -> "GroundingTrace":
-        return GroundingTrace(
-            original=self.original, n_real=self.n_real, arcs=set(self.arcs),
-            edges=set(self.edges), dummies=set(self.dummies),
-            log=list(self.log), n_connected=self.n_connected, n_iv=self.n_iv,
-            n_remaining=self.n_remaining, mode=self.mode,
-            complete=self.complete, fell_back=self.fell_back)
+        return replace(self, log=list(self.log))
 
     def canonical_key(self):
         """State identity up to renaming of dummy vertices."""
-        by_sources = sorted(
-            (tuple(sorted(i for (i, j) in self.arcs if j == d)), d)
-            for d in self.dummies)
+        g = self.graphs
+        by_sources = sorted((tuple(bits(g.pred[d])), d) for d in self.dummies)
         relabel = {d: self.n_real + k + 1 for k, (_, d) in enumerate(by_sources)}
         arcs = frozenset((relabel.get(i, i), relabel.get(j, j))
-                         for (i, j) in self.arcs)
-        return (self.n_real, len(self.dummies), arcs, frozenset(self.edges))
-
-
-def _leaf_report(trace: GroundingTrace) -> graphs.SccReport:
-    return graphs.scc_decompose(trace.graphs)
+                         for (i, j) in g.arcs) if relabel else g.arcs
+        return (self.n_real, len(self.dummies), arcs, g.edges)
 
 
 def _leaf_scc_sets(trace: GroundingTrace) -> list[frozenset[int]]:
-    report = _leaf_report(trace)
-    return [report.sccs[k] for k in report.leaf_sccs]
+    """The leaf SCCs of the current state, ordered by smallest member."""
+    g = trace.graphs
+    return [g.sccs[k] for k in g.leaf_sccs]
 
 
 def _class_of(trace: GroundingTrace, scc: frozenset[int]) -> graphs.LeafClass | None:
@@ -148,9 +151,9 @@ def _sccs_of_class(trace: GroundingTrace, cls: graphs.LeafClass
 # internals after making its own (already validated) choices.
 
 def _apply_prune(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
-    removed = tuple(sorted(a for a in trace.arcs if a[0] == v))
-    for a in removed:
-        trace.arcs.discard(a)
+    g = trace.graphs
+    removed = tuple((v, j) for j in bits(g.succ[v]))
+    trace.graphs = replace(g, arcs=g.arcs.difference(removed))
     trace.log.append(("i", tuple(sorted(scc)), v, removed))
 
 
@@ -164,9 +167,10 @@ def prune_scc(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
 
 
 def _apply_dummy(trace: GroundingTrace, scc: frozenset[int], source: int) -> int:
-    dummy = trace.n_real + len(trace.dummies) + 1
-    trace.dummies.add(dummy)
-    trace.arcs.add((source, dummy))
+    g = trace.graphs
+    dummy = g.n + 1
+    trace.graphs = replace(g, n=dummy, arcs=g.arcs | {(source, dummy)})
+    trace.dummies |= {dummy}
     trace.log.append(("ii", tuple(sorted(scc)), source, dummy))
     return dummy
 
@@ -187,15 +191,15 @@ def append_dummy(trace: GroundingTrace, scc: frozenset[int]) -> int:
 def _apply_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
                           witness: graphs.DegeneracyWitness,
                           source: int, target: int, tag: str) -> None:
-    trace.arcs.add((source, target))
+    trace.graphs = replace(trace.graphs, arcs=trace.arcs | {(source, target)})
     trace.log.append((tag, tuple(sorted(scc)), tuple(sorted(witness.part)),
                       tuple(sorted(witness.cover)), source, target))
 
 
-def _witness_action(trace: GroundingTrace, witness: graphs.DegeneracyWitness
+def _witness_action(g: GraphPair, witness: graphs.DegeneracyWitness
                     ) -> tuple[str, list[int]]:
-    """Step tag and valid targets for a witness on the current state."""
-    non_leaf = sorted(witness.cover - graphs.leaf_vertices(trace.graphs))
+    """Step tag and valid targets for a witness on state g."""
+    non_leaf = sorted(witness.cover - graphs.leaf_vertices(g))
     if len(non_leaf) == 1:
         return "iii-a", non_leaf
     return "iii-b", sorted(witness.cover)
@@ -216,7 +220,7 @@ def add_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
         raise StaleWitnessError("witness conditions no longer hold")
     if not witness.cover:
         raise StaleWitnessError("vacuous witness has no arc target")
-    tag, targets = _witness_action(trace, witness)
+    tag, targets = _witness_action(g, witness)
     _apply_degenerate_arc(trace, scc, witness, min(witness.part), targets[0], tag)
 
 
@@ -229,8 +233,7 @@ def _chain_edges(trace: GroundingTrace, scc: frozenset[int]
 
 def _apply_edges(trace: GroundingTrace, scc: frozenset[int],
                  new_edges: tuple[tuple[int, int], ...]) -> None:
-    for e in new_edges:
-        trace.edges.add(e)
+    trace.graphs = replace(trace.graphs, edges=trace.edges.union(new_edges))
     trace.log.append(("iv-b", tuple(sorted(scc)), new_edges))
 
 
@@ -268,12 +271,11 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
             break
         if prune_limit == 1:
             options = [(tuple(sorted(scc)), v)
-                       for scc in sorted(connected, key=min)
-                       for v in sorted(scc)]
+                       for scc in connected for v in sorted(scc)]
             scc_t, v = chooser.pick(options)
             _apply_prune(trace, frozenset(scc_t), v)
         else:
-            scc = min(connected, key=min)
+            scc = connected[0]
             v = chooser.pick(sorted(scc))
             _apply_prune(trace, scc, v)
         pruned += 1
@@ -281,59 +283,48 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
         raise AssertionError("prune loop failed to terminate")
 
     for _ in range(_LOOP_CAP):
-        disconnected = _sccs_of_class(trace, graphs.LeafClass.MESSAGE_DISCONNECTED)
-        if not disconnected and not _any_degenerated(trace):
-            break
+        acted = False
         for _ in range(_LOOP_CAP):
             disconnected = _sccs_of_class(
                 trace, graphs.LeafClass.MESSAGE_DISCONNECTED)
             if not disconnected:
                 break
-            scc = min(disconnected, key=min)
+            scc = disconnected[0]
             source = chooser.pick(sorted(scc))
             _apply_dummy(trace, scc, source)
+            acted = True
         else:
             raise AssertionError("dummy loop failed to terminate")
         for _ in range(_LOOP_CAP):
-            options = _degenerated_options(trace)
-            if not options:
+            option = chooser.pick(_degenerated_options(trace))
+            if option is None:
                 break
-            scc_t, witness, source, target, tag = chooser.pick(options)
+            scc_t, witness, source, target, tag = option
             _apply_degenerate_arc(trace, frozenset(scc_t), witness,
                                   source, target, tag)
+            acted = True
         else:
             raise AssertionError("degenerated loop failed to terminate")
+        if not acted:
+            break
     else:
         raise AssertionError("sweep failed to terminate")
 
 
-def _any_degenerated(trace: GroundingTrace) -> bool:
+def _degenerated_options(trace: GroundingTrace):
+    """Every (scc, witness, source, target, tag) a degenerated semi leaf
+    SCC currently admits, in deterministic order, generated lazily."""
     g = trace.graphs
     for scc in _leaf_scc_sets(trace):
-        if _class_of(trace, scc) is not None:
-            continue
-        for _ in graphs.iter_degeneracy_witnesses(g, scc):
-            return True
-    return False
-
-
-def _degenerated_options(trace: GroundingTrace) -> list[tuple]:
-    """Every (scc, witness, source, target, tag) a degenerated semi leaf
-    SCC currently admits, in deterministic order."""
-    g = trace.graphs
-    options = []
-    for scc in sorted(_leaf_scc_sets(trace), key=min):
         if _class_of(trace, scc) is not None:
             continue
         for witness in graphs.iter_degeneracy_witnesses(g, scc):
             if not witness.cover:
                 continue
-            tag, targets = _witness_action(trace, witness)
+            tag, targets = _witness_action(g, witness)
             for source in sorted(witness.part):
                 for target in targets:
-                    options.append((tuple(sorted(scc)), witness,
-                                    source, target, tag))
-    return options
+                    yield (tuple(sorted(scc)), witness, source, target, tag)
 
 
 def break_leaf_sccs(trace: GroundingTrace, prune_limit: int | None = None) -> None:
@@ -349,9 +340,8 @@ def break_leaf_sccs(trace: GroundingTrace, prune_limit: int | None = None) -> No
 def _phase2_branch_options(trace: GroundingTrace) -> list[tuple]:
     """Choices opening a phase-2 iteration when no message-connected leaf
     SCC exists: which semi leaf SCC to connect, and with which edges."""
-    semis = sorted(_leaf_scc_sets(trace), key=min)
     options = []
-    for scc in semis:
+    for scc in _leaf_scc_sets(trace):
         cls = _class_of(trace, scc)
         if cls is not None:
             raise AssertionError(
@@ -366,30 +356,17 @@ def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]
     (spanning trees over components, arbitrary endpoints); the
     deterministic chain comes first."""
     comps = graphs.u_components(trace.graphs, scc)
-    k = len(comps)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     cross = sorted(edge_key(a, b)
                    for ca, cb in combinations(comps, 2)
                    for a in ca for b in cb)
     chain = _chain_edges(trace, scc)
     options = [chain]
-    for subset in combinations(cross, k - 1):
-        parent = list(range(k))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged = 0
-        for a, b in subset:
-            ra, rb = find(comp_of[a]), find(comp_of[b])
-            if ra != rb:
-                parent[ra] = rb
-                merged += 1
-        if merged == k - 1 and tuple(sorted(subset)) != chain:
-            options.append(tuple(sorted(subset)))
+    for subset in combinations(cross, len(comps) - 1):
+        joined = graphs.spanning_forest(
+            ((comp_of[a], comp_of[b]) for a, b in subset), len(comps))
+        if len(joined) == len(comps) - 1 and subset != chain:
+            options.append(subset)
     return options
 
 
@@ -573,7 +550,7 @@ def lower_bound_prune_all(g: GraphPair) -> int:
     vertex and count surviving out-vertices.  Never exceeds the bound from
     a full grounding run."""
     trace = GroundingTrace.from_graphs(g)
-    for scc in sorted(_leaf_scc_sets(trace), key=min):
+    for scc in _leaf_scc_sets(trace):
         _apply_prune(trace, scc, min(scc))
     if _leaf_scc_sets(trace):
         raise AssertionError("pruning every leaf SCC left a leaf SCC behind")

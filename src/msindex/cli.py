@@ -48,6 +48,10 @@ def _load_instance(path: str) -> ProblemInstance:
     return parse_instance(_load_json(path))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _dump(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -111,7 +115,7 @@ def _code_from_dict(doc: dict, path: str) -> code.LinearIndexCode:
         raise InstanceError(f"{path}:schema",
                             f"unsupported schema version {doc['schema']!r}")
     m = doc["num_messages"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise InstanceError(f"{path}:num_messages", "expected a positive integer")
     rows = []
     if not isinstance(doc["rows"], list):
@@ -122,10 +126,10 @@ def _code_from_dict(doc: dict, path: str) -> code.LinearIndexCode:
             raise InstanceError(where, "expected an object")
         sender = raw.get("sender")
         coeffs = raw.get("coeffs")
-        if not isinstance(sender, int) or sender < 1:
+        if not _is_int(sender) or sender < 1:
             raise InstanceError(where, "sender must be a positive integer")
         if (not isinstance(coeffs, list) or len(coeffs) != m
-                or any(c not in (0, 1) for c in coeffs)):
+                or any(not _is_int(c) or c not in (0, 1) for c in coeffs)):
             raise InstanceError(where, f"coeffs must be a 0/1 list of length {m}")
         mask = sum(bit << pos for pos, bit in enumerate(coeffs))
         kind = raw.get("kind")
@@ -246,7 +250,11 @@ def cmd_verify(args) -> int:
         raise InstanceError(f"{args.code}:num_messages",
                             f"code is for {c.num_messages} messages, "
                             f"instance has {simple.num_messages}")
-    _dump(_certificate_to_dict(verify.rank_decodable(c, simple)))
+    try:
+        result = verify.rank_decodable(c, simple)
+    except InstanceError as exc:
+        raise InstanceError(f"{args.code}:{exc.path}", exc.message) from exc
+    _dump(_certificate_to_dict(result))
     return 0
 
 
@@ -346,16 +354,49 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _final_state(doc: dict, path: str) -> tuple[GraphPair, frozenset[int]]:
+    """The final graphs and dummies of a trace document.  Every field is
+    checked here, so no vertex index reaches the graph kernel unchecked."""
+    where = f"{path}:final"
+    final = doc.get("final")
+    if not isinstance(final, dict):
+        raise InstanceError(where, "missing final state")
+    for key in ("n", "arcs", "edges", "dummies"):
+        if key not in final:
+            raise InstanceError(f"{where}.{key}", "missing required field")
+    n = final["n"]
+    if not _is_int(n) or n < 1:
+        raise InstanceError(f"{where}.n", "expected a positive integer")
+
+    def vertices(raw, at: str, pair: bool = False) -> tuple[int, ...]:
+        if (not isinstance(raw, list) or (pair and len(raw) != 2)
+                or not all(_is_int(v) and 1 <= v <= n for v in raw)):
+            what = "a pair" if pair else "a list"
+            raise InstanceError(at, f"expected {what} of vertices in 1..{n}")
+        return tuple(raw)
+
+    def pairs(key: str, ordered: bool) -> frozenset[tuple[int, int]]:
+        if not isinstance(final[key], list):
+            raise InstanceError(f"{where}.{key}", "expected a list")
+        out = set()
+        for k, raw in enumerate(final[key]):
+            at = f"{where}.{key}[{k}]"
+            i, j = vertices(raw, at, pair=True)
+            if i == j or (not ordered and i > j):
+                raise InstanceError(at, "expected two distinct vertices"
+                                    + ("" if ordered else " in increasing order"))
+            out.add((i, j))
+        return frozenset(out)
+
+    g = GraphPair(n=n, arcs=pairs("arcs", True), edges=pairs("edges", False))
+    return g, frozenset(vertices(final["dummies"], f"{where}.dummies"))
+
+
 def cmd_dot(args) -> int:
     doc = _load_json(args.instance)
     if "steps" in doc:
-        final = doc.get("final")
-        if not isinstance(final, dict):
-            raise InstanceError(f"{args.instance}:final", "missing final state")
-        g = GraphPair(n=final["n"],
-                      arcs=frozenset(tuple(a) for a in final["arcs"]),
-                      edges=frozenset(tuple(e) for e in final["edges"]))
-        print(graphs.to_dot(g, dummies=frozenset(final["dummies"])), end="")
+        g, dummies = _final_state(doc, args.instance)
+        print(graphs.to_dot(g, dummies=dummies), end="")
         return 0
     inst = parse_instance(doc)
     simple, _ = simplify(inst)

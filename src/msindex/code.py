@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graphs
-from .model import GraphPair, ProblemInstance
+from .model import GraphPair, ProblemInstance, adjacent, bits, closure, mask_of
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class CodeRow:
     kind: str | None = None
 
     def support(self) -> frozenset[int]:
-        return frozenset(i + 1 for i in range(self.coeffs.bit_length())
-                         if (self.coeffs >> i) & 1)
+        return frozenset(bits(self.coeffs))
 
     def coeff_list(self, m: int) -> list[int]:
         return [(self.coeffs >> i) & 1 for i in range(m)]
@@ -65,36 +64,13 @@ class LinearIndexCode:
         return len(self.rows)
 
 
-def mask_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _closed_under_arcs(g: GraphPair, vs: frozenset[int]) -> bool:
-    return all(j in vs for (i, j) in g.arcs if i in vs)
-
-
 def _spanning_tree(g: GraphPair, vs: frozenset[int]) -> tuple[tuple[int, int], ...]:
     """Kruskal over lexicographically sorted edges; input must induce a
     connected message subgraph."""
-    parent = {v: v for v in vs}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    chosen = []
-    for i, j in sorted(g.edges):
-        if i not in parent or j not in parent:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
+    inside = mask_of(vs)
+    # the edges inside vs in lexicographic order: each i with its j > i
+    edges = ((i, j) for i in sorted(vs) for j in bits(g.adj[i] & inside >> i << i))
+    chosen = graphs.spanning_forest(edges, len(vs))
     if len(chosen) != len(vs) - 1:
         raise ValueError(f"{sorted(vs)} does not induce a connected message subgraph")
     return tuple(chosen)
@@ -102,16 +78,14 @@ def _spanning_tree(g: GraphPair, vs: frozenset[int]) -> tuple[tuple[int, int], .
 
 def _tree_candidates(g: GraphPair, excluded: frozenset[int]) -> list[frozenset[int]]:
     """All valid connecting-tree vertex sets, sorted lexicographically."""
-    eligible = sorted(set(g.vertices()) - graphs.leaf_vertices(g) - excluded)
+    eligible = [1 << (v - 1) for v in
+                bits(g.vertex_mask & ~g.leaf_mask & ~mask_of(excluded))]
     found = []
     for r in range(2, len(eligible) + 1):
         for combo in combinations(eligible, r):
-            vs = frozenset(combo)
-            if not _closed_under_arcs(g, vs):
-                continue
-            if not graphs.u_connected_within(g, vs):
-                continue
-            found.append(vs)
+            vs = sum(combo)
+            if not adjacent(g.succ, vs) & ~vs and len(g.components(vs)) == 1:
+                found.append(frozenset(bits(vs)))
     found.sort(key=sorted)
     return found
 
@@ -179,32 +153,20 @@ def find_connecting_trees(g: GraphPair, mode: str = "exact",
     return [Tree(vs, _spanning_tree(g, vs)) for vs in sets]
 
 
-def _reach(g: GraphPair, v: int) -> frozenset[int]:
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for w in g.out_neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
 def _greedy_trees(g: GraphPair, excluded: frozenset[int]) -> list[frozenset[int]]:
-    leaves = graphs.leaf_vertices(g)
-    used: set[int] = set()
+    """Per vertex in order, its reachability closure when that is a fresh
+    non-leaf, message-connected set of two or more vertices."""
+    blocked = g.leaf_mask | mask_of(excluded)
     out = []
     for v in g.vertices():
-        if v in used or v in excluded or v in leaves:
+        low = 1 << (v - 1)
+        if low & blocked:
             continue
-        vs = _reach(g, v)
-        if vs & (used | excluded) or vs & leaves:
+        vs = low | closure(g.succ, low)
+        if vs & blocked or vs == low or len(g.components(vs)) != 1:
             continue
-        if len(vs) < 2 or not graphs.u_connected_within(g, vs):
-            continue
-        out.append(vs)
-        used |= vs
+        out.append(frozenset(bits(vs)))
+        blocked |= vs
     return out
 
 

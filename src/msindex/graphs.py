@@ -1,4 +1,4 @@
-"""SCC machinery and leaf-SCC classification against the message graph.
+"""Leaf-SCC classification against the message graph, on the GraphPair kernel.
 
 A leaf SCC is a strongly connected component with at least two vertices
 and no arc leaving it.  Each leaf SCC falls into exactly one of four
@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .model import GraphPair
+from .model import GraphPair, adjacent, bits, mask_of
 
 
 class LeafClass(enum.Enum):
@@ -47,68 +47,9 @@ class SccReport:
 
 
 def scc_decompose(g: GraphPair) -> SccReport:
-    """Partition vertices into SCCs (iterative Tarjan) and flag leaf SCCs.
-
-    Components are returned sorted by smallest member; classes are left
-    unfilled.
-    """
-    succ: dict[int, list[int]] = {v: [] for v in g.vertices()}
-    for i, j in sorted(g.arcs):
-        succ[i].append(j)
-
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    components: list[frozenset[int]] = []
-
-    for root in g.vertices():
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-
-    components.sort(key=min)
-    leaf = []
-    for k, comp in enumerate(components):
-        if len(comp) < 2:
-            continue
-        if all(j in comp for (i, j) in g.arcs if i in comp):
-            leaf.append(k)
-    return SccReport(sccs=components, leaf_sccs=leaf)
+    """SCCs sorted by smallest member, with the leaf SCCs flagged; classes
+    are left unfilled."""
+    return SccReport(sccs=list(g.sccs), leaf_sccs=list(g.leaf_sccs))
 
 
 def predecessors(g: GraphPair, i: int) -> frozenset[int]:
@@ -116,47 +57,22 @@ def predecessors(g: GraphPair, i: int) -> frozenset[int]:
 
     Includes i itself exactly when i lies on a cycle.
     """
-    preds: set[int] = set()
-    frontier = list(g.in_neighbors(i))
-    while frontier:
-        v = frontier.pop()
-        if v in preds:
-            continue
-        preds.add(v)
-        frontier.extend(g.in_neighbors(v))
-    return frozenset(preds)
-
-
-def _ancestors_of_set(g: GraphPair, targets: set[int]) -> set[int]:
-    """Vertices with a nonempty directed path into ``targets``."""
-    preds: set[int] = set()
-    frontier: list[int] = []
-    for t in targets:
-        frontier.extend(g.in_neighbors(t))
-    while frontier:
-        v = frontier.pop()
-        if v in preds:
-            continue
-        preds.add(v)
-        frontier.extend(g.in_neighbors(v))
-    return preds
+    return frozenset(bits(g.ancestors(1 << (i - 1))))
 
 
 def leaf_vertices(g: GraphPair) -> frozenset[int]:
     """Vertices with no outgoing arc."""
-    has_out = {i for (i, _) in g.arcs}
-    return frozenset(v for v in g.vertices() if v not in has_out)
+    return frozenset(bits(g.leaf_mask))
 
 
 def num_out_vertices(g: GraphPair, exclude: frozenset[int] = frozenset()) -> int:
     """Number of vertices with at least one outgoing arc, minus ``exclude``."""
-    return len({i for (i, _) in g.arcs} - exclude)
+    return (g.vertex_mask & ~g.leaf_mask & ~mask_of(exclude)).bit_count()
 
 
 def grounded_set(g: GraphPair) -> frozenset[int]:
     """Vertices that are a leaf or a predecessor of some leaf."""
-    leaves = set(leaf_vertices(g))
-    return frozenset(leaves | _ancestors_of_set(g, leaves))
+    return frozenset(bits(g.leaf_mask | g.ancestors(g.leaf_mask)))
 
 
 def is_grounded_digraph(g: GraphPair) -> bool:
@@ -177,69 +93,32 @@ def is_grounded_digraph(g: GraphPair) -> bool:
 
 def m_neighbors(g: GraphPair, vs: frozenset[int] | set[int]) -> frozenset[int]:
     """Vertices outside ``vs`` joined to it by a message-graph edge."""
-    out = set()
-    for i, j in g.edges:
-        if i in vs and j not in vs:
-            out.add(j)
-        elif j in vs and i not in vs:
-            out.add(i)
-    return frozenset(out)
+    mask = mask_of(vs)
+    return frozenset(bits(adjacent(g.adj, mask) & ~mask))
 
 
-def u_components(g: GraphPair, within: frozenset[int] | set[int]) -> list[frozenset[int]]:
-    """Connected components of the message graph restricted to ``within``."""
-    adj: dict[int, set[int]] = {v: set() for v in within}
-    for i, j in g.edges:
-        if i in within and j in within:
-            adj[i].add(j)
-            adj[j].add(i)
-    comps = []
-    seen: set[int] = set()
-    for v in sorted(within):
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
-
-
-def u_connected_within(g: GraphPair, vs: frozenset[int] | set[int]) -> bool:
-    return len(u_components(g, vs)) <= 1
+def u_components(g: GraphPair, within: frozenset[int] | set[int]
+                 ) -> list[frozenset[int]]:
+    """Connected components of the message graph restricted to ``within``,
+    ordered by smallest member."""
+    return [frozenset(bits(c)) for c in g.components(mask_of(within))]
 
 
 def u_connected_globally(g: GraphPair, a: int, b: int) -> bool:
     """Is there a path between a and b in the whole message graph?"""
-    if a == b:
-        return True
-    adj: dict[int, set[int]] = {}
-    for i, j in g.edges:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        u = frontier.pop()
-        for w in adj.get(u, ()):
-            if w == b:
-                return True
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return False
+    return a == b or bool(g.u_comp[a] >> (b - 1) & 1)
 
 
 def is_leaf_scc(g: GraphPair, scc: frozenset[int]) -> bool:
-    report = scc_decompose(g)
-    return any(report.sccs[k] == scc for k in report.leaf_sccs)
+    return any(g.sccs[k] == scc for k in g.leaf_sccs)
+
+
+def _covered(g: GraphPair, targets: int, cover: int) -> bool:
+    """Every vertex of ``targets`` is in ``cover`` or has a directed path
+    into it.  The ancestors of a cover are those of its leaves plus those
+    of its non-leaf members, both memoized per graph."""
+    reach = cover | g.ancestors(cover & g.leaf_mask) | g.ancestors(cover & ~g.leaf_mask)
+    return not targets & ~reach
 
 
 def check_degeneracy_witness(g: GraphPair, scc: frozenset[int],
@@ -247,27 +126,22 @@ def check_degeneracy_witness(g: GraphPair, scc: frozenset[int],
     """Validate a degeneracy witness against the current graphs.
 
     The conditions: ``part`` is a nonempty proper subset of the SCC with no
-    message-graph edge to the rest of the SCC; ``cover`` lies outside the
-    SCC with at most one non-leaf member; and every m-neighbor of ``part``
-    is in ``cover`` or has a directed path to some vertex of ``cover``.
+    message-graph edge to the rest of the SCC; ``cover`` is a set of
+    vertices of g outside the SCC with at most one non-leaf member; and
+    every m-neighbor of ``part`` is in ``cover`` or has a directed path to
+    some vertex of ``cover``.
     """
     part, cover = witness.part, witness.cover
     if not part or not part < scc:
         return False
-    rest = scc - part
-    for i, j in g.edges:
-        if (i in part and j in rest) or (j in part and i in rest):
-            return False
-    if cover & scc:
+    part_m, scc_m, cover_m = mask_of(part), mask_of(scc), mask_of(cover)
+    touching = adjacent(g.adj, part_m)
+    if touching & scc_m & ~part_m or cover_m & scc_m or cover_m >> g.n:
         return False
-    leaves = leaf_vertices(g)
-    if len(cover - leaves) > 1:
+    non_leaf = cover_m & ~g.leaf_mask
+    if non_leaf & (non_leaf - 1):
         return False
-    neighbors = m_neighbors(g, part)
-    if not neighbors:
-        return True
-    reach_cover = set(cover) | _ancestors_of_set(g, set(cover))
-    return neighbors <= reach_cover
+    return _covered(g, touching & ~part_m, cover_m)
 
 
 def iter_degeneracy_witnesses(g: GraphPair, scc: frozenset[int]):
@@ -278,23 +152,26 @@ def iter_degeneracy_witnesses(g: GraphPair, scc: frozenset[int]):
     edge across), ordered by component count then smallest members.  For
     each, the candidate cover is every leaf vertex outside the SCC plus at
     most one non-leaf vertex w; since enlarging a cover with leaves
-    preserves witnesses, no witness shape is missed.
+    preserves witnesses, no witness shape is missed.  Candidates whose
+    cover misses an m-neighbor are skipped before the full check.
     """
-    comps = u_components(g, scc)
-    outside_leaves = frozenset(leaf_vertices(g) - scc)
-    non_leaf_outside = sorted(set(g.vertices()) - scc - outside_leaves)
-
+    scc_m = mask_of(scc)
+    comps = g.components(scc_m)
+    leaves = g.leaf_mask & ~scc_m
+    covers = [leaves] + [leaves | 1 << (w - 1)
+                         for w in bits(g.vertex_mask & ~scc_m & ~leaves)]
     for r in range(1, len(comps)):
-        for chosen in combinations(range(len(comps)), r):
-            part = frozenset().union(*(comps[c] for c in chosen))
-            neighbors = m_neighbors(g, part)
+        for chosen in combinations(comps, r):
+            part_m = sum(chosen)
+            part = frozenset(bits(part_m))
+            neighbors = adjacent(g.adj, part_m) & ~part_m
             if not neighbors:
-                yield DegeneracyWitness(part, outside_leaves, vacuous=True)
+                yield DegeneracyWitness(part, frozenset(bits(leaves)), vacuous=True)
                 continue
-            candidates = [outside_leaves]
-            candidates.extend(outside_leaves | {w} for w in non_leaf_outside)
-            for cover in candidates:
-                witness = DegeneracyWitness(part, frozenset(cover))
+            for cover in covers:
+                if not _covered(g, neighbors, cover):
+                    continue
+                witness = DegeneracyWitness(part, frozenset(bits(cover)))
                 if check_degeneracy_witness(g, scc, witness):
                     yield witness
 
@@ -302,26 +179,19 @@ def iter_degeneracy_witnesses(g: GraphPair, scc: frozenset[int]):
 def is_degenerated(g: GraphPair, scc: frozenset[int]
                    ) -> tuple[bool, DegeneracyWitness | None]:
     """Decide degeneracy of a semi leaf SCC; returns the first witness."""
-    if not is_leaf_scc(g, scc):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC")
-    cls = classify_without_degeneracy(g, scc)
-    if cls is not None:
+    cls, witness = classify_leaf_scc(g, scc)
+    if cls not in (LeafClass.SEMI_DEGENERATED, LeafClass.SEMI_NON_DEGENERATED):
         raise ValueError(f"SCC {sorted(scc)} is not a semi leaf SCC")
-    for witness in iter_degeneracy_witnesses(g, scc):
-        return True, witness
-    return False, None
+    return witness is not None, witness
 
 
 def classify_without_degeneracy(g: GraphPair, scc: frozenset[int]) -> LeafClass | None:
     """Message-connected/disconnected test; None means semi."""
-    if u_connected_within(g, scc):
+    mask = mask_of(scc)
+    if len(g.components(mask)) <= 1:
         return LeafClass.MESSAGE_CONNECTED
-    members = sorted(scc)
-    anchor = members[0]
-    for other in members[1:]:
-        if not u_connected_globally(g, anchor, other):
-            return LeafClass.MESSAGE_DISCONNECTED
-    # anchor reaches everyone, so all pairs are mutually reachable
+    if g.u_comp[min(scc)] & mask != mask:
+        return LeafClass.MESSAGE_DISCONNECTED
     return None
 
 
@@ -339,9 +209,10 @@ def classify_leaf_scc(g: GraphPair, scc: frozenset[int]
     cls = classify_without_degeneracy(g, scc)
     if cls is not None:
         return cls, None
-    for witness in iter_degeneracy_witnesses(g, scc):
-        return LeafClass.SEMI_DEGENERATED, witness
-    return LeafClass.SEMI_NON_DEGENERATED, None
+    witness = next(iter_degeneracy_witnesses(g, scc), None)
+    if witness is None:
+        return LeafClass.SEMI_NON_DEGENERATED, None
+    return LeafClass.SEMI_DEGENERATED, witness
 
 
 def classify_all(g: GraphPair) -> SccReport:
@@ -353,6 +224,30 @@ def classify_all(g: GraphPair) -> SccReport:
         if witness is not None:
             report.witnesses[k] = witness
     return report
+
+
+def spanning_forest(pairs, size: int) -> list[tuple[int, int]]:
+    """Kruskal's choice over ``size`` nodes: the pairs, in the given order,
+    that join two different components of the pairs chosen before them,
+    up to the ``size - 1`` of a spanning tree."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append((a, b))
+            if len(chosen) == size - 1:
+                break
+    return chosen
 
 
 def to_dot(g: GraphPair, dummies: frozenset[int] = frozenset()) -> str:
@@ -390,5 +285,5 @@ __all__ = [
     "scc_decompose", "predecessors", "leaf_vertices", "num_out_vertices",
     "grounded_set", "is_grounded_digraph", "m_neighbors", "is_leaf_scc",
     "check_degeneracy_witness", "iter_degeneracy_witnesses", "is_degenerated",
-    "classify_leaf_scc", "classify_all", "to_dot",
+    "classify_leaf_scc", "classify_all", "spanning_forest", "to_dot",
 ]

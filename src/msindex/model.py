@@ -3,12 +3,15 @@
 An instance has m binary messages and m receivers.  Receiver r knows
 message r a priori and wants the set W_r of other messages.  Each of the
 S senders owns a subset of the messages and may only encode what it owns.
+
+Vertex sets are packed into ints throughout: bit v-1 stands for vertex v.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 SCHEMA_VERSION = 1
@@ -65,6 +68,42 @@ class ProblemInstance:
         }
 
 
+def mask_of(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def bits(mask: int):
+    """The vertices of a mask in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+def adjacent(adjacency, mask: int) -> int:
+    """Union of ``adjacency[v]`` over the vertices v of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adjacency[low.bit_length()]
+        mask ^= low
+    return out
+
+
+def closure(adjacency, start: int, within: int = -1) -> int:
+    """Vertices reached from ``start`` by nonempty paths that stay inside
+    ``within``."""
+    reach = 0
+    frontier = start
+    while frontier:
+        frontier = adjacent(adjacency, frontier) & within & ~reach
+        reach |= frontier
+    return reach
+
+
 @dataclass(frozen=True)
 class GraphPair:
     """Information-flow digraph and message graph over vertices 1..n.
@@ -72,34 +111,108 @@ class GraphPair:
     Arc (i, j) means receiver j wants message i.  Edge {i, j} (stored as
     the sorted pair) means some sender owns both messages.  The edge set
     deliberately forgets which sender that is.
+
+    A GraphPair is immutable, so it is also the graph kernel: validation
+    builds per-vertex successor, predecessor and message-neighbour masks
+    (``succ[v]``, ``pred[v]``, ``adj[v]``; index 0 unused), and the
+    structural queries below are computed from them on first use and kept
+    for the life of the object.  A changed graph is a new GraphPair.
     """
 
     n: int
     arcs: frozenset[tuple[int, int]]
     edges: frozenset[tuple[int, int]]
+    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ancestors: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.n
+        succ, pred, adj = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         for i, j in self.arcs:
             if i == j:
                 raise ValueError(f"self-loop arc ({i},{j})")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"arc ({i},{j}) out of range 1..{self.n}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"arc ({i},{j}) out of range 1..{n}")
+            succ[i] |= 1 << (j - 1)
+            pred[j] |= 1 << (i - 1)
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-loop edge ({i},{j})")
             if i > j:
                 raise ValueError(f"edge ({i},{j}) not in canonical (min,max) order")
-            if not (1 <= i and j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
-
-    def out_neighbors(self, v: int) -> set[int]:
-        return {j for (i, j) in self.arcs if i == v}
-
-    def in_neighbors(self, v: int) -> set[int]:
-        return {i for (i, j) in self.arcs if j == v}
+            if not (1 <= i and j <= n):
+                raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
+            adj[i] |= 1 << (j - 1)
+            adj[j] |= 1 << (i - 1)
+        for name, value in (("succ", tuple(succ)), ("pred", tuple(pred)),
+                            ("adj", tuple(adj)), ("_ancestors", {})):
+            object.__setattr__(self, name, value)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
+
+    @property
+    def vertex_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    @cached_property
+    def leaf_mask(self) -> int:
+        """Vertices with no outgoing arc."""
+        return mask_of(v for v in self.vertices() if not self.succ[v])
+
+    def ancestors(self, mask: int) -> int:
+        """Vertices with a nonempty directed path into ``mask``, memoized
+        per mask."""
+        found = self._ancestors.get(mask)
+        if found is None:
+            found = self._ancestors[mask] = closure(self.pred, mask)
+        return found
+
+    @cached_property
+    def scc_masks(self) -> tuple[int, ...]:
+        """Strongly connected components, ordered by smallest member: the
+        component of the smallest unplaced vertex is what it reaches and is
+        reached from through unplaced vertices."""
+        comps = []
+        rest = self.vertex_mask
+        while rest:
+            low = rest & -rest
+            comp = low | (closure(self.succ, low, rest) & closure(self.pred, low, rest))
+            comps.append(comp)
+            rest &= ~comp
+        return tuple(comps)
+
+    @cached_property
+    def sccs(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits(comp)) for comp in self.scc_masks)
+
+    @cached_property
+    def leaf_sccs(self) -> tuple[int, ...]:
+        """Indices of the SCCs with two or more vertices and no arc leaving."""
+        return tuple(k for k, comp in enumerate(self.scc_masks)
+                     if comp & (comp - 1) and not adjacent(self.succ, comp) & ~comp)
+
+    def components(self, within: int) -> list[int]:
+        """Connected components of the message graph restricted to
+        ``within``, ordered by smallest member."""
+        comps = []
+        while within:
+            low = within & -within
+            comp = low | closure(self.adj, low, within)
+            comps.append(comp)
+            within &= ~comp
+        return comps
+
+    @cached_property
+    def u_comp(self) -> tuple[int, ...]:
+        """Per vertex, its connected component in the whole message graph."""
+        comp = [0] * (self.n + 1)
+        for members in self.components(self.vertex_mask):
+            for v in bits(members):
+                comp[v] = members
+        return tuple(comp)
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import graphs
-from .code import CodeRow, LinearIndexCode, mask_of
-from .model import ProblemInstance, build_graphs, simplify
+from .code import CodeRow, LinearIndexCode
+from .model import (InstanceError, ProblemInstance, bits, build_graphs,
+                    mask_of, simplify)
 
 EXHAUSTIVE_LIMIT = 20
 ORACLE_LIMIT = 8
@@ -58,9 +59,19 @@ class _Gf2Solver:
     are reproducible.
     """
 
-    def __init__(self):
+    def __init__(self, vectors=()):
         self.pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (vec, combo)
         self.count = 0
+        for vec in vectors:
+            self.add(vec)
+
+    def extended(self, vec: int) -> "_Gf2Solver":
+        """A copy with ``vec`` inserted last; this basis is unchanged."""
+        out = _Gf2Solver()
+        out.pivots = dict(self.pivots)
+        out.count = self.count
+        out.add(vec)
+        return out
 
     def add(self, vec: int) -> None:
         combo = 1 << self.count
@@ -88,10 +99,10 @@ class _Gf2Solver:
 def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
     for k, row in enumerate(code.rows):
         if not (1 <= row.sender <= inst.num_senders):
-            raise ValueError(f"row {k}: unknown sender {row.sender}")
+            raise InstanceError(f"rows[{k}]", f"unknown sender {row.sender}")
         if not row.support() <= inst.senders[row.sender - 1]:
-            raise ValueError(
-                f"row {k}: support {sorted(row.support())} not owned by "
+            raise InstanceError(
+                f"rows[{k}]", f"support {sorted(row.support())} not owned by "
                 f"sender {row.sender}")
 
 
@@ -106,26 +117,20 @@ def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
     """
     _validate_supports(code, inst)
     carried = inst.carried
+    base = _Gf2Solver(row.coeffs for row in code.rows)
+    prior_bit = 1 << base.count
     entries = []
     for r in range(1, inst.num_messages + 1):
         wants = sorted(inst.wants[r - 1])
         if not wants:
             continue
-        solver = _Gf2Solver()
-        for row in code.rows:
-            solver.add(row.coeffs)
-        prior_slot = None
-        if r in carried:
-            prior_slot = solver.count
-            solver.add(mask_of((r,)))
+        solver = base.extended(mask_of((r,))) if r in carried else base
         for j in wants:
             combo = solver.solve(mask_of((j,)))
             if combo is None:
                 return DecodeFailure(receiver=r, wanted=j)
-            rows_used = tuple(k for k in range(len(code.rows))
-                              if (combo >> k) & 1)
-            uses_prior = prior_slot is not None and bool((combo >> prior_slot) & 1)
-            entries.append(CertEntry(r, j, rows_used, uses_prior))
+            rows_used = tuple(k - 1 for k in bits(combo & (prior_bit - 1)))
+            entries.append(CertEntry(r, j, rows_used, bool(combo & prior_bit)))
     return DecodeCertificate(tuple(entries))
 
 
@@ -304,9 +309,7 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
     g = build_graphs(simple)
     violations = []
 
-    base = _Gf2Solver()
-    for row in code.rows:
-        base.add(row.coeffs)
+    base = _Gf2Solver(row.coeffs for row in code.rows)
 
     report = graphs.classify_all(g)
     plain_targets: set[tuple[str, int]] = set()
@@ -326,11 +329,7 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
         preds = graphs.predecessors(g, r)
         if not preds:
             continue
-        solver = _Gf2Solver()
-        for row in code.rows:
-            solver.add(row.coeffs)
-        if r in carried:
-            solver.add(mask_of((r,)))
+        solver = base.extended(mask_of((r,))) if r in carried else base
         for j in sorted(preds):
             if j not in carried:
                 continue

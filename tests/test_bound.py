@@ -90,7 +90,7 @@ def test_degenerate_arcs_merge_three_pairs(three_pairs):
     # drive the documented middle part of the run by hand
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
-    trace.edges.add((1, 2))
+    assert make_message_connected(trace, frozenset({1, 2})) == ((1, 2),)
     prune_scc(trace, frozenset({1, 2}), 1)
 
     degen, witness = is_degenerated(trace.graphs, frozenset({3, 4}))

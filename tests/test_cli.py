@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from msindex.cli import main
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
@@ -156,6 +158,33 @@ def test_verify_rejects_malformed_code(capsys, tmp_path):
     assert run(capsys, "verify", TWO_WAY, str(code_path))[0] == 2
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"sender": 7, "coeffs": [1, 0]}, "unknown sender 7"),
+    ({"sender": 1, "coeffs": [1, 1]}, "support [1, 2] not owned by sender 1"),
+])
+def test_verify_rejects_rows_the_instance_forbids(capsys, tmp_path, row, message):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps({
+        "num_messages": 2, "rows": [{"sender": 1, "coeffs": [1, 0]}, row]}))
+    rc, _, err = run(capsys, "verify", TWO_WAY, str(code_path))
+    assert rc == 2
+    assert f"{code_path}:rows[1]: {message}" in err
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"num_messages": True, "rows": []}, "num_messages"),
+    ({"num_messages": 2, "rows": [{"sender": True, "coeffs": [1, 0]}]}, "rows[0]"),
+    ({"num_messages": 2, "rows": [{"sender": 1, "coeffs": [True, False]}]}, "rows[0]"),
+])
+def test_verify_rejects_booleans(capsys, tmp_path, doc, where):
+    code_path = tmp_path / "code.json"
+    code_path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "verify", TWO_WAY, str(code_path))
+    assert rc == 2
+    assert f"{code_path}:{where}: " in err
+    assert "instance has" not in err
+
+
 def test_oracle_command(capsys):
     rc, out, _ = run(capsys, "oracle", THREE_PAIRS, "--json")
     assert rc == 0
@@ -186,6 +215,28 @@ def test_dot_trace_renders_dummies_dashed(capsys, tmp_path):
     rc, out, _ = run(capsys, "dot", str(trace_path))
     assert rc == 0
     assert "3 [style=dashed];" in out
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("arcs", None, "final.arcs: missing required field"),
+    ("arcs", [[1, 1]], "final.arcs[0]: expected two distinct vertices"),
+    ("arcs", [[1, 9]], "final.arcs[0]: expected a pair of vertices in 1..3"),
+    ("edges", [[2, 1]],
+     "final.edges[0]: expected two distinct vertices in increasing order"),
+    ("n", True, "final.n: expected a positive integer"),
+])
+def test_dot_rejects_malformed_trace(capsys, tmp_path, field, value, where):
+    _, out, _ = run(capsys, "bound", TWO_WAY, "--trace")
+    trace = json.loads(out)["trace"]
+    if value is None:
+        del trace["final"][field]
+    else:
+        trace["final"][field] = value
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps(trace))
+    rc, out, err = run(capsys, "dot", str(trace_path))
+    assert (rc, out) == (2, "")
+    assert f"{trace_path}:{where}" in err
 
 
 def test_outputs_are_byte_identical(capsys):

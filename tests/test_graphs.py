@@ -1,15 +1,18 @@
 from itertools import chain, combinations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from msindex import graphs
+from msindex.bound import (GroundingTrace, add_degenerate_arc, append_dummy,
+                           make_message_connected, prune_scc)
 from msindex.graphs import (DegeneracyWitness, LeafClass, classify_all,
                             classify_leaf_scc, check_degeneracy_witness,
                             grounded_set, is_degenerated, is_grounded_digraph,
-                            leaf_vertices, m_neighbors, predecessors,
-                            scc_decompose, to_dot)
-from msindex.model import build_graphs, simplify
+                            leaf_vertices, m_neighbors, num_out_vertices,
+                            predecessors, scc_decompose, to_dot)
+from msindex.model import GraphPair, build_graphs, edge_key, simplify
 
 from conftest import gp, simplified_graphs
 from strategies import graph_pairs, instances
@@ -17,9 +20,11 @@ from strategies import graph_pairs, instances
 
 # --- independent oracles -------------------------------------------------
 
-def closure(g):
-    """Reachability by nonempty paths, via repeated relaxation."""
-    reach = {v: set(g.out_neighbors(v)) for v in g.vertices()}
+def closure(g, pairs=None):
+    """Reachability by nonempty paths along ``pairs`` (default: the arcs),
+    via repeated relaxation."""
+    pairs = g.arcs if pairs is None else pairs
+    reach = {v: {j for (i, j) in pairs if i == v} for v in g.vertices()}
     changed = True
     while changed:
         changed = False
@@ -289,6 +294,114 @@ def test_partitioned_senders_never_semi(inst):
     for k in report.leaf_sccs:
         assert report.classes[k] in (LeafClass.MESSAGE_CONNECTED,
                                      LeafClass.MESSAGE_DISCONNECTED)
+
+
+# --- kernel caches under grounding steps -----------------------------------
+
+def kernel_queries(g):
+    report = classify_all(g)
+    return {
+        "sccs": report.sccs,
+        "leaf_sccs": [report.sccs[k] for k in report.leaf_sccs],
+        "classes": [report.classes[k] for k in report.leaf_sccs],
+        "witnesses": [report.witnesses.get(k) for k in report.leaf_sccs],
+        "is_leaf_scc": [graphs.is_leaf_scc(g, c) for c in report.sccs],
+        "leaves": leaf_vertices(g),
+        "v_out": num_out_vertices(g),
+        "predecessors": [predecessors(g, v) for v in g.vertices()],
+        "grounded": grounded_set(g),
+        "linked": [[graphs.u_connected_globally(g, a, b) for b in g.vertices()]
+                   for a in g.vertices()],
+        "m_neighbors": [m_neighbors(g, c) for c in report.sccs],
+        "u_components": [graphs.u_components(g, c) for c in report.sccs],
+    }
+
+
+def brute_queries(g):
+    """The structural queries from g.arcs and g.edges alone."""
+    reach = closure(g)
+    both_ways = g.edges | {(j, i) for (i, j) in g.edges}
+    linked = closure(g, both_ways)
+    sccs = brute_sccs(g)
+    leaf_sccs = [c for c in sccs
+                 if len(c) > 1 and all(j in c for (i, j) in g.arcs if i in c)]
+    leaves = frozenset(v for v in g.vertices() if not reach[v])
+
+    def components(vs):
+        inner = closure(g, {(i, j) for (i, j) in both_ways if i in vs and j in vs})
+        return sorted({frozenset({v} | inner[v]) for v in vs}, key=min)
+
+    return {
+        "sccs": sccs,
+        "leaf_sccs": leaf_sccs,
+        "is_leaf_scc": [c in leaf_sccs for c in sccs],
+        "leaves": leaves,
+        "v_out": g.n - len(leaves),
+        "predecessors": [frozenset(u for u in g.vertices() if v in reach[u])
+                         for v in g.vertices()],
+        "grounded": leaves | {u for u in g.vertices() if reach[u] & leaves},
+        "linked": [[a == b or b in linked[a] for b in g.vertices()]
+                   for a in g.vertices()],
+        "m_neighbors": [frozenset(j for (i, j) in both_ways if i in c and j not in c)
+                        for c in sccs],
+        "u_components": [components(c) for c in sccs],
+    }
+
+
+@st.composite
+def pairing_graphs(draw):
+    """Disjoint 2-cycles of wants and senders owning two or three messages:
+    the regime where semi and degenerated leaf SCCs are common."""
+    m = 2 * draw(st.integers(2, 5))
+    order = draw(st.permutations(range(1, m + 1)))
+    arcs = {(a, b) for x, y in zip(order[0::2], order[1::2])
+            for a, b in ((x, y), (y, x))}
+    owned = st.lists(st.sampled_from(range(1, m + 1)),
+                     min_size=2, max_size=3, unique=True)
+    edges = {edge_key(i, j)
+             for sender in draw(st.lists(owned, min_size=2, max_size=m))
+             for i, j in combinations(sender, 2)}
+    return GraphPair(m, frozenset(arcs), frozenset(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graph_pairs(max_n=6), pairing_graphs()), st.data())
+def test_cached_queries_follow_grounding_steps(g, data):
+    """Random prune, dummy, witness-arc and edge steps; after each, every
+    cached query equals the same query on a freshly built GraphPair and
+    the brute-force oracles, and a clone taken before the step keeps the
+    state it shared."""
+    trace = GroundingTrace.from_graphs(g)
+    for _ in range(8):
+        state = trace.graphs
+        cached = kernel_queries(state)
+        assert kernel_queries(GraphPair(state.n, state.arcs, state.edges)) == cached
+        brute = brute_queries(state)
+        assert {key: cached[key] for key in brute} == brute
+        if not cached["leaf_sccs"]:
+            break
+        k = data.draw(st.integers(0, len(cached["leaf_sccs"]) - 1))
+        scc, cls, witness = (cached[key][k]
+                             for key in ("leaf_sccs", "classes", "witnesses"))
+        steps = ["prune"]
+        if cls is LeafClass.MESSAGE_DISCONNECTED:
+            steps.append("dummy")
+        if cls in (LeafClass.SEMI_DEGENERATED, LeafClass.SEMI_NON_DEGENERATED):
+            steps.append("edges")
+        if witness is not None and witness.cover:
+            steps.append("witness")
+        step = data.draw(st.sampled_from(steps))
+        before = trace.clone()
+        if step == "prune":
+            prune_scc(trace, scc, data.draw(st.sampled_from(sorted(scc))))
+        elif step == "dummy":
+            append_dummy(trace, scc)
+        elif step == "edges":
+            make_message_connected(trace, scc)
+        else:
+            add_degenerate_arc(trace, scc, witness)
+        assert trace.graphs != state
+        assert before.graphs is state and kernel_queries(state) == cached
 
 
 # --- dot export ------------------------------------------------------------
