@@ -202,8 +202,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _run_bound(inst: ProblemInstance, exhaustive: bool):
-    simple, _ = simplify(inst)
+def _run_bound(simple: ProblemInstance, exhaustive: bool):
     g = build_graphs(simple)
     trace = bound.run_grounding(
         g, "exhaustive" if exhaustive else "deterministic")
@@ -211,8 +210,8 @@ def _run_bound(inst: ProblemInstance, exhaustive: bool):
 
 
 def cmd_bound(args) -> int:
-    inst = _load_instance(args.instance)
-    g, trace, lb = _run_bound(inst, args.exhaustive)
+    simple, _ = simplify(_load_instance(args.instance))
+    g, trace, lb = _run_bound(simple, args.exhaustive)
     out = {"schema": SCHEMA_VERSION, "mode": trace.mode,
            "v_out": graphs.num_out_vertices(g),
            "n_connected": trace.n_connected,
@@ -272,7 +271,7 @@ def cmd_oracle(args) -> int:
             print(f"exhausted: no linear code of length <= {args.max_len}")
         return 0
     length, best = result
-    _, _, lb = _run_bound(inst, exhaustive=False)
+    _, _, lb = _run_bound(simple, exhaustive=False)
     out = {"schema": SCHEMA_VERSION, "linear_optimal_length": length,
            "lower_bound": lb, "certified": length == lb,
            "code": _code_to_dict(best)}
@@ -404,6 +403,17 @@ def cmd_dot(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message for a non-integer names the type
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="msindex",
                      description="bounds and codes for multi-sender index coding")
@@ -434,9 +444,9 @@ def _build_parser() -> _Parser:
         code_arg=True)
 
     p = add("oracle", cmd_oracle, "brute-force minimum linear codelength")
-    p.add_argument("--max-len", type=int, default=None,
+    p.add_argument("--max-len", type=_int_at_least(0), default=None,
                    help="stop after this codelength")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="parallel workers for the search")
 
     p = add("report", cmd_report, "full pipeline report")
@@ -446,7 +456,7 @@ def _build_parser() -> _Parser:
                    help="use the exhaustive bound search")
     p.add_argument("--trace", action="store_true",
                    help="include the full step log (implies --json)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="parallel workers for the oracle")
 
     add("dot", cmd_dot, "DOT rendering of an instance or a trace file")

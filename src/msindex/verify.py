@@ -10,6 +10,7 @@ it meets the structural lower bound.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -193,15 +194,49 @@ def _requirements(inst: ProblemInstance) -> list[tuple[int | None, list[int]]]:
     return reqs
 
 
-def _span_decodes(span: frozenset[int],
-                  reqs: list[tuple[int | None, list[int]]]) -> bool:
+def _reduce(basis: tuple[int, ...], x: int) -> int:
+    """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
+    canonical representative of the coset ``x + span(basis)``, and 0
+    exactly when ``x`` lies in the span.  Each pivot (lowest set bit of its
+    row) occurs in no other row, so one pass in any order suffices."""
+    for b in basis:
+        if x & b & -b:
+            x ^= b
+    return x
+
+
+def _extend(basis: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The reduced echelon basis of ``span(basis) + r`` for a nonzero
+    ``r = _reduce(basis, r)``: its pivot is cleared from the other rows.
+    Rows are sorted, so equal spans have equal bases."""
+    pivot = r & -r
+    return tuple(sorted([b ^ r if b & pivot else b for b in basis] + [r]))
+
+
+def _completions(basis: tuple[int, ...],
+                 reqs: list[tuple[int | None, list[int]]]) -> set[int] | None:
+    """The reductions a single new row x may have for ``span(basis) + x``
+    to decode, or None when the span decodes already.
+
+    A wanted t that the span does not yet serve is served by
+    ``span + x`` exactly when x reduces like t, or like ``t ^ prior``
+    when the receiver has a prior; the reduction is linear, so the
+    latter is ``red(t) ^ red(prior)``.  Targets and priors are unit
+    vectors, so each one reduces by at most the row it is the pivot of.
+    """
+    row_of = {b & -b: b for b in basis}
+    allowed = None
     for prior, wanted in reqs:
+        p = None if prior is None else prior ^ row_of.get(prior, 0)
         for target in wanted:
-            if target in span:
+            t = target ^ row_of.get(target, 0)
+            if t == 0 or t == p:
                 continue
-            if prior is None or (target ^ prior) not in span:
-                return False
-    return True
+            options = {t} if p is None else {t, t ^ p}
+            allowed = options if allowed is None else allowed & options
+            if not allowed:
+                return allowed
+    return allowed
 
 
 def _search_at_length(masks: list[int], length: int,
@@ -213,22 +248,33 @@ def _search_at_length(masks: list[int], length: int,
     lengths are scanned in increasing order any minimal decodable subset
     is linearly independent, so the search may skip dependent extensions
     and prune spans whose completions already failed at this length
-    without changing which subset is found first.
+    without changing which subset is found first.  A span is keyed by
+    its reduced echelon basis.  The last row is not searched: it is the
+    first candidate whose reduction is one that `_completions` allows.
     """
-    if length == 0:
-        return () if _span_decodes(frozenset((0,)), reqs) else None
-    failed: set[frozenset[int]] = set()
+    failed: set[tuple[int, ...]] = set()
 
     def dfs(start: int, chosen: tuple[int, ...],
-            span: frozenset[int]) -> tuple[int, ...] | None:
+            basis: tuple[int, ...]) -> tuple[int, ...] | None:
         remaining = length - len(chosen)
         if remaining == 0:
-            return chosen if _span_decodes(span, reqs) else None
+            return chosen if _completions(basis, reqs) is None else None
+        if remaining == 1:
+            allowed = _completions(basis, reqs)
+            if allowed is not None and not allowed:
+                return None
+            for idx in range(start, len(masks)):
+                r = _reduce(basis, masks[idx])
+                if r and (allowed is None or r in allowed):
+                    return chosen + (idx,)
+            return None
+        tried = {0}  # reductions seen here; each one's span already failed
         for idx in range(start, len(masks) - remaining + 1):
-            x = masks[idx]
-            if x in span:
+            r = _reduce(basis, masks[idx])
+            if r in tried:
                 continue
-            grown = span | {v ^ x for v in span}
+            tried.add(r)
+            grown = _extend(basis, r)
             if grown in failed:
                 continue
             hit = dfs(idx + 1, chosen + (idx,), grown)
@@ -237,12 +283,9 @@ def _search_at_length(masks: list[int], length: int,
             failed.add(grown)
         return None
 
-    base = frozenset((0,))
-    if first_index is not None:
-        x = masks[first_index]
-        return dfs(first_index + 1, (first_index,),
-                   base | {v ^ x for v in base})
-    return dfs(0, (), base)
+    if length == 0 or first_index is None:
+        return dfs(0, (), ())
+    return dfs(first_index + 1, (first_index,), (masks[first_index],))
 
 
 def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
@@ -253,7 +296,9 @@ def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
     Candidate rows are all distinct nonzero sender-feasible vectors;
     duplicate rows can never help a span, so codes are searched as sets,
     shortest first, returning the lexicographically smallest witness.
-    Returns None when ``max_len`` is exhausted without success.
+    Returns None when ``max_len`` is exhausted without success.  With
+    ``jobs > 1`` one process pool serves every length, each length split
+    by the index of its first row.
     """
     if inst.num_messages > limit:
         raise GuardError(f"m={inst.num_messages} exceeds oracle limit {limit}")
@@ -263,9 +308,10 @@ def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
     cap = len(inst.carried) if max_len is None else max_len
     cap = min(cap, len(masks))
 
-    for length in range(cap + 1):
-        if jobs > 1 and length >= 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and cap >= 1
+          else nullcontext()) as pool:
+        for length in range(cap + 1):
+            if pool is not None and length >= 1:
                 futures = [pool.submit(_search_at_length, masks, length, reqs, f)
                            for f in range(len(masks) - length + 1)]
                 hit = None
@@ -273,11 +319,11 @@ def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
                     found = fut.result()
                     if found is not None and (hit is None or found < hit):
                         hit = found
-        else:
-            hit = _search_at_length(masks, length, reqs)
-        if hit is not None:
-            rows = tuple(candidates[k] for k in hit)
-            return length, LinearIndexCode(inst.num_messages, rows)
+            else:
+                hit = _search_at_length(masks, length, reqs)
+            if hit is not None:
+                rows = tuple(candidates[k] for k in hit)
+                return length, LinearIndexCode(inst.num_messages, rows)
     return None
 
 

@@ -73,6 +73,33 @@ def test_guard_exit_code(capsys, tmp_path):
     assert run(capsys, "oracle", str(doc))[0] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", TRIANGLE, "--max-len", "-1"),
+    ("oracle", TRIANGLE, "--jobs", "0"),
+    ("oracle", TRIANGLE, "--jobs", "-3"),
+    ("report", TRIANGLE, "--oracle", "--jobs", "0"),
+    ("report", TRIANGLE, "--jobs", "-3"),
+])
+def test_count_options_below_range_are_usage_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("usage error: argument --")
+    assert "must be at least" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_max_len_zero_is_exhausted(capsys):
+    rc, out, _ = run(capsys, "oracle", TRIANGLE, "--max-len", "0", "--json")
+    assert rc == 0
+    assert json.loads(out) == {"schema": 1, "exhausted": True, "max_len": 0}
+
+
+def test_oracle_jobs_matches_serial(capsys):
+    serial = run(capsys, "oracle", THREE_PAIRS, "--json")
+    assert run(capsys, "oracle", THREE_PAIRS, "--json", "--jobs", "2") == serial
+
+
 def test_validate(capsys):
     rc, out, _ = run(capsys, "validate", THREE_PAIRS, "--json")
     assert rc == 0

@@ -124,11 +124,81 @@ def test_oracle_guard():
         oracle_min_linear(inst)
 
 
-def test_oracle_parallel_matches_serial(three_pairs):
-    simple, _ = simplify(three_pairs)
+@settings(max_examples=15, deadline=None)
+@given(instances(max_m=5))
+def test_oracle_parallel_matches_serial(inst):
+    simple, _ = simplify(inst)
     serial = oracle_min_linear(simple)
     parallel = oracle_min_linear(simple, jobs=2)
     assert serial == parallel
+
+
+def _span_decodes(span: frozenset[int],
+                  reqs: list[tuple[int | None, list[int]]]) -> bool:
+    for prior, wanted in reqs:
+        for target in wanted:
+            if target in span:
+                continue
+            if prior is None or (target ^ prior) not in span:
+                return False
+    return True
+
+
+def _reference_search_at_length(masks: list[int], length: int,
+                                reqs: list[tuple[int | None, list[int]]],
+                                first_index: int | None = None
+                                ) -> tuple[int, ...] | None:
+    """The oracle search with every span held as an explicit set of
+    vectors, the implementation the echelon-basis search replaced."""
+    if length == 0:
+        return () if _span_decodes(frozenset((0,)), reqs) else None
+    failed: set[frozenset[int]] = set()
+
+    def dfs(start: int, chosen: tuple[int, ...],
+            span: frozenset[int]) -> tuple[int, ...] | None:
+        remaining = length - len(chosen)
+        if remaining == 0:
+            return chosen if _span_decodes(span, reqs) else None
+        for idx in range(start, len(masks) - remaining + 1):
+            x = masks[idx]
+            if x in span:
+                continue
+            grown = span | {v ^ x for v in span}
+            if grown in failed:
+                continue
+            hit = dfs(idx + 1, chosen + (idx,), grown)
+            if hit is not None:
+                return hit
+            failed.add(grown)
+        return None
+
+    base = frozenset((0,))
+    if first_index is not None:
+        x = masks[first_index]
+        return dfs(first_index + 1, (first_index,),
+                   base | {v ^ x for v in base})
+    return dfs(0, (), base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(instances(max_m=6))
+def test_search_matches_frozenset_reference(inst):
+    # every length up to the optimum, failures included, and every
+    # first-row split that the parallel scan submits
+    from msindex.verify import (_candidate_rows, _requirements,
+                                _search_at_length)
+
+    simple, _ = simplify(inst)
+    masks = [row.coeffs for row in _candidate_rows(simple)]
+    reqs = _requirements(simple)
+    optimum = oracle_min_linear(simple)[0]
+    for length in range(optimum + 1):
+        expected = _reference_search_at_length(masks, length, reqs)
+        assert _search_at_length(masks, length, reqs) == expected
+        assert (expected is None) == (length < optimum)
+        for first in range(len(masks) - length + 1 if length else 0):
+            assert (_search_at_length(masks, length, reqs, first)
+                    == _reference_search_at_length(masks, length, reqs, first))
 
 
 def test_closure_two_way_optimal_code(two_way):
