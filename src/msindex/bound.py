@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import graphs
 from .model import GraphPair, bits, edge_key
@@ -34,50 +34,21 @@ class StaleWitnessError(ValueError):
     """The supplied degeneracy witness no longer holds on the current state."""
 
 
-class _NeedChoice(Exception):
-    def __init__(self, n_options: int):
-        self.n_options = n_options
-
-
 class _BudgetExceeded(Exception):
     pass
 
 
-class _DeterministicChooser:
-    """Takes the first option; options may be a lazy iterable.  Both
-    choosers return None when there are no options."""
-
-    def pick(self, options):
-        return next(iter(options), None)
-
-
-class _ScriptChooser:
-    """Replays a fixed prefix of choice indices; asks for more by raising."""
-
-    def __init__(self, script: tuple[int, ...]):
-        self.script = script
-        self.pos = 0
-
-    def pick(self, options):
-        options = list(options)
-        if not options:
-            return None
-        if self.pos < len(self.script):
-            idx = self.script[self.pos]
-            self.pos += 1
-            return options[idx]
-        raise _NeedChoice(len(options))
-
-
 class _Budget:
+    """Counts explored sweep states; the state past ``limit`` raises."""
+
     def __init__(self, limit: int):
         self.limit = limit
         self.spent = 0
 
     def spend(self) -> None:
-        self.spent += 1
-        if self.spent > self.limit:
+        if self.spent >= self.limit:
             raise _BudgetExceeded
+        self.spent += 1
 
 
 @dataclass
@@ -100,6 +71,7 @@ class GroundingTrace:
     mode: str = "deterministic"
     complete: bool = False
     fell_back: bool = False
+    states_explored: int = 0
 
     @classmethod
     def from_graphs(cls, g: GraphPair) -> "GroundingTrace":
@@ -252,63 +224,72 @@ def make_message_connected(trace: GroundingTrace, scc: frozenset[int]
 
 # ---------------------------------------------------------------------------
 # The sweep procedure shared by phase 1 and phase 2.
+#
+# A sweep prunes message-connected leaf SCCs (at most ``prune_limit`` of
+# them), then alternates appending dummies to message-disconnected leaf
+# SCCs and adding witness arcs for degenerated ones until a round does
+# neither.  Every step is a choice among options.  The sweep is a small
+# machine so a search can branch at a choice point without replaying the
+# steps before it: its control point is ``(stage, pruned, acted)``, and a
+# paused sweep is a state plus a control point.
 
-_LOOP_CAP = 1000
+_PRUNE, _DUMMY, _DEGENERATE = range(3)
+_START = (_PRUNE, 0, False)
+_STEP_CAP = 100_000
 
 
-def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
-    """One run of the breaking procedure.
-
-    Prunes message-connected leaf SCCs (at most ``prune_limit`` of them),
-    then alternates appending dummies to message-disconnected leaf SCCs
-    and adding witness arcs for degenerated ones until no SCC of either
-    kind remains.  Every arbitrary choice goes through ``chooser``.
-    """
-    pruned = 0
-    for _ in range(_LOOP_CAP):
-        connected = _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED)
-        if not connected or (prune_limit is not None and pruned >= prune_limit):
-            break
-        if prune_limit == 1:
-            options = [(tuple(sorted(scc)), v)
-                       for scc in connected for v in sorted(scc)]
-            scc_t, v = chooser.pick(options)
-            _apply_prune(trace, frozenset(scc_t), v)
-        else:
-            scc = connected[0]
-            v = chooser.pick(sorted(scc))
-            _apply_prune(trace, scc, v)
-        pruned += 1
-    else:
-        raise AssertionError("prune loop failed to terminate")
-
-    for _ in range(_LOOP_CAP):
-        acted = False
-        for _ in range(_LOOP_CAP):
+def _choice_point(trace: GroundingTrace, prune_limit: int | None, ctl):
+    """Advance ``ctl`` to the sweep's next choice point and return it with
+    that point's nonempty options in deterministic order (the witness-arc
+    options lazily), or None once the sweep is done."""
+    stage, pruned, acted = ctl
+    while True:
+        if stage == _PRUNE:
+            connected = _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED)
+            if connected and (prune_limit is None or pruned < prune_limit):
+                sccs = connected if prune_limit == 1 else connected[:1]
+                return ctl, [(scc, v) for scc in sccs for v in sorted(scc)]
+            stage = _DUMMY
+        elif stage == _DUMMY:
             disconnected = _sccs_of_class(
                 trace, graphs.LeafClass.MESSAGE_DISCONNECTED)
-            if not disconnected:
-                break
-            scc = disconnected[0]
-            source = chooser.pick(sorted(scc))
-            _apply_dummy(trace, scc, source)
-            acted = True
+            if disconnected:
+                scc = disconnected[0]
+                return (stage, pruned, acted), [(scc, s) for s in sorted(scc)]
+            stage = _DEGENERATE
         else:
-            raise AssertionError("dummy loop failed to terminate")
-        for _ in range(_LOOP_CAP):
-            option = chooser.pick(_degenerated_options(trace))
-            if option is None:
-                break
-            scc_t, witness, source, target, tag = option
-            _apply_degenerate_arc(trace, frozenset(scc_t), witness,
-                                  source, target, tag)
-            acted = True
-        else:
-            raise AssertionError("degenerated loop failed to terminate")
-        if not acted:
-            break
+            options = _degenerated_options(trace)
+            first = next(options, None)
+            if first is not None:
+                return (stage, pruned, acted), chain((first,), options)
+            if not acted:
+                return None
+            stage, acted = _DUMMY, False
+
+
+def _take(trace: GroundingTrace, ctl, option):
+    """Apply one option at control point ``ctl``; return the next one."""
+    stage, pruned, _ = ctl
+    if stage == _PRUNE:
+        _apply_prune(trace, *option)
+        return stage, pruned + 1, False
+    if stage == _DUMMY:
+        _apply_dummy(trace, *option)
     else:
-        raise AssertionError("sweep failed to terminate")
+        _apply_degenerate_arc(trace, *option)
+    return stage, pruned, True
+
+
+def _run_sweep(trace: GroundingTrace, prune_limit: int | None) -> None:
+    """One sweep taking the first option at every choice point."""
+    ctl = _START
+    for _ in range(_STEP_CAP):
+        point = _choice_point(trace, prune_limit, ctl)
+        if point is None:
+            return
+        ctl, options = point
+        ctl = _take(trace, ctl, next(iter(options)))
+    raise AssertionError("sweep failed to terminate")
 
 
 def _degenerated_options(trace: GroundingTrace):
@@ -324,14 +305,14 @@ def _degenerated_options(trace: GroundingTrace):
             tag, targets = _witness_action(g, witness)
             for source in sorted(witness.part):
                 for target in targets:
-                    yield (tuple(sorted(scc)), witness, source, target, tag)
+                    yield (scc, witness, source, target, tag)
 
 
 def break_leaf_sccs(trace: GroundingTrace, prune_limit: int | None = None) -> None:
     """Deterministic sweep: prune message-connected leaf SCCs (all of
     them, or just one when ``prune_limit=1``), then break every
     message-disconnected and degenerated leaf SCC."""
-    _run_sweep(trace, prune_limit, _DeterministicChooser())
+    _run_sweep(trace, prune_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +331,30 @@ def _phase2_branch_options(trace: GroundingTrace) -> list[tuple]:
     return options
 
 
-def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]
-                      ) -> list[tuple[tuple[int, int], ...]]:
+def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]):
     """Every minimal edge set connecting the message components of an SCC
-    (spanning trees over components, arbitrary endpoints); the
+    (spanning trees over components, arbitrary endpoints), lazily; the
     deterministic chain comes first."""
     comps = graphs.u_components(trace.graphs, scc)
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     cross = sorted(edge_key(a, b)
                    for ca, cb in combinations(comps, 2)
                    for a in ca for b in cb)
-    chain = _chain_edges(trace, scc)
-    options = [chain]
+    first = _chain_edges(trace, scc)
+    yield first
     for subset in combinations(cross, len(comps) - 1):
         joined = graphs.spanning_forest(
             ((comp_of[a], comp_of[b]) for a, b in subset), len(comps))
-        if len(joined) == len(comps) - 1 and subset != chain:
-            options.append(subset)
-    return options
+        if len(joined) == len(comps) - 1 and subset != first:
+            yield subset
+
+
+def _connect(trace: GroundingTrace, scc_t: tuple[int, ...],
+             edges: tuple[tuple[int, int], ...]) -> None:
+    """Open a phase-2 iteration on a semi leaf SCC by adding edges."""
+    trace.log.append(("iv-a", scc_t))
+    _apply_edges(trace, frozenset(scc_t), edges)
+    trace.log.append(("iv-c",))
 
 
 def run_grounding(g: GraphPair, mode: str = "deterministic",
@@ -377,14 +364,15 @@ def run_grounding(g: GraphPair, mode: str = "deterministic",
     Deterministic mode resolves every arbitrary choice by smallest index.
     Exhaustive mode searches all choices for a trace with the fewest
     phase-2 iterations, memoizing on canonical states; past
-    ``state_budget`` explored states it falls back to deterministic with
-    a warning.
+    ``state_budget`` explored sweep states it falls back to deterministic
+    with a warning.  ``states_explored`` reports the budget spent.
     """
     if mode not in ("deterministic", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
+        budget = _Budget(state_budget)
         try:
-            return _run_exhaustive(g, _Budget(state_budget))
+            trace = _run_exhaustive(g, budget)
         except _BudgetExceeded:
             warnings.warn(
                 f"exhaustive search exceeded {state_budget} states; "
@@ -392,7 +380,8 @@ def run_grounding(g: GraphPair, mode: str = "deterministic",
             trace = _run_deterministic(g)
             trace.mode = "exhaustive"
             trace.fell_back = True
-            return trace
+        trace.states_explored = budget.spent
+        return trace
     return _run_deterministic(g)
 
 
@@ -405,25 +394,24 @@ def _finish(trace: GroundingTrace) -> GroundingTrace:
     return trace
 
 
-def _run_deterministic(g: GraphPair) -> GroundingTrace:
-    trace = GroundingTrace.from_graphs(g)
-    chooser = _DeterministicChooser()
-    _run_sweep(trace, None, chooser)
+def _end_phase1(trace: GroundingTrace) -> None:
     trace.n_connected = sum(1 for step in trace.log if step[0] == "i")
     trace.n_remaining = len(_leaf_scc_sets(trace))
 
-    for _ in range(_LOOP_CAP):
+
+def _run_deterministic(g: GraphPair) -> GroundingTrace:
+    trace = GroundingTrace.from_graphs(g)
+    _run_sweep(trace, None)
+    _end_phase1(trace)
+    for _ in range(_STEP_CAP):
         if not _leaf_scc_sets(trace):
             break
         if _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED):
             trace.log.append(("iv-0",))
-            _run_sweep(trace, 1, chooser)
+            _run_sweep(trace, 1)
         else:
-            scc_t, chain = _phase2_branch_options(trace)[0]
-            trace.log.append(("iv-a", scc_t))
-            _apply_edges(trace, frozenset(scc_t), chain)
-            trace.log.append(("iv-c",))
-            _run_sweep(trace, None, chooser)
+            _connect(trace, *_phase2_branch_options(trace)[0])
+            _run_sweep(trace, None)
         trace.n_iv += 1
     else:
         raise AssertionError("phase 2 failed to terminate")
@@ -431,55 +419,67 @@ def _run_deterministic(g: GraphPair) -> GroundingTrace:
 
 
 def _enumerate_sweeps(trace: GroundingTrace, prune_limit: int | None,
-                      budget: _Budget) -> list[tuple[tuple[int, ...], GroundingTrace]]:
-    """All completed-sweep outcomes by choice script, shortlex order,
-    deduplicated by canonical state."""
-    outcomes: dict[tuple, tuple[tuple[int, ...], GroundingTrace]] = {}
-    queue: deque[tuple[int, ...]] = deque([()])
+                      budget: _Budget):
+    """Every completed sweep from ``trace``, lazily, in shortlex order of
+    the choice sequences reaching it: breadth first over choice points.
+    A queue entry is one branch, a paused parent and the option it takes;
+    the branch clones the parent at that choice point, and each entry
+    taken from the queue spends one unit of budget."""
+    queue = deque([(trace, _START, None)])
     while queue:
-        script = queue.popleft()
+        parent, ctl, option = queue.popleft()
         budget.spend()
-        work = trace.clone()
-        try:
-            _run_sweep(work, prune_limit, _ScriptChooser(script))
-        except _NeedChoice as need:
-            for k in range(need.n_options):
-                queue.append(script + (k,))
+        work = parent.clone()
+        if option is not None:
+            ctl = _take(work, ctl, option)
+        point = _choice_point(work, prune_limit, ctl)
+        if point is None:
+            yield work
         else:
-            outcomes.setdefault(work.canonical_key(), (script, work))
-    return list(outcomes.values())
+            ctl, options = point
+            queue.extend((work, ctl, o) for o in options)
 
 
-def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
-                        ) -> list[tuple[tuple, GroundingTrace]]:
-    """All distinct states one phase-2 iteration can reach, with the
-    recipe needed to replay each."""
-    results: dict[tuple, tuple[tuple, GroundingTrace]] = {}
+def _distinct(outcomes):
+    """(canonical key, trace) for the first trace seen of each state."""
+    seen = set()
+    for work in outcomes:
+        key = work.canonical_key()
+        if key not in seen:
+            seen.add(key)
+            yield key, work
+
+
+def _iteration_sweeps(trace: GroundingTrace, budget: _Budget):
+    """Every state one phase-2 iteration reaches, each a trace carrying
+    the iteration's steps, lazily and in the deterministic choice order."""
     if _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED):
-        for script, work in _enumerate_sweeps(trace, 1, budget):
-            results.setdefault(work.canonical_key(), (("iv-0", script), work))
-        return list(results.values())
+        staged = trace.clone()
+        staged.log.append(("iv-0",))
+        staged.n_iv += 1
+        yield from _enumerate_sweeps(staged, 1, budget)
+        return
     for scc_t, _ in _phase2_branch_options(trace):
-        scc = frozenset(scc_t)
-        for edges in _all_edge_options(trace, scc):
+        for edges in _all_edge_options(trace, frozenset(scc_t)):
             staged = trace.clone()
-            staged.log.append(("iv-a", scc_t))
-            _apply_edges(staged, scc, edges)
-            staged.log.append(("iv-c",))
-            for script, work in _enumerate_sweeps(staged, None, budget):
-                recipe = ("iv-abc", scc_t, edges, script)
-                results.setdefault(work.canonical_key(), (recipe, work))
-    return list(results.values())
+            _connect(staged, scc_t, edges)
+            staged.n_iv += 1
+            yield from _enumerate_sweeps(staged, None, budget)
 
 
 def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
+    """Fewest phase-2 iterations; among equal counts the first trace in
+    choice order, phase-1 outcomes first, then each iteration's."""
     base = GroundingTrace.from_graphs(g)
     base.mode = "exhaustive"
     memo: dict[tuple, int] = {}
+    best_step: dict[tuple, tuple[GroundingTrace, GroundingTrace]] = {}
     visiting: set[tuple] = set()
 
-    def min_iv(state: GroundingTrace) -> int:
-        key = state.canonical_key()
+    def min_iv(state: GroundingTrace, key: tuple) -> int:
+        """Exact, memoized; records the first child that attains it.  A
+        child scoring 0 ends the scan: a state with leaf SCCs left needs
+        at least one iteration, so nothing later can be strictly less."""
         if key in memo:
             return memo[key]
         if key in visiting:
@@ -488,42 +488,42 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
             memo[key] = 0
             return 0
         visiting.add(key)
-        best = min(1 + min_iv(nxt) for _, nxt in _iteration_outcomes(state, budget))
+        best = None
+        for child_key, child in _distinct(_iteration_sweeps(state, budget)):
+            iv = 1 + min_iv(child, child_key)
+            if best is None or iv < best:
+                best, best_step[key] = iv, (state, child)
+                if iv == 1:
+                    break
         visiting.discard(key)
         memo[key] = best
         return best
 
-    phase1 = _enumerate_sweeps(base, None, budget)
-    best_idx, best_iv = 0, None
-    for idx, (_, outcome) in enumerate(phase1):
-        iv = min_iv(outcome)
-        if best_iv is None or iv < best_iv:
-            best_idx, best_iv = idx, iv
+    trace, best = None, None
+    for key, outcome in _distinct(_enumerate_sweeps(base, None, budget)):
+        _end_phase1(outcome)
+        iv = min_iv(outcome, key)
+        if best is None or iv < best:
+            trace, best = outcome, iv
+            if iv == 0:
+                break
 
-    script, _ = phase1[best_idx]
-    trace = base
-    _run_sweep(trace, None, _ScriptChooser(script))
-    trace.n_connected = sum(1 for step in trace.log if step[0] == "i")
-    trace.n_remaining = len(_leaf_scc_sets(trace))
-
+    # Follow the recorded choices.  A memo hit may have recorded them on
+    # another trace of the same state; with the same graphs and dummy
+    # labels its choices replay verbatim, otherwise take the first
+    # iteration outcome attaining the optimum, as the recording would.
     while _leaf_scc_sets(trace):
-        target = min_iv(trace) - 1
-        for recipe, outcome in _iteration_outcomes(trace, budget):
-            if min_iv(outcome) != target:
-                continue
-            if recipe[0] == "iv-0":
-                trace.log.append(("iv-0",))
-                _run_sweep(trace, 1, _ScriptChooser(recipe[1]))
-            else:
-                _, scc_t, edges, sweep_script = recipe
-                trace.log.append(("iv-a", scc_t))
-                _apply_edges(trace, frozenset(scc_t), edges)
-                trace.log.append(("iv-c",))
-                _run_sweep(trace, None, _ScriptChooser(sweep_script))
-            trace.n_iv += 1
-            break
+        key = trace.canonical_key()
+        owner, child = best_step[key]
+        if (owner.graphs, owner.dummies) == (trace.graphs, trace.dummies):
+            nxt = trace.clone()
+            nxt.graphs, nxt.dummies = child.graphs, child.dummies
+            nxt.log += child.log[len(owner.log):]
+            nxt.n_iv += 1
         else:
-            raise AssertionError("no iteration outcome matched the memoized optimum")
+            nxt = next(c for k, c in _distinct(_iteration_sweeps(trace, budget))
+                       if min_iv(c, k) == memo[key] - 1)
+        trace = nxt
     return _finish(trace)
 
 

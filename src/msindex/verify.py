@@ -298,7 +298,8 @@ def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
     shortest first, returning the lexicographically smallest witness.
     Returns None when ``max_len`` is exhausted without success.  With
     ``jobs > 1`` one process pool serves every length, each length split
-    by the index of its first row.
+    by the index of its first row; the first split to find a witness, in
+    that order, ends the length and cancels the splits not yet started.
     """
     if inst.num_messages > limit:
         raise GuardError(f"m={inst.num_messages} exceeds oracle limit {limit}")
@@ -314,11 +315,12 @@ def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
             if pool is not None and length >= 1:
                 futures = [pool.submit(_search_at_length, masks, length, reqs, f)
                            for f in range(len(masks) - length + 1)]
-                hit = None
+                # a witness starts with its first row, so the first one
+                # found in first-row order is the smallest
+                hit = next((found for found in (fut.result() for fut in futures)
+                            if found is not None), None)
                 for fut in futures:
-                    found = fut.result()
-                    if found is not None and (hit is None or found < hit):
-                        hit = found
+                    fut.cancel()
             else:
                 hit = _search_at_length(masks, length, reqs)
             if hit is not None:
