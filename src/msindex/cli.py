@@ -13,7 +13,7 @@ import sys
 
 from . import bound, code, graphs, verify
 from .model import (GraphPair, InstanceError, ProblemInstance, SCHEMA_VERSION,
-                    build_graphs, parse_instance, simplify)
+                    build_graphs, check_schema, parse_instance, simplify)
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -111,9 +111,7 @@ def _code_from_dict(doc: dict, path: str) -> code.LinearIndexCode:
     for key in ("num_messages", "rows"):
         if key not in doc:
             raise InstanceError(f"{path}:{key}", "missing required field")
-    if "schema" in doc and doc["schema"] != SCHEMA_VERSION:
-        raise InstanceError(f"{path}:schema",
-                            f"unsupported schema version {doc['schema']!r}")
+    check_schema(doc, f"{path}:schema")
     m = doc["num_messages"]
     if not _is_int(m) or m < 1:
         raise InstanceError(f"{path}:num_messages", "expected a positive integer")
@@ -260,8 +258,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _load_instance(args.instance)
     simple, _ = simplify(inst)
-    result = verify.oracle_min_linear(simple, max_len=args.max_len,
-                                      jobs=args.jobs)
+    result = verify.oracle_min_linear(simple, max_len=args.max_len)
     if result is None:
         out = {"schema": SCHEMA_VERSION, "exhausted": True,
                "max_len": args.max_len}
@@ -315,7 +312,7 @@ def cmd_report(args) -> int:
         "certified": lb == ub,
     }
     if args.oracle:
-        result = verify.oracle_min_linear(simple, jobs=args.jobs)
+        result = verify.oracle_min_linear(simple)
         if result is None:
             raise AssertionError("oracle exhausted its default length cap")
         length, _ = result
@@ -356,6 +353,7 @@ def cmd_report(args) -> int:
 def _final_state(doc: dict, path: str) -> tuple[GraphPair, frozenset[int]]:
     """The final graphs and dummies of a trace document.  Every field is
     checked here, so no vertex index reaches the graph kernel unchecked."""
+    check_schema(doc, f"{path}:schema")
     where = f"{path}:final"
     final = doc.get("final")
     if not isinstance(final, dict):
@@ -446,8 +444,6 @@ def _build_parser() -> _Parser:
     p = add("oracle", cmd_oracle, "brute-force minimum linear codelength")
     p.add_argument("--max-len", type=_int_at_least(0), default=None,
                    help="stop after this codelength")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="parallel workers for the search")
 
     p = add("report", cmd_report, "full pipeline report")
     p.add_argument("--oracle", action="store_true",
@@ -456,8 +452,6 @@ def _build_parser() -> _Parser:
                    help="use the exhaustive bound search")
     p.add_argument("--trace", action="store_true",
                    help="include the full step log (implies --json)")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="parallel workers for the oracle")
 
     add("dot", cmd_dot, "DOT rendering of an instance or a trace file")
     return parser

@@ -225,6 +225,14 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise InstanceError(path, message)
 
 
+def check_schema(document: Mapping[str, Any], path: str) -> None:
+    """Reject a ``schema`` field other than the integer SCHEMA_VERSION
+    (JSON ``true`` and ``1.0`` compare equal to 1 in Python)."""
+    schema = document.get("schema", SCHEMA_VERSION)
+    _require(type(schema) is int and schema == SCHEMA_VERSION, path,
+             f"unsupported schema version {schema!r}")
+
+
 def _parse_index_set(raw: Any, path: str, m: int) -> frozenset[int]:
     _require(isinstance(raw, list), path, f"expected a list, got {type(raw).__name__}")
     seen: set[int] = set()
@@ -254,9 +262,7 @@ def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
     allowed = {"schema", "num_messages", "senders", "wants"}
     for key in document:
         _require(key in allowed, str(key), "unknown field")
-    if "schema" in document:
-        _require(document["schema"] == SCHEMA_VERSION, "schema",
-                 f"unsupported schema version {document['schema']!r}")
+    check_schema(document, "schema")
     for key in ("num_messages", "senders", "wants"):
         _require(key in document, key, "missing required field")
 

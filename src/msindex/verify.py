@@ -9,8 +9,6 @@ it meets the structural lower bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -52,51 +50,6 @@ class DecodeFailure:
     wanted: int
 
 
-class _Gf2Solver:
-    """Incremental GF(2) basis that remembers how each pivot was formed.
-
-    Vectors are inserted in a fixed order; pivots are the lowest set bit.
-    Combos are bitmasks over the insertion order, so extracted solutions
-    are reproducible.
-    """
-
-    def __init__(self, vectors=()):
-        self.pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (vec, combo)
-        self.count = 0
-        for vec in vectors:
-            self.add(vec)
-
-    def extended(self, vec: int) -> "_Gf2Solver":
-        """A copy with ``vec`` inserted last; this basis is unchanged."""
-        out = _Gf2Solver()
-        out.pivots = dict(self.pivots)
-        out.count = self.count
-        out.add(vec)
-        return out
-
-    def add(self, vec: int) -> None:
-        combo = 1 << self.count
-        self.count += 1
-        vec, combo = self._reduce(vec, combo)
-        if vec:
-            self.pivots[vec & -vec] = (vec, combo)
-
-    def _reduce(self, vec: int, combo: int) -> tuple[int, int]:
-        while vec:
-            low = vec & -vec
-            hit = self.pivots.get(low)
-            if hit is None:
-                return vec, combo
-            vec ^= hit[0]
-            combo ^= hit[1]
-        return vec, combo
-
-    def solve(self, target: int) -> int | None:
-        """Combo expressing target in the span, or None."""
-        vec, combo = self._reduce(target, 0)
-        return None if vec else combo
-
-
 def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
     for k, row in enumerate(code.rows):
         if not (1 <= row.sender <= inst.num_senders):
@@ -105,6 +58,70 @@ def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
             raise InstanceError(
                 f"rows[{k}]", f"support {sorted(row.support())} not owned by "
                 f"sender {row.sender}")
+
+
+def _requirements(inst: ProblemInstance
+                  ) -> list[tuple[int, int | None, list[int]]]:
+    """Per receiver with nonempty wants: (receiver, prior mask or None,
+    wanted masks in increasing order)."""
+    carried = inst.carried
+    reqs = []
+    for r in range(1, inst.num_messages + 1):
+        wants = sorted(inst.wants[r - 1])
+        if not wants:
+            continue
+        prior = mask_of((r,)) if r in carried else None
+        reqs.append((r, prior, [mask_of((j,)) for j in wants]))
+    return reqs
+
+
+def _reduce(basis: tuple[int, ...], x: int) -> int:
+    """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
+    canonical representative of the coset ``x + span(basis)``, and 0
+    exactly when ``x`` lies in the span.  Each pivot (lowest set bit of its
+    row) occurs in no other row, so one pass in any order suffices."""
+    for b in basis:
+        if x & b & -b:
+            x ^= b
+    return x
+
+
+def _extend(basis: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The reduced echelon basis of ``span(basis) + r`` for a nonzero
+    ``r = _reduce(basis, r)``: its pivot is cleared from the other rows.
+    Rows are sorted, so equal spans have equal bases."""
+    pivot = r & -r
+    return tuple(sorted([b ^ r if b & pivot else b for b in basis] + [r]))
+
+
+def _decode(row_of: dict[int, int], prior: int | None,
+            target: int) -> tuple[int, ...]:
+    """``red(target)``, and ``red(target ^ prior)`` for a receiver with a
+    prior, modulo a reduced echelon basis given as pivot -> row: the
+    receiver decodes ``target`` by the rows alone, or with its prior, when
+    that reduction has no message bits.  A unit vector reduces by at most
+    the row it is the pivot of, and reduction is linear."""
+    t = target ^ row_of.get(target, 0)
+    if prior is None:
+        return (t,)
+    return t, t ^ prior ^ row_of.get(prior, 0)
+
+
+def _row_basis(rows: tuple[CodeRow, ...], m: int) -> tuple[dict[int, int], int]:
+    """The code rows' reduced echelon basis as pivot -> row, and the offset
+    of the row tags: row k carries tag bit ``offset + k``, above every
+    message bit, so the tag bits of a reduction name the rows a decoder
+    XORs.  A row whose message bits reduce to 0 depends on earlier rows and
+    is left out, so the basis holds the first independent subset of the
+    rows, over which the rows that give a vector are unique."""
+    offset = max([m] + [row.coeffs.bit_length() for row in rows])
+    messages = (1 << offset) - 1
+    basis: tuple[int, ...] = ()
+    for k, row in enumerate(rows):
+        r = _reduce(basis, row.coeffs | 1 << (offset + k))
+        if r & messages:
+            basis = _extend(basis, r)
+    return {b & -b: b for b in basis}, offset
 
 
 def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
@@ -117,21 +134,19 @@ def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
     pair in index order.
     """
     _validate_supports(code, inst)
-    carried = inst.carried
-    base = _Gf2Solver(row.coeffs for row in code.rows)
-    prior_bit = 1 << base.count
+    row_of, offset = _row_basis(code.rows, inst.num_messages)
+    messages = (1 << offset) - 1
     entries = []
-    for r in range(1, inst.num_messages + 1):
-        wants = sorted(inst.wants[r - 1])
-        if not wants:
-            continue
-        solver = base.extended(mask_of((r,))) if r in carried else base
-        for j in wants:
-            combo = solver.solve(mask_of((j,)))
-            if combo is None:
-                return DecodeFailure(receiver=r, wanted=j)
-            rows_used = tuple(k - 1 for k in bits(combo & (prior_bit - 1)))
-            entries.append(CertEntry(r, j, rows_used, bool(combo & prior_bit)))
+    for r, prior, wanted in _requirements(inst):
+        for target in wanted:
+            for uses_prior, red in enumerate(_decode(row_of, prior, target)):
+                if not red & messages:
+                    rows_used = tuple(k - 1 for k in bits(red >> offset))
+                    entries.append(CertEntry(r, target.bit_length(), rows_used,
+                                             bool(uses_prior)))
+                    break
+            else:
+                return DecodeFailure(receiver=r, wanted=target.bit_length())
     return DecodeCertificate(tuple(entries))
 
 
@@ -181,67 +196,34 @@ def _candidate_rows(inst: ProblemInstance) -> list[CodeRow]:
             for mask in sorted(best_sender)]
 
 
-def _requirements(inst: ProblemInstance) -> list[tuple[int | None, list[int]]]:
-    """Per receiver with nonempty wants: (prior mask or None, wanted masks)."""
-    carried = inst.carried
-    reqs = []
-    for r in range(1, inst.num_messages + 1):
-        wants = sorted(inst.wants[r - 1])
-        if not wants:
-            continue
-        prior = mask_of((r,)) if r in carried else None
-        reqs.append((prior, [mask_of((j,)) for j in wants]))
-    return reqs
-
-
-def _reduce(basis: tuple[int, ...], x: int) -> int:
-    """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
-    canonical representative of the coset ``x + span(basis)``, and 0
-    exactly when ``x`` lies in the span.  Each pivot (lowest set bit of its
-    row) occurs in no other row, so one pass in any order suffices."""
-    for b in basis:
-        if x & b & -b:
-            x ^= b
-    return x
-
-
-def _extend(basis: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The reduced echelon basis of ``span(basis) + r`` for a nonzero
-    ``r = _reduce(basis, r)``: its pivot is cleared from the other rows.
-    Rows are sorted, so equal spans have equal bases."""
-    pivot = r & -r
-    return tuple(sorted([b ^ r if b & pivot else b for b in basis] + [r]))
-
-
 def _completions(basis: tuple[int, ...],
-                 reqs: list[tuple[int | None, list[int]]]) -> set[int] | None:
+                 reqs: list[tuple[int, int | None, list[int]]]
+                 ) -> set[int] | None:
     """The reductions a single new row x may have for ``span(basis) + x``
     to decode, or None when the span decodes already.
 
     A wanted t that the span does not yet serve is served by
     ``span + x`` exactly when x reduces like t, or like ``t ^ prior``
-    when the receiver has a prior; the reduction is linear, so the
-    latter is ``red(t) ^ red(prior)``.  Targets and priors are unit
-    vectors, so each one reduces by at most the row it is the pivot of.
+    when the receiver has a prior: like one of the reductions that
+    `_decode` gives for t, none of which is 0.
     """
     row_of = {b & -b: b for b in basis}
     allowed = None
-    for prior, wanted in reqs:
-        p = None if prior is None else prior ^ row_of.get(prior, 0)
+    for _, prior, wanted in reqs:
         for target in wanted:
-            t = target ^ row_of.get(target, 0)
-            if t == 0 or t == p:
+            options = _decode(row_of, prior, target)
+            if 0 in options:
                 continue
-            options = {t} if p is None else {t, t ^ p}
-            allowed = options if allowed is None else allowed & options
+            allowed = (set(options) if allowed is None
+                       else allowed.intersection(options))
             if not allowed:
                 return allowed
     return allowed
 
 
 def _search_at_length(masks: list[int], length: int,
-                      reqs: list[tuple[int | None, list[int]]],
-                      first_index: int | None = None) -> tuple[int, ...] | None:
+                      reqs: list[tuple[int, int | None, list[int]]]
+                      ) -> tuple[int, ...] | None:
     """First (lexicographically by index) length-subset that decodes.
 
     Decodability depends only on the span of the chosen rows, and when
@@ -283,49 +265,30 @@ def _search_at_length(masks: list[int], length: int,
             failed.add(grown)
         return None
 
-    if length == 0 or first_index is None:
-        return dfs(0, (), ())
-    return dfs(first_index + 1, (first_index,), (masks[first_index],))
+    return dfs(0, (), ())
 
 
-def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None,
-                      limit: int = ORACLE_LIMIT, jobs: int = 1
+def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None
                       ) -> tuple[int, LinearIndexCode] | None:
     """Minimum-length linear code by exhaustive subset search.
 
     Candidate rows are all distinct nonzero sender-feasible vectors;
     duplicate rows can never help a span, so codes are searched as sets,
     shortest first, returning the lexicographically smallest witness.
-    Returns None when ``max_len`` is exhausted without success.  With
-    ``jobs > 1`` one process pool serves every length, each length split
-    by the index of its first row; the first split to find a witness, in
-    that order, ends the length and cancels the splits not yet started.
+    Returns None when ``max_len`` is exhausted without success.
     """
-    if inst.num_messages > limit:
-        raise GuardError(f"m={inst.num_messages} exceeds oracle limit {limit}")
+    if inst.num_messages > ORACLE_LIMIT:
+        raise GuardError(
+            f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
     candidates = _candidate_rows(inst)
     masks = [row.coeffs for row in candidates]
     reqs = _requirements(inst)
     cap = len(inst.carried) if max_len is None else max_len
-    cap = min(cap, len(masks))
-
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and cap >= 1
-          else nullcontext()) as pool:
-        for length in range(cap + 1):
-            if pool is not None and length >= 1:
-                futures = [pool.submit(_search_at_length, masks, length, reqs, f)
-                           for f in range(len(masks) - length + 1)]
-                # a witness starts with its first row, so the first one
-                # found in first-row order is the smallest
-                hit = next((found for found in (fut.result() for fut in futures)
-                            if found is not None), None)
-                for fut in futures:
-                    fut.cancel()
-            else:
-                hit = _search_at_length(masks, length, reqs)
-            if hit is not None:
-                rows = tuple(candidates[k] for k in hit)
-                return length, LinearIndexCode(inst.num_messages, rows)
+    for length in range(min(cap, len(masks)) + 1):
+        hit = _search_at_length(masks, length, reqs)
+        if hit is not None:
+            rows = tuple(candidates[k] for k in hit)
+            return length, LinearIndexCode(inst.num_messages, rows)
     return None
 
 
@@ -356,8 +319,8 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
     simple, _ = simplify(inst)
     g = build_graphs(simple)
     violations = []
-
-    base = _Gf2Solver(row.coeffs for row in code.rows)
+    row_of, offset = _row_basis(code.rows, simple.num_messages)
+    messages = (1 << offset) - 1
 
     report = graphs.classify_all(g)
     plain_targets: set[tuple[str, int]] = set()
@@ -369,19 +332,15 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
             for j in sorted(report.sccs[k]):
                 plain_targets.add(("disconnected-scc", j))
     for rule, j in sorted(plain_targets):
-        if base.solve(mask_of((j,))) is None:
+        if _decode(row_of, None, mask_of((j,)))[0] & messages:
             violations.append(ClosureViolation(rule, None, j))
 
     carried = simple.carried
     for r in range(1, g.n + 1):
-        preds = graphs.predecessors(g, r)
-        if not preds:
-            continue
-        solver = base.extended(mask_of((r,))) if r in carried else base
-        for j in sorted(preds):
-            if j not in carried:
-                continue
-            if solver.solve(mask_of((j,))) is None:
+        prior = mask_of((r,)) if r in carried else None
+        for j in sorted(graphs.predecessors(g, r) & carried):
+            if all(red & messages
+                   for red in _decode(row_of, prior, mask_of((j,)))):
                 violations.append(ClosureViolation("predecessor", r, j))
     return ClosureReport(tuple(violations))
 

@@ -1,15 +1,22 @@
+import random
+import warnings
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from msindex import generate, graphs
 from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
     find_connecting_trees, mask_of, plan_code
-from msindex.model import simplify
-from msindex.verify import (DecodeCertificate, DecodeFailure, GuardError,
-                            check_decode_closure, oracle_min_linear,
-                            rank_decodable, verify_exhaustive)
+from msindex.model import bits, build_graphs, simplify
+from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
+                            DecodeCertificate, DecodeFailure, GuardError,
+                            _validate_supports, check_decode_closure,
+                            oracle_min_linear, rank_decodable,
+                            verify_exhaustive)
 
 from conftest import make_instance, simplified_graphs
-from strategies import instance_and_code, instances
+from strategies import codes_for, instance_and_code, instances
 
 
 def per_sender_xor(inst):
@@ -124,18 +131,9 @@ def test_oracle_guard():
         oracle_min_linear(inst)
 
 
-@settings(max_examples=15, deadline=None)
-@given(instances(max_m=5))
-def test_oracle_parallel_matches_serial(inst):
-    simple, _ = simplify(inst)
-    serial = oracle_min_linear(simple)
-    parallel = oracle_min_linear(simple, jobs=2)
-    assert serial == parallel
-
-
 def _span_decodes(span: frozenset[int],
-                  reqs: list[tuple[int | None, list[int]]]) -> bool:
-    for prior, wanted in reqs:
+                  reqs: list[tuple[int, int | None, list[int]]]) -> bool:
+    for _, prior, wanted in reqs:
         for target in wanted:
             if target in span:
                 continue
@@ -145,8 +143,7 @@ def _span_decodes(span: frozenset[int],
 
 
 def _reference_search_at_length(masks: list[int], length: int,
-                                reqs: list[tuple[int | None, list[int]]],
-                                first_index: int | None = None
+                                reqs: list[tuple[int, int | None, list[int]]]
                                 ) -> tuple[int, ...] | None:
     """The oracle search with every span held as an explicit set of
     vectors, the implementation the echelon-basis search replaced."""
@@ -172,19 +169,13 @@ def _reference_search_at_length(masks: list[int], length: int,
             failed.add(grown)
         return None
 
-    base = frozenset((0,))
-    if first_index is not None:
-        x = masks[first_index]
-        return dfs(first_index + 1, (first_index,),
-                   base | {v ^ x for v in base})
-    return dfs(0, (), base)
+    return dfs(0, (), frozenset((0,)))
 
 
 @settings(max_examples=25, deadline=None)
 @given(instances(max_m=6))
 def test_search_matches_frozenset_reference(inst):
-    # every length up to the optimum, failures included, and every
-    # first-row split that the parallel scan submits
+    # every length up to the optimum, failures included
     from msindex.verify import (_candidate_rows, _requirements,
                                 _search_at_length)
 
@@ -196,9 +187,6 @@ def test_search_matches_frozenset_reference(inst):
         expected = _reference_search_at_length(masks, length, reqs)
         assert _search_at_length(masks, length, reqs) == expected
         assert (expected is None) == (length < optimum)
-        for first in range(len(masks) - length + 1 if length else 0):
-            assert (_search_at_length(masks, length, reqs, first)
-                    == _reference_search_at_length(masks, length, reqs, first))
 
 
 def test_closure_two_way_optimal_code(two_way):
@@ -218,6 +206,198 @@ def test_closure_path_instance():
 def test_closure_four_sender_xors(three_pairs):
     simple, _ = simplify(three_pairs)
     assert check_decode_closure(per_sender_xor(simple), simple).ok
+
+
+def test_closure_lists_every_violation_of_a_truncated_code():
+    # {1, 2} is a message-disconnected leaf SCC; receiver 4 wants x3, and
+    # nobody wants x4, so simplify drops it and receiver 4 has no prior
+    inst = make_instance(4, senders=[{1}, {2}, {3}, {4}],
+                         wants=[{2}, {1}, set(), {3}])
+    simple, _ = simplify(inst)
+    full = LinearIndexCode(4, tuple(CodeRow(j, mask_of((j,)))
+                                    for j in (1, 2, 3)))
+    assert check_decode_closure(full, simple).ok
+    truncated = LinearIndexCode(4, full.rows[:1])
+    assert check_decode_closure(truncated, simple).violations == (
+        ClosureViolation("disconnected-scc", None, 2),
+        ClosureViolation("leaf-predecessor", None, 3),
+        ClosureViolation("predecessor", 1, 2),
+        ClosureViolation("predecessor", 4, 3),
+    )
+
+
+class _Gf2Solver:
+    """Incremental GF(2) basis that remembers how each pivot was formed.
+
+    Vectors are inserted in a fixed order; pivots are the lowest set bit.
+    Combos are bitmasks over the insertion order, so extracted solutions
+    are reproducible.
+    """
+
+    def __init__(self, vectors=()):
+        self.pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> (vec, combo)
+        self.count = 0
+        for vec in vectors:
+            self.add(vec)
+
+    def extended(self, vec: int) -> "_Gf2Solver":
+        """A copy with ``vec`` inserted last; this basis is unchanged."""
+        out = _Gf2Solver()
+        out.pivots = dict(self.pivots)
+        out.count = self.count
+        out.add(vec)
+        return out
+
+    def add(self, vec: int) -> None:
+        combo = 1 << self.count
+        self.count += 1
+        vec, combo = self._reduce(vec, combo)
+        if vec:
+            self.pivots[vec & -vec] = (vec, combo)
+
+    def _reduce(self, vec: int, combo: int) -> tuple[int, int]:
+        while vec:
+            low = vec & -vec
+            hit = self.pivots.get(low)
+            if hit is None:
+                return vec, combo
+            vec ^= hit[0]
+            combo ^= hit[1]
+        return vec, combo
+
+    def solve(self, target: int) -> int | None:
+        """Combo expressing target in the span, or None."""
+        vec, combo = self._reduce(target, 0)
+        return None if vec else combo
+
+
+def _reference_rank_decodable(code, inst):
+    """The rank check on the incremental solver with a basis copy per
+    receiver, the implementation the tagged echelon basis replaced."""
+    _validate_supports(code, inst)
+    carried = inst.carried
+    base = _Gf2Solver(row.coeffs for row in code.rows)
+    prior_bit = 1 << base.count
+    entries = []
+    for r in range(1, inst.num_messages + 1):
+        wants = sorted(inst.wants[r - 1])
+        if not wants:
+            continue
+        solver = base.extended(mask_of((r,))) if r in carried else base
+        for j in wants:
+            combo = solver.solve(mask_of((j,)))
+            if combo is None:
+                return DecodeFailure(receiver=r, wanted=j)
+            rows_used = tuple(k - 1 for k in bits(combo & (prior_bit - 1)))
+            entries.append(CertEntry(r, j, rows_used, bool(combo & prior_bit)))
+    return DecodeCertificate(tuple(entries))
+
+
+def _reference_check_decode_closure(code, inst):
+    """The closure check on the incremental solver, as replaced."""
+    simple, _ = simplify(inst)
+    g = build_graphs(simple)
+    violations = []
+
+    base = _Gf2Solver(row.coeffs for row in code.rows)
+
+    report = graphs.classify_all(g)
+    plain_targets: set[tuple[str, int]] = set()
+    for v in sorted(graphs.leaf_vertices(g)):
+        for j in sorted(graphs.predecessors(g, v)):
+            plain_targets.add(("leaf-predecessor", j))
+    for k in report.leaf_sccs:
+        if report.classes[k] is graphs.LeafClass.MESSAGE_DISCONNECTED:
+            for j in sorted(report.sccs[k]):
+                plain_targets.add(("disconnected-scc", j))
+    for rule, j in sorted(plain_targets):
+        if base.solve(mask_of((j,))) is None:
+            violations.append(ClosureViolation(rule, None, j))
+
+    carried = simple.carried
+    for r in range(1, g.n + 1):
+        preds = graphs.predecessors(g, r)
+        if not preds:
+            continue
+        solver = base.extended(mask_of((r,))) if r in carried else base
+        for j in sorted(preds):
+            if j not in carried:
+                continue
+            if solver.solve(mask_of((j,))) is None:
+                violations.append(ClosureViolation("predecessor", r, j))
+    return ClosureReport(tuple(violations))
+
+
+def _assert_rank_checks_match(code, simple):
+    assert rank_decodable(code, simple) == _reference_rank_decodable(code, simple)
+    assert (check_decode_closure(code, simple)
+            == _reference_check_decode_closure(code, simple))
+
+
+def _planned(simple, g):
+    return assign_senders(simple, plan_code(g, find_connecting_trees(g)))
+
+
+@st.composite
+def _rank_check_cases(draw):
+    """A simplified instance with a planned code, an oracle witness or
+    random sender-feasible rows (plus zero, duplicate and dependent rows),
+    each maybe shuffled and maybe truncated."""
+    simple, g = simplified_graphs(draw(instances(max_m=6)))
+    source = draw(st.sampled_from(("planned", "oracle", "random")))
+    if source == "planned":
+        rows = list(_planned(simple, g).rows)
+    elif source == "oracle":
+        rows = list(oracle_min_linear(simple)[1].rows)
+    else:
+        rows = list(draw(codes_for(simple)).rows)
+        for kind in draw(st.lists(st.sampled_from(
+                ("zero", "duplicate", "dependent")), max_size=3)):
+            if kind == "zero":
+                new = CodeRow(draw(st.integers(1, simple.num_senders)), 0)
+            elif len(rows) < 2:
+                continue
+            elif kind == "duplicate":
+                new = draw(st.sampled_from(rows))
+            else:
+                a, b = draw(st.lists(st.sampled_from(rows), min_size=2,
+                                     max_size=2))
+                mask = a.coeffs ^ b.coeffs
+                owners = [s for s, ms in enumerate(simple.senders, start=1)
+                          if not mask & ~mask_of(ms)]
+                new = CodeRow(owners[0], mask) if owners else a
+            rows.insert(draw(st.integers(0, len(rows))), new)
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = rows[:draw(st.integers(0, len(rows)))]
+    return simple, LinearIndexCode(simple.num_messages, tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_check_cases())
+def test_rank_checks_match_gf2_solver_reference(case):
+    simple, code = case
+    _assert_rank_checks_match(code, simple)
+
+
+@pytest.mark.parametrize("family", ["plain", "cycle", "partitioned"])
+def test_rank_checks_match_reference_at_m64(family):
+    # with 64 messages every row tag lies beyond a 64-bit word
+    draw = {"plain": generate.random_instance,
+            "cycle": generate.random_cycle_instance,
+            "partitioned": generate.random_partitioned_instance}[family]
+    rng = random.Random(f"rank-check/{family}")
+    for _ in range(2):
+        simple, g = simplified_graphs(draw(rng, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # greedy trees above 16 vertices
+            code = _planned(simple, g)
+        assert isinstance(rank_decodable(code, simple), DecodeCertificate)
+        rows = list(code.rows)
+        rng.shuffle(rows)
+        for variant in (code.rows, tuple(rows), code.rows[1:], code.rows[:-1]):
+            _assert_rank_checks_match(LinearIndexCode(64, variant), simple)
 
 
 @settings(max_examples=150, deadline=None)
