@@ -13,11 +13,9 @@ import json
 import random
 import sys
 
-from msindex.bound import lower_bound, run_grounding
-from msindex.code import find_connecting_trees, upper_bound
+from msindex import ProblemInstance, analyze
 from msindex.generate import random_cycle_instance, random_instance
-from msindex.model import ProblemInstance, build_graphs, simplify
-from msindex.verify import oracle_min_linear
+from msindex.verify import ORACLE_LIMIT
 
 
 def random_pairing_instance(rng, m):
@@ -43,17 +41,17 @@ def random_pairing_instance(rng, m):
                            wants=tuple(frozenset(w) for w in wants))
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=2000)
     ap.add_argument("--max-m", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--stop-after", type=int, default=5,
                     help="stop once this many gaps are printed")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
-    printed = 0
+    printed = past_guard = 0
     for k in range(args.count):
         m = rng.randint(4, args.max_m)
         roll = rng.random()
@@ -63,26 +61,25 @@ def main():
             inst = random_cycle_instance(rng, m, sender_size=rng.randint(2, 3))
         else:
             inst = random_instance(rng, m)
-        simple, _ = simplify(inst)
-        g = build_graphs(simple)
-        lb = lower_bound(run_grounding(g, "exhaustive"))
-        ub = upper_bound(g, find_connecting_trees(g, "exact"))
+        a = analyze(inst, exhaustive=True)
+        lb, ub = a.lower_bound, a.upper_bound
         if lb == ub:
             continue
-        opt, _ = oracle_min_linear(simple)
-        kinds = []
-        if lb < opt:
-            kinds.append("lower-gap")
-        if opt < ub:
-            kinds.append("upper-gap")
-        if not kinds:
+        if a.simple.num_messages > ORACLE_LIMIT:
+            past_guard += 1
             continue
+        # a.oracle checks lb <= opt <= ub, so with lb < ub one gap shows
+        opt = a.oracle[0]
+        kinds = [kind for kind, gap in (("lower-gap", lb < opt),
+                                        ("upper-gap", opt < ub)) if gap]
         printed += 1
         print(f"# {'+'.join(kinds)}: lower={lb} linear-optimal={opt} upper={ub}")
         print(json.dumps(inst.to_document(), sort_keys=True))
         if printed >= args.stop_after:
             break
-    print(f"# scanned {k + 1} instances, printed {printed} gaps")
+    tail = f", {past_guard} past the oracle guard (m > {ORACLE_LIMIT})"
+    print(f"# scanned {k + 1} instances, printed {printed} gaps"
+          f"{tail if past_guard else ''}")
     return 0
 
 

@@ -10,12 +10,10 @@ import argparse
 import random
 import sys
 
-from msindex.bound import lower_bound, lower_bound_prune_all, run_grounding
-from msindex.code import find_connecting_trees, upper_bound
+from msindex import analyze, lower_bound_prune_all
 from msindex.generate import (random_cycle_instance, random_instance,
                               random_partitioned_instance)
-from msindex.model import build_graphs, simplify
-from msindex.verify import ORACLE_LIMIT, oracle_min_linear
+from msindex.verify import ORACLE_LIMIT
 
 
 def draw(rng, style, max_m):
@@ -29,33 +27,29 @@ def draw(rng, style, max_m):
     return random_instance(rng, m)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--max-m", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--style", default="mixed",
                     choices=["plain", "cycle", "partitioned", "mixed"])
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     rng = random.Random(args.seed)
     stats = {"tight": 0, "gap": 0, "det_loose": 0, "prune_all_loose": 0,
              "oracle_at_lower": 0, "oracle_at_upper": 0, "oracle_between": 0}
     for k in range(args.count):
-        inst = draw(rng, args.style, args.max_m)
-        simple, _ = simplify(inst)
-        g = build_graphs(simple)
-        det = lower_bound(run_grounding(g, "deterministic"))
-        exh = lower_bound(run_grounding(g, "exhaustive"))
-        ub = upper_bound(g, find_connecting_trees(g, "exact"))
-        stats["det_loose"] += det < exh
-        stats["prune_all_loose"] += lower_bound_prune_all(g) < exh
+        a = analyze(draw(rng, args.style, args.max_m), exhaustive=True)
+        exh, ub = a.lower_bound, a.upper_bound
+        stats["det_loose"] += analyze(a.instance).lower_bound < exh
+        stats["prune_all_loose"] += lower_bound_prune_all(a.graphs) < exh
         if exh == ub:
             stats["tight"] += 1
             continue
         stats["gap"] += 1
-        if simple.num_messages <= ORACLE_LIMIT:
-            opt, _ = oracle_min_linear(simple)
+        if a.simple.num_messages <= ORACLE_LIMIT:
+            opt = a.oracle[0]
             if opt == exh:
                 stats["oracle_at_lower"] += 1
             elif opt == ub:

@@ -12,6 +12,7 @@ from .bound import (GroundingTrace, append_dummy, break_leaf_sccs,
 from .code import (CodeBlueprint, CodeRow, LinearIndexCode, Tree,
                    assign_senders, find_connecting_trees, plan_code,
                    upper_bound)
+from .analysis import Analysis, analyze
 from .verify import (DecodeCertificate, DecodeFailure, GuardError,
                      check_decode_closure, oracle_min_linear, rank_decodable,
                      verify_exhaustive)

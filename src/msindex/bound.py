@@ -112,11 +112,6 @@ def _class_of(trace: GroundingTrace, scc: frozenset[int]) -> graphs.LeafClass | 
     return graphs.classify_without_degeneracy(trace.graphs, scc)
 
 
-def _sccs_of_class(trace: GroundingTrace, cls: graphs.LeafClass
-                   ) -> list[frozenset[int]]:
-    return [scc for scc in _leaf_scc_sets(trace) if _class_of(trace, scc) is cls]
-
-
 # ---------------------------------------------------------------------------
 # The individual mutation steps.  Public variants validate their
 # preconditions against the current state; the engine applies the same
@@ -245,14 +240,15 @@ def _choice_point(trace: GroundingTrace, prune_limit: int | None, ctl):
     stage, pruned, acted = ctl
     while True:
         if stage == _PRUNE:
-            connected = _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED)
+            connected = graphs.leaf_sccs_of_class(
+                trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED)
             if connected and (prune_limit is None or pruned < prune_limit):
                 sccs = connected if prune_limit == 1 else connected[:1]
                 return ctl, [(scc, v) for scc in sccs for v in sorted(scc)]
             stage = _DUMMY
         elif stage == _DUMMY:
-            disconnected = _sccs_of_class(
-                trace, graphs.LeafClass.MESSAGE_DISCONNECTED)
+            disconnected = graphs.leaf_sccs_of_class(
+                trace.graphs, graphs.LeafClass.MESSAGE_DISCONNECTED)
             if disconnected:
                 scc = disconnected[0]
                 return (stage, pruned, acted), [(scc, s) for s in sorted(scc)]
@@ -406,7 +402,8 @@ def _run_deterministic(g: GraphPair) -> GroundingTrace:
     for _ in range(_STEP_CAP):
         if not _leaf_scc_sets(trace):
             break
-        if _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED):
+        if graphs.leaf_sccs_of_class(trace.graphs,
+                                     graphs.LeafClass.MESSAGE_CONNECTED):
             trace.log.append(("iv-0",))
             _run_sweep(trace, 1)
         else:
@@ -453,7 +450,7 @@ def _distinct(outcomes):
 def _iteration_sweeps(trace: GroundingTrace, budget: _Budget):
     """Every state one phase-2 iteration reaches, each a trace carrying
     the iteration's steps, lazily and in the deterministic choice order."""
-    if _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED):
+    if graphs.leaf_sccs_of_class(trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED):
         staged = trace.clone()
         staged.log.append(("iv-0",))
         staged.n_iv += 1

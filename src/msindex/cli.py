@@ -12,8 +12,9 @@ import json
 import sys
 
 from . import bound, code, graphs, verify
-from .model import (GraphPair, InstanceError, ProblemInstance, SCHEMA_VERSION,
-                    build_graphs, check_schema, parse_instance, simplify)
+from .analysis import Analysis, analyze
+from .model import (GraphPair, InstanceError, SCHEMA_VERSION, check_schema,
+                    parse_instance)
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -44,8 +45,8 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _load_instance(path: str) -> ProblemInstance:
-    return parse_instance(_load_json(path))
+def _analyze(path: str, exhaustive: bool = False) -> Analysis:
+    return analyze(parse_instance(_load_json(path)), exhaustive)
 
 
 def _is_int(x) -> bool:
@@ -167,7 +168,7 @@ def _scc_table(g: GraphPair) -> list[dict]:
 
 
 def cmd_validate(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_load_json(args.instance))
     out = {"schema": SCHEMA_VERSION, "ok": True,
            "num_messages": inst.num_messages,
            "num_senders": inst.num_senders}
@@ -178,19 +179,15 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_simplify(args) -> int:
-    inst = _load_instance(args.instance)
-    simple, removed = simplify(inst)
-    _dump({"schema": SCHEMA_VERSION, "instance": simple.to_document(),
-           "removed": sorted(removed)})
+def cmd_simplified(args) -> int:
+    a = _analyze(args.instance)
+    _dump({"schema": SCHEMA_VERSION, "instance": a.simple.to_document(),
+           "removed": sorted(a.removed)})
     return 0
 
 
 def cmd_classify(args) -> int:
-    inst = _load_instance(args.instance)
-    simple, _ = simplify(inst)
-    g = build_graphs(simple)
-    table = _scc_table(g)
+    table = _scc_table(_analyze(args.instance).graphs)
     if args.json:
         _dump({"schema": SCHEMA_VERSION, "sccs": table})
         return 0
@@ -200,18 +197,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _run_bound(simple: ProblemInstance, exhaustive: bool):
-    g = build_graphs(simple)
-    trace = bound.run_grounding(
-        g, "exhaustive" if exhaustive else "deterministic")
-    return g, trace, bound.lower_bound(trace)
-
-
 def cmd_bound(args) -> int:
-    simple, _ = simplify(_load_instance(args.instance))
-    g, trace, lb = _run_bound(simple, args.exhaustive)
+    a = _analyze(args.instance, args.exhaustive)
+    trace, lb = a.trace, a.lower_bound
     out = {"schema": SCHEMA_VERSION, "mode": trace.mode,
-           "v_out": graphs.num_out_vertices(g),
+           "v_out": graphs.num_out_vertices(a.graphs),
            "n_connected": trace.n_connected,
            "n_remaining": trace.n_remaining,
            "n_iv": trace.n_iv, "dummy_count": trace.dummy_count,
@@ -230,18 +220,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_code(args) -> int:
-    inst = _load_instance(args.instance)
-    simple, _ = simplify(inst)
-    g = build_graphs(simple)
-    trees = code.find_connecting_trees(g)
-    blueprint = code.plan_code(g, trees)
-    _dump(_code_to_dict(code.assign_senders(simple, blueprint)))
+    _dump(_code_to_dict(_analyze(args.instance).planned))
     return 0
 
 
 def cmd_verify(args) -> int:
-    inst = _load_instance(args.instance)
-    simple, _ = simplify(inst)
+    simple = _analyze(args.instance).simple
     c = _code_from_dict(_load_json(args.code), args.code)
     if c.num_messages != simple.num_messages:
         raise InstanceError(f"{args.code}:num_messages",
@@ -256,9 +240,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _load_instance(args.instance)
-    simple, _ = simplify(inst)
-    result = verify.oracle_min_linear(simple, max_len=args.max_len)
+    a = _analyze(args.instance)
+    if args.max_len is None:
+        result = a.oracle
+    else:
+        result = verify.oracle_min_linear(a.simple, max_len=args.max_len)
     if result is None:
         out = {"schema": SCHEMA_VERSION, "exhausted": True,
                "max_len": args.max_len}
@@ -268,7 +254,7 @@ def cmd_oracle(args) -> int:
             print(f"exhausted: no linear code of length <= {args.max_len}")
         return 0
     length, best = result
-    _, _, lb = _run_bound(simple, exhaustive=False)
+    lb = a.lower_bound
     out = {"schema": SCHEMA_VERSION, "linear_optimal_length": length,
            "lower_bound": lb, "certified": length == lb,
            "code": _code_to_dict(best)}
@@ -282,45 +268,26 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    inst = _load_instance(args.instance)
-    simple, removed = simplify(inst)
-    g = build_graphs(simple)
-    trace = bound.run_grounding(
-        g, "exhaustive" if args.exhaustive else "deterministic")
-    lb = bound.lower_bound(trace)
-    trees = code.find_connecting_trees(g)
-    ub = code.upper_bound(g, trees)
-    planned = code.assign_senders(simple, code.plan_code(g, trees))
-    planned_check = verify.rank_decodable(planned, simple)
-    if isinstance(planned_check, verify.DecodeFailure):
-        raise AssertionError(
-            f"planned code failed verification at {planned_check}")
-
+    a = _analyze(args.instance, args.exhaustive)
+    trace, lb, ub, inst = a.trace, a.lower_bound, a.upper_bound, a.instance
     report = {
         "schema": SCHEMA_VERSION,
         "instance": {"num_messages": inst.num_messages,
                      "num_senders": inst.num_senders,
-                     "removed": sorted(removed)},
-        "v_out": graphs.num_out_vertices(g),
-        "sccs": _scc_table(g),
+                     "removed": sorted(a.removed)},
+        "v_out": graphs.num_out_vertices(a.graphs),
+        "sccs": _scc_table(a.graphs),
         "n_connected": trace.n_connected,
         "n_remaining": trace.n_remaining,
         "n_iv": trace.n_iv,
         "lower_bound": lb,
-        "n_tree": len(trees),
+        "n_tree": len(a.trees),
         "upper_bound": ub,
         "certified": lb == ub,
     }
     if args.oracle:
-        result = verify.oracle_min_linear(simple)
-        if result is None:
-            raise AssertionError("oracle exhausted its default length cap")
-        length, _ = result
-        if not lb <= length <= ub:
-            raise AssertionError(
-                f"bound sandwich violated: {lb} <= {length} <= {ub}")
-        report["oracle"] = length
-        report["certified"] = report["certified"] or length == lb
+        report["oracle"] = a.oracle[0]
+        report["certified"] = report["certified"] or a.oracle[0] == lb
     if args.trace:
         report["trace"] = _trace_to_dict(trace)
     if args.json or args.trace:
@@ -329,14 +296,11 @@ def cmd_report(args) -> int:
 
     print(f"instance: {inst.num_messages} messages, {inst.num_senders} senders")
     print(f"V_out: {report['v_out']}")
+    leaves = [entry for entry in report["sccs"] if entry["leaf"]]
     print("leaf SCCs:")
-    any_leaf = False
-    for entry in report["sccs"]:
-        if entry["leaf"]:
-            any_leaf = True
-            vs = ",".join(map(str, entry["vertices"]))
-            print(f"  {{{vs}}}: {entry['class']}")
-    if not any_leaf:
+    for entry in leaves:
+        print(f"  {{{','.join(map(str, entry['vertices']))}}}: {entry['class']}")
+    if not leaves:
         print("  (none)")
     print(f"n_connected: {trace.n_connected}")
     print(f"n_remaining: {trace.n_remaining}")
@@ -395,9 +359,7 @@ def cmd_dot(args) -> int:
         g, dummies = _final_state(doc, args.instance)
         print(graphs.to_dot(g, dummies=dummies), end="")
         return 0
-    inst = parse_instance(doc)
-    simple, _ = simplify(inst)
-    print(graphs.to_dot(build_graphs(simple)), end="")
+    print(graphs.to_dot(analyze(parse_instance(doc)).graphs), end="")
     return 0
 
 
@@ -428,7 +390,7 @@ def _build_parser() -> _Parser:
         return p
 
     add("validate", cmd_validate, "parse and validate an instance")
-    add("simplify", cmd_simplify, "drop messages nobody wants")
+    add("simplify", cmd_simplified, "drop messages nobody wants")
     add("classify", cmd_classify, "SCC decomposition and leaf-SCC classes")
 
     p = add("bound", cmd_bound, "lower bound by breaking all leaf SCCs")

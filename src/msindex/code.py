@@ -135,10 +135,8 @@ def find_connecting_trees(g: GraphPair, mode: str = "exact",
     """
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    report = graphs.classify_all(g)
-    excluded = frozenset().union(*(
-        report.sccs[k] for k in report.leaf_sccs
-        if report.classes[k] is graphs.LeafClass.MESSAGE_CONNECTED), frozenset())
+    excluded = frozenset().union(*graphs.leaf_sccs_of_class(
+        g, graphs.LeafClass.MESSAGE_CONNECTED))
 
     if mode == "exact" and g.n > exact_limit:
         warnings.warn(
@@ -173,15 +171,11 @@ def _greedy_trees(g: GraphPair, excluded: frozenset[int]) -> list[frozenset[int]
 def plan_code(g: GraphPair, trees: list[Tree]) -> CodeBlueprint:
     """Lay out the transmission plan: tree XORs, one spanning tree per
     message-connected leaf SCC, and the leftover non-leaf messages uncoded."""
-    report = graphs.classify_all(g)
     scc_trees = []
     covered: set[int] = set()
     for t in trees:
         covered |= t.vertices
-    for k in report.leaf_sccs:
-        if report.classes[k] is not graphs.LeafClass.MESSAGE_CONNECTED:
-            continue
-        scc = report.sccs[k]
+    for scc in graphs.leaf_sccs_of_class(g, graphs.LeafClass.MESSAGE_CONNECTED):
         scc_trees.append(Tree(scc, _spanning_tree(g, scc)))
         covered |= scc
     leaves = graphs.leaf_vertices(g)
@@ -220,17 +214,11 @@ def assign_senders(inst: ProblemInstance, blueprint: CodeBlueprint) -> LinearInd
 
 def upper_bound(g: GraphPair, trees: list[Tree]) -> int:
     """Achievable codelength: V_out minus one per message-connected leaf SCC
-    and one per connecting tree."""
-    report = graphs.classify_all(g)
-    n_connected = sum(
-        1 for k in report.leaf_sccs
-        if report.classes[k] is graphs.LeafClass.MESSAGE_CONNECTED)
-    value = graphs.num_out_vertices(g) - (n_connected + len(trees))
-    planned = plan_code(g, trees).length
-    if planned != value:
-        raise AssertionError(
-            f"blueprint length {planned} != counted bound {value}")
-    return value
+    and one per connecting tree.  ``analyze`` checks it against the length
+    of the planned code."""
+    n_connected = len(graphs.leaf_sccs_of_class(
+        g, graphs.LeafClass.MESSAGE_CONNECTED))
+    return graphs.num_out_vertices(g) - (n_connected + len(trees))
 
 
 __all__ = [

@@ -195,6 +195,13 @@ def classify_without_degeneracy(g: GraphPair, scc: frozenset[int]) -> LeafClass 
     return None
 
 
+def leaf_sccs_of_class(g: GraphPair, cls: LeafClass) -> list[frozenset[int]]:
+    """The message-connected or the message-disconnected leaf SCCs of g,
+    ordered by smallest member; the degeneracy test never runs."""
+    return [g.sccs[k] for k in g.leaf_sccs
+            if classify_without_degeneracy(g, g.sccs[k]) is cls]
+
+
 def classify_leaf_scc(g: GraphPair, scc: frozenset[int]
                       ) -> tuple[LeafClass, DegeneracyWitness | None]:
     """Classify one leaf SCC of g; semi SCCs also get the degeneracy test.
@@ -285,5 +292,6 @@ __all__ = [
     "scc_decompose", "predecessors", "leaf_vertices", "num_out_vertices",
     "grounded_set", "is_grounded_digraph", "m_neighbors", "is_leaf_scc",
     "check_degeneracy_witness", "iter_degeneracy_witnesses", "is_degenerated",
-    "classify_leaf_scc", "classify_all", "spanning_forest", "to_dot",
+    "leaf_sccs_of_class", "classify_leaf_scc", "classify_all",
+    "spanning_forest", "to_dot",
 ]

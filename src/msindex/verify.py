@@ -322,15 +322,14 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
     row_of, offset = _row_basis(code.rows, simple.num_messages)
     messages = (1 << offset) - 1
 
-    report = graphs.classify_all(g)
     plain_targets: set[tuple[str, int]] = set()
     for v in sorted(graphs.leaf_vertices(g)):
         for j in sorted(graphs.predecessors(g, v)):
             plain_targets.add(("leaf-predecessor", j))
-    for k in report.leaf_sccs:
-        if report.classes[k] is graphs.LeafClass.MESSAGE_DISCONNECTED:
-            for j in sorted(report.sccs[k]):
-                plain_targets.add(("disconnected-scc", j))
+    for scc in graphs.leaf_sccs_of_class(
+            g, graphs.LeafClass.MESSAGE_DISCONNECTED):
+        for j in sorted(scc):
+            plain_targets.add(("disconnected-scc", j))
     for rule, j in sorted(plain_targets):
         if _decode(row_of, None, mask_of((j,)))[0] & messages:
             violations.append(ClosureViolation(rule, None, j))

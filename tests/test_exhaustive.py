@@ -22,7 +22,7 @@ from msindex import bound, graphs
 from msindex.bound import (_apply_degenerate_arc, _apply_dummy, _apply_edges,
                            _apply_prune, _all_edge_options,
                            _degenerated_options, _finish, _leaf_scc_sets,
-                           _phase2_branch_options, _sccs_of_class,
+                           _phase2_branch_options,
                            GroundingTrace, lower_bound, run_grounding)
 from msindex.model import GraphPair, build_graphs, edge_key, simplify
 
@@ -78,7 +78,8 @@ _LOOP_CAP = 1000
 def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
     pruned = 0
     for _ in range(_LOOP_CAP):
-        connected = _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED)
+        connected = graphs.leaf_sccs_of_class(
+            trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED)
         if not connected or (prune_limit is not None and pruned >= prune_limit):
             break
         if prune_limit == 1:
@@ -97,8 +98,8 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
     for _ in range(_LOOP_CAP):
         acted = False
         for _ in range(_LOOP_CAP):
-            disconnected = _sccs_of_class(
-                trace, graphs.LeafClass.MESSAGE_DISCONNECTED)
+            disconnected = graphs.leaf_sccs_of_class(
+                trace.graphs, graphs.LeafClass.MESSAGE_DISCONNECTED)
             if not disconnected:
                 break
             scc = disconnected[0]
@@ -148,7 +149,7 @@ def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
     """All distinct states one phase-2 iteration can reach, with the
     recipe needed to replay each."""
     results: dict[tuple, tuple[tuple, GroundingTrace]] = {}
-    if _sccs_of_class(trace, graphs.LeafClass.MESSAGE_CONNECTED):
+    if graphs.leaf_sccs_of_class(trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED):
         for script, work in _enumerate_sweeps(trace, 1, budget):
             results.setdefault(work.canonical_key(), (("iv-0", script), work))
         return list(results.values())
