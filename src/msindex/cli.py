@@ -314,11 +314,12 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _final_state(doc: dict, path: str) -> tuple[GraphPair, frozenset[int]]:
-    """The final graphs and dummies of a trace document.  Every field is
-    checked here, so no vertex index reaches the graph kernel unchecked."""
-    check_schema(doc, f"{path}:schema")
-    where = f"{path}:final"
+def _final_state(doc: dict, at: str) -> tuple[GraphPair, frozenset[int]]:
+    """The final graphs and dummies of a trace document, whose fields are
+    named ``at`` + field in errors.  Every field is checked here, so no
+    vertex index reaches the graph kernel unchecked."""
+    check_schema(doc, f"{at}schema")
+    where = f"{at}final"
     final = doc.get("final")
     if not isinstance(final, dict):
         raise InstanceError(where, "missing final state")
@@ -355,8 +356,15 @@ def _final_state(doc: dict, path: str) -> tuple[GraphPair, frozenset[int]]:
 
 def cmd_dot(args) -> int:
     doc = _load_json(args.instance)
+    at = f"{args.instance}:"
+    if "steps" not in doc and "trace" in doc:
+        # the whole document that `bound --trace` or `report --trace` prints
+        doc, at = doc["trace"], f"{at}trace."
+        if not isinstance(doc, dict):
+            raise InstanceError(f"{args.instance}:trace",
+                                "expected a JSON object")
     if "steps" in doc:
-        g, dummies = _final_state(doc, args.instance)
+        g, dummies = _final_state(doc, at)
         print(graphs.to_dot(g, dummies=dummies), end="")
         return 0
     print(graphs.to_dot(analyze(parse_instance(doc)).graphs), end="")

@@ -262,6 +262,35 @@ def test_dot_trace_renders_dummies_dashed(capsys, tmp_path):
     assert "3 [style=dashed];" in out
 
 
+@pytest.mark.parametrize("command", ["bound", "report"])
+def test_dot_reads_the_whole_trace_output(capsys, tmp_path, command):
+    # the document `bound --trace` prints renders like its "trace" object
+    _, out, _ = run(capsys, command, TWO_WAY, "--trace")
+    whole_path, inner_path = tmp_path / "whole.json", tmp_path / "inner.json"
+    whole_path.write_text(out)
+    inner_path.write_text(json.dumps(json.loads(out)["trace"]))
+    rc, whole, err = run(capsys, "dot", str(whole_path))
+    assert (rc, err) == (0, "")
+    assert whole == run(capsys, "dot", str(inner_path))[1]
+    assert "3 [style=dashed];" in whole
+
+
+@pytest.mark.parametrize("trace, where", [
+    ([], "trace: expected a JSON object"),
+    ({"steps": []}, "trace.final: missing final state"),
+    ({"steps": [], "schema": 2}, "trace.schema: unsupported schema version"),
+])
+def test_dot_names_the_nested_trace_in_errors(capsys, tmp_path, trace, where):
+    _, out, _ = run(capsys, "bound", TWO_WAY, "--trace")
+    doc = json.loads(out)
+    doc["trace"] = trace
+    doc_path = tmp_path / "whole.json"
+    doc_path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "dot", str(doc_path))
+    assert (rc, out) == (2, "")
+    assert f"{doc_path}:{where}" in err
+
+
 @pytest.mark.parametrize("field, value, where", [
     ("arcs", None, "final.arcs: missing required field"),
     ("arcs", [[1, 1]], "final.arcs[0]: expected two distinct vertices"),

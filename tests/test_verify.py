@@ -1,5 +1,6 @@
 import random
 import warnings
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -11,9 +12,11 @@ from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
 from msindex.model import bits, build_graphs, simplify
 from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
                             DecodeCertificate, DecodeFailure, GuardError,
-                            _validate_supports, check_decode_closure,
-                            oracle_min_linear, rank_decodable,
-                            verify_exhaustive)
+                            _candidate_rows, _extend, _needs_more_than,
+                            _open_options, _reduce, _requirements,
+                            _search_at_length, _validate_supports,
+                            check_decode_closure, oracle_min_linear,
+                            rank_decodable, verify_exhaustive)
 
 from conftest import make_instance, simplified_graphs
 from strategies import codes_for, instance_and_code, instances
@@ -187,6 +190,95 @@ def test_search_matches_frozenset_reference(inst):
         expected = _reference_search_at_length(masks, length, reqs)
         assert _search_at_length(masks, length, reqs) == expected
         assert (expected is None) == (length < optimum)
+
+
+def _basis_of(vectors) -> tuple[int, ...]:
+    basis: tuple[int, ...] = ()
+    for x in vectors:
+        r = _reduce(basis, x)
+        if r:
+            basis = _extend(basis, r)
+    return basis
+
+
+def _span_of(vectors) -> frozenset[int]:
+    span = {0}
+    for x in vectors:
+        span |= {v ^ x for v in span}
+    return frozenset(span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.integers(1, (1 << m) - 1), max_size=m + 2)), st.randoms())
+def test_extend_keys_equal_spans_equally(vectors, rng):
+    # rows in pivot order, whatever order the vectors come in
+    basis = _basis_of(vectors)
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    assert _basis_of(shuffled) == basis
+    pivots = [b & -b for b in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(not b & p for b in basis for p in pivots if p != b & -b)
+    assert _span_of(basis) == _span_of(vectors)
+
+
+@st.composite
+def _open_requirement_cases(draw):
+    """At m <= 4: a number k of new rows, a span S that k rows cannot
+    fill the space from, and (prior or None, wanted unit vector)
+    requirements."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(3, m - 1)))
+    basis = _basis_of(draw(st.lists(st.integers(1, (1 << m) - 1),
+                                    max_size=m - k - 1)))
+    unit = st.integers(1, m).map(lambda j: 1 << (j - 1))
+    wants = draw(st.lists(st.tuples(st.one_of(st.none(), unit), unit),
+                          max_size=10))
+    return m, basis, [(prior, t) for prior, t in wants if prior != t], k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_open_requirement_cases())
+def test_cut_is_sound_against_every_k_set(case):
+    m, basis, wants, k = case
+    options = _open_options(basis, wants)
+    if not _needs_more_than(options, k):
+        return
+    for rows in combinations(range(1, 1 << m), k):
+        span = _span_of(basis + rows)
+        assert not all(t in span or (prior is not None and t ^ prior in span)
+                       for prior, t in wants)
+
+
+def _all_wants(m):
+    """One sender owns every message; every receiver wants all others."""
+    everything = set(range(1, m + 1))
+    return simplify(make_instance(m, senders=[everything],
+                                  wants=[everything - {r}
+                                         for r in range(1, m + 1)]))[0]
+
+
+def test_all_wants_root_is_cut_below_the_optimum():
+    # a pure call, so a cut that stops firing fails here at once
+    reqs = _requirements(_all_wants(8))
+    options = _open_options((), [(prior, t) for _, prior, wanted in reqs
+                                 for t in wanted])
+    assert len(options) == 56
+    for k in range(2, 7):
+        assert _needs_more_than(options, k)
+    assert not _needs_more_than(options, 7)
+
+
+def test_all_wants_oracle_witness():
+    simple = _all_wants(8)
+    masks = [row.coeffs for row in _candidate_rows(simple)]
+    assert (_search_at_length(masks, 7, _requirements(simple))
+            == (2, 4, 8, 16, 32, 64, 128))
+    length, code = oracle_min_linear(simple)
+    assert length == 7
+    assert code.rows == tuple(CodeRow(1, mask_of((1, j))) for j in range(2, 9))
+    assert [row.coeffs for row in code.rows] == [3, 5, 9, 17, 33, 65, 129]
 
 
 def test_closure_two_way_optimal_code(two_way):
