@@ -14,6 +14,7 @@ import random
 import sys
 
 from msindex import ProblemInstance, analyze
+from msindex.cli import _int_at_least
 from msindex.generate import random_cycle_instance, random_instance
 from msindex.verify import ORACLE_LIMIT
 
@@ -43,10 +44,10 @@ def random_pairing_instance(rng, m):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=2000)
-    ap.add_argument("--max-m", type=int, default=6)
+    ap.add_argument("--count", type=_int_at_least(1), default=2000)
+    ap.add_argument("--max-m", type=_int_at_least(4), default=6)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--stop-after", type=int, default=5,
+    ap.add_argument("--stop-after", type=_int_at_least(1), default=5,
                     help="stop once this many gaps are printed")
     args = ap.parse_args(argv)
 

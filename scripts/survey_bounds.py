@@ -11,6 +11,7 @@ import random
 import sys
 
 from msindex import analyze, lower_bound_prune_all
+from msindex.cli import _int_at_least
 from msindex.generate import (random_cycle_instance, random_instance,
                               random_partitioned_instance)
 from msindex.verify import ORACLE_LIMIT
@@ -29,8 +30,8 @@ def draw(rng, style, max_m):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=200)
-    ap.add_argument("--max-m", type=int, default=6)
+    ap.add_argument("--count", type=_int_at_least(1), default=200)
+    ap.add_argument("--max-m", type=_int_at_least(2), default=6)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--style", default="mixed",
                     choices=["plain", "cycle", "partitioned", "mixed"])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import graphs
@@ -90,7 +90,9 @@ class GroundingTrace:
         return len(self.dummies)
 
     def clone(self) -> "GroundingTrace":
-        return replace(self, log=list(self.log))
+        twin = object.__new__(GroundingTrace)
+        twin.__dict__ = {**self.__dict__, "log": list(self.log)}
+        return twin
 
     def canonical_key(self):
         """State identity up to renaming of dummy vertices."""
@@ -120,7 +122,7 @@ def _class_of(trace: GroundingTrace, scc: frozenset[int]) -> graphs.LeafClass | 
 def _apply_prune(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
     g = trace.graphs
     removed = tuple((v, j) for j in bits(g.succ[v]))
-    trace.graphs = replace(g, arcs=g.arcs.difference(removed))
+    trace.graphs = GraphPair(n=g.n, arcs=g.arcs.difference(removed), edges=g.edges)
     trace.log.append(("i", tuple(sorted(scc)), v, removed))
 
 
@@ -136,7 +138,7 @@ def prune_scc(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
 def _apply_dummy(trace: GroundingTrace, scc: frozenset[int], source: int) -> int:
     g = trace.graphs
     dummy = g.n + 1
-    trace.graphs = replace(g, n=dummy, arcs=g.arcs | {(source, dummy)})
+    trace.graphs = GraphPair(n=dummy, arcs=g.arcs | {(source, dummy)}, edges=g.edges)
     trace.dummies |= {dummy}
     trace.log.append(("ii", tuple(sorted(scc)), source, dummy))
     return dummy
@@ -158,7 +160,8 @@ def append_dummy(trace: GroundingTrace, scc: frozenset[int]) -> int:
 def _apply_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
                           witness: graphs.DegeneracyWitness,
                           source: int, target: int, tag: str) -> None:
-    trace.graphs = replace(trace.graphs, arcs=trace.arcs | {(source, target)})
+    g = trace.graphs
+    trace.graphs = GraphPair(n=g.n, arcs=g.arcs | {(source, target)}, edges=g.edges)
     trace.log.append((tag, tuple(sorted(scc)), tuple(sorted(witness.part)),
                       tuple(sorted(witness.cover)), source, target))
 
@@ -200,7 +203,8 @@ def _chain_edges(trace: GroundingTrace, scc: frozenset[int]
 
 def _apply_edges(trace: GroundingTrace, scc: frozenset[int],
                  new_edges: tuple[tuple[int, int], ...]) -> None:
-    trace.graphs = replace(trace.graphs, edges=trace.edges.union(new_edges))
+    g = trace.graphs
+    trace.graphs = GraphPair(n=g.n, arcs=g.arcs, edges=g.edges.union(new_edges))
     trace.log.append(("iv-b", tuple(sorted(scc)), new_edges))
 
 

@@ -8,6 +8,7 @@ and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -382,7 +383,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first ``main`` call and reused: parsing
+    keeps no state in it."""
     parser = _Parser(prog="msindex",
                      description="bounds and codes for multi-sender index coding")
     sub = parser.add_subparsers(dest="command", required=True)

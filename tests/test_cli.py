@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from msindex import cli
 from msindex.cli import main
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
@@ -320,3 +321,34 @@ def test_outputs_are_byte_identical(capsys):
     third = run(capsys, "bound", THREE_PAIRS, "--trace")
     fourth = run(capsys, "bound", THREE_PAIRS, "--trace")
     assert third == fourth
+
+
+def test_reused_parser_carries_no_state(capsys):
+    # main() builds its parser once per process; every call after the
+    # first must behave as if it had a parser of its own
+    sequence = [
+        ["report", THREE_PAIRS, "--oracle", "--json"],
+        ["report", THREE_PAIRS, "--json"],
+        ["report", THREE_PAIRS, "--jobs", "2"],
+        ["oracle", THREE_PAIRS, "--max-len", "1"],
+        ["--help"],
+        ["report", THREE_PAIRS, "--exhaustive", "--trace"],
+    ]
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"SystemExit({exc.code})"
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    alone = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [rc for rc, _, _ in alone] == [0, 0, 1, 0, "SystemExit(0)", 0]
+
+    cli._build_parser.cache_clear()
+    assert [outcome(argv) for argv in sequence] == alone
+    assert cli._build_parser.cache_info().misses == 1

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import find_gaps  # noqa: E402
 import survey_bounds  # noqa: E402
@@ -60,3 +62,25 @@ def test_find_gaps_skips_the_oracle_past_its_guard(capsys):
     assert time.perf_counter() - start < 2
     assert out == ("# scanned 2 instances, printed 0 gaps, "
                    "1 past the oracle guard (m > 8)\n")
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    (find_gaps, ["--count", "0"], "argument --count: must be at least 1, got 0"),
+    (find_gaps, ["--count", "-2"], "argument --count: must be at least 1, got -2"),
+    (find_gaps, ["--max-m", "3"], "argument --max-m: must be at least 4, got 3"),
+    (find_gaps, ["--stop-after", "0"],
+     "argument --stop-after: must be at least 1, got 0"),
+    (survey_bounds, ["--max-m", "1"], "argument --max-m: must be at least 2, got 1"),
+    (survey_bounds, ["--count", "0"],
+     "argument --count: must be at least 1, got 0"),
+], ids=["gaps-count-0", "gaps-count-negative", "gaps-max-m-3",
+        "gaps-stop-after-0", "survey-max-m-1", "survey-count-0"])
+def test_out_of_range_arguments_are_usage_errors(capsys, script, argv, message):
+    # each would otherwise crash or misbehave only after drawing instances:
+    # an empty scan has no last index, and randint(4, 3) has no value
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--count", "3", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and err.endswith(f"error: {message}\n")
