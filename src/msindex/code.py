@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import or_
 
 from . import graphs
-from .model import GraphPair, ProblemInstance, adjacent, bits, closure, mask_of
+from .model import GraphPair, ProblemInstance, bits, closure, mask_of
+
+# above this many vertices, unions of principal down-sets are not candidates
+EXACT_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -76,96 +80,89 @@ def _spanning_tree(g: GraphPair, vs: frozenset[int]) -> tuple[tuple[int, int], .
     return tuple(chosen)
 
 
-def _tree_candidates(g: GraphPair, excluded: frozenset[int]) -> list[frozenset[int]]:
-    """All valid connecting-tree vertex sets, sorted lexicographically."""
-    eligible = [1 << (v - 1) for v in
-                bits(g.vertex_mask & ~g.leaf_mask & ~mask_of(excluded))]
-    found = []
-    for r in range(2, len(eligible) + 1):
-        for combo in combinations(eligible, r):
-            vs = sum(combo)
-            if not adjacent(g.succ, vs) & ~vs and len(g.components(vs)) == 1:
-                found.append(frozenset(bits(vs)))
-    found.sort(key=sorted)
-    return found
+def _tree_candidates(g: GraphPair) -> list[int]:
+    """Connecting-tree vertex masks, sorted lexicographically as vertex
+    lists.
+
+    A set with no arc leaving it is a union of principal down-sets of the
+    condensation (an SCC plus everything it reaches).  The eligible ones
+    hold no leaf vertex and no vertex of a message-connected leaf SCC.  Up
+    to ``EXACT_LIMIT`` vertices every union of them is a candidate, which
+    is every valid set; above it only the principal down-sets are.
+    """
+    blocked = g.leaf_mask | mask_of(frozenset().union(*graphs.leaf_sccs_of_class(
+        g, graphs.LeafClass.MESSAGE_CONNECTED)))
+    downs = {comp | closure(g.succ, comp) for comp in g.scc_masks}
+    unions = {d for d in downs if not d & blocked}
+    if g.n <= EXACT_LIMIT:
+        for d in list(unions):
+            unions |= {d | u for u in unions}
+    return sorted((vs for vs in unions
+                   if vs & (vs - 1) and len(g.components(vs)) == 1),
+                  key=lambda vs: list(bits(vs)))
 
 
-def _max_packing(candidates: list[frozenset[int]]) -> list[frozenset[int]]:
-    """Exact maximum set packing, lexicographically smallest family."""
-    universe = frozenset().union(*candidates) if candidates else frozenset()
-    memo: dict[frozenset[int], int] = {}
+def _max_packing(candidates: list[int]) -> list[int]:
+    """Exact maximum packing of vertex masks, lexicographically smallest
+    family.
 
-    def best(remaining: frozenset[int]) -> int:
-        if remaining in memo:
-            return memo[remaining]
-        usable = [c for c in candidates if c <= remaining]
-        if not usable:
-            memo[remaining] = 0
-            return 0
-        v = min(frozenset().union(*usable))
-        score = best(remaining - {v})
-        for c in usable:
-            if v in c:
-                score = max(score, 1 + best(remaining - c))
-        memo[remaining] = score
-        return score
+    A state is the union of the candidates that fit in what is left:
+    vertices that no fitting candidate covers cannot change the packing,
+    so they never split the memo.  States are scored on an explicit stack,
+    so no family is too deep for the interpreter.
+    """
+    def without(pool: list[int], gone: int) -> int:
+        """The state of the candidates in ``pool`` that avoid ``gone``."""
+        return reduce(or_, (c for c in pool if not c & gone), 0)
 
-    chosen: list[frozenset[int]] = []
-    remaining = universe
-    while best(remaining) > 0:
-        target = best(remaining)
-        for c in candidates:
-            if c <= remaining and 1 + best(remaining - c) == target:
-                chosen.append(c)
-                remaining = remaining - c
-                break
+    def usable(state: int) -> list[int]:
+        return [c for c in candidates if not c & ~state]
+
+    memo = {0: 0}
+
+    def best(state: int) -> int:
+        stack = [state]
+        while stack:
+            top = stack.pop()
+            if top in memo:
+                continue
+            pool = usable(top)
+            low = top & -top  # drop it, or take a candidate that holds it
+            following = [(0, without(pool, low))] + [
+                (1, without(pool, c)) for c in pool if c & low]
+            todo = [s for _, s in following if s not in memo]
+            if todo:
+                stack += [top, *todo]
+            else:
+                memo[top] = max(gain + memo[s] for gain, s in following)
+        return memo[state]
+
+    chosen = []
+    state = reduce(or_, candidates, 0)
+    while best(state):
+        target = best(state)
+        pool = usable(state)
+        chosen.append(next(c for c in pool if 1 + best(without(pool, c)) == target))
+        state = without(pool, chosen[-1])
     return chosen
 
 
-def find_connecting_trees(g: GraphPair, mode: str = "exact",
-                          exact_limit: int = 16) -> list[Tree]:
-    """Vertex-disjoint connecting trees; exact mode maximizes their number.
+def find_connecting_trees(g: GraphPair) -> list[Tree]:
+    """A maximum family of vertex-disjoint connecting trees among the
+    candidates, lexicographically smallest.
 
-    Exact search enumerates every arc-closed, non-leaf, SCC-excluded vertex
-    set inducing a connected message subgraph, then solves the max
-    set-packing over them.  Above ``exact_limit`` vertices (or in greedy
-    mode) the family is grown from per-vertex reachability closures
-    instead: maximal within that candidate class, possibly smaller than
-    the exact optimum, and always valid for the upper bound.
+    Up to ``EXACT_LIMIT`` vertices the candidates are every valid vertex
+    set, so the count is the exact optimum.  Above it they are the
+    principal down-sets only ("greedy" names this candidate class, and a
+    warning says so): the family may then be smaller than the optimum, and
+    is always valid for the upper bound.
     """
-    if mode not in ("exact", "greedy"):
-        raise ValueError(f"unknown mode {mode!r}")
-    excluded = frozenset().union(*graphs.leaf_sccs_of_class(
-        g, graphs.LeafClass.MESSAGE_CONNECTED))
-
-    if mode == "exact" and g.n > exact_limit:
+    if g.n > EXACT_LIMIT:
         warnings.warn(
-            f"instance has {g.n} > {exact_limit} vertices; "
+            f"instance has {g.n} > {EXACT_LIMIT} vertices; "
             "falling back to greedy connecting-tree search")
-        mode = "greedy"
-
-    if mode == "exact":
-        sets = _max_packing(_tree_candidates(g, excluded))
-    else:
-        sets = _greedy_trees(g, excluded)
+    sets = (frozenset(bits(vs)) for vs in _max_packing(_tree_candidates(g)))
     return [Tree(vs, _spanning_tree(g, vs)) for vs in sets]
-
-
-def _greedy_trees(g: GraphPair, excluded: frozenset[int]) -> list[frozenset[int]]:
-    """Per vertex in order, its reachability closure when that is a fresh
-    non-leaf, message-connected set of two or more vertices."""
-    blocked = g.leaf_mask | mask_of(excluded)
-    out = []
-    for v in g.vertices():
-        low = 1 << (v - 1)
-        if low & blocked:
-            continue
-        vs = low | closure(g.succ, low)
-        if vs & blocked or vs == low or len(g.components(vs)) != 1:
-            continue
-        out.append(frozenset(bits(vs)))
-        blocked |= vs
-    return out
 
 
 def plan_code(g: GraphPair, trees: list[Tree]) -> CodeBlueprint:

@@ -57,7 +57,7 @@ def suite_m5():
         inst = _draw_instance(rng, 5)
         simple, g = _prepare(inst)
         trace = run_grounding(g, "exhaustive")
-        trees = find_connecting_trees(g, "exact")
+        trees = find_connecting_trees(g)
         length, oracle_code = oracle_min_linear(simple)
         rows.append((simple, g, trace, trees, length, oracle_code))
     return rows, time.perf_counter() - start
@@ -71,7 +71,7 @@ def test_criterion_1_worked_example():
     trace = run_grounding(g, "deterministic")
     assert lower_bound(trace) == 4
 
-    trees = find_connecting_trees(g, "exact")
+    trees = find_connecting_trees(g)
     assert len(trees) == 1
     assert upper_bound(g, trees) == 5
 
@@ -125,7 +125,7 @@ def test_criterion_4_partitioned_senders():
         trace = run_grounding(g, "exhaustive")
         assert trace.n_remaining == 0
         assert all(step[0] in ("i", "ii") for step in trace.log)
-        trees = find_connecting_trees(g, "exact")
+        trees = find_connecting_trees(g)
         target = num_out_vertices(g) - trace.n_connected
         assert lower_bound(trace) == target
         assert upper_bound(g, trees) == target
@@ -142,7 +142,7 @@ def test_criterion_5_no_remaining_means_tight(suite_m7, suite_m5):
         hits += 1
         target = num_out_vertices(g) - trace.n_connected
         assert lower_bound(trace) == target
-        assert upper_bound(g, find_connecting_trees(g, "exact")) == target
+        assert upper_bound(g, find_connecting_trees(g)) == target
     for simple, g, trace, trees, _, _ in suite_m5[0]:
         if trace.n_remaining != 0:
             continue

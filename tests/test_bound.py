@@ -314,7 +314,7 @@ def test_sandwich_in_the_cycle_heavy_regime():
         simple, _ = simplify(inst)
         g = build_graphs(simple)
         trace = run_grounding(g, "exhaustive")
-        trees = find_connecting_trees(g, "exact")
+        trees = find_connecting_trees(g)
         lb = lower_bound(trace)
         ub = upper_bound(g, trees)
         length, _ = oracle_min_linear(simple)

@@ -1,4 +1,8 @@
 import json
+import runpy
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +356,36 @@ def test_reused_parser_carries_no_state(capsys):
     cli._build_parser.cache_clear()
     assert [outcome(argv) for argv in sequence] == alone
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _ring(tmp_path, m):
+    """m receivers in one cycle, each wanting the next message; sender k
+    owns messages k and k + 1, so no message is dropped."""
+    path = tmp_path / f"ring{m}.json"
+    path.write_text(json.dumps({
+        "num_messages": m,
+        "senders": [[k, k % m + 1] for k in range(1, m + 1)],
+        "wants": [[k % m + 1] for k in range(1, m + 1)]}), encoding="utf-8")
+    return path
+
+
+def _tree_fallback():
+    """The pattern the benchmark uses to tell the tree warning from a
+    failed report."""
+    folder = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(folder))
+    try:
+        return runpy.run_path(str(folder / "run.py"))["TREE_FALLBACK"]
+    finally:
+        sys.path.remove(str(folder))
+
+
+@pytest.mark.parametrize("m, expected", [(16, 0), (17, 1)])
+def test_tree_warning_matches_the_benchmark_pattern(capsys, tmp_path, m, expected):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, _ = run(capsys, "report", str(_ring(tmp_path, m)), "--json")
+    assert rc == 0 and json.loads(out)["instance"]["num_messages"] == m
+    assert len(caught) == expected
+    pattern = _tree_fallback()
+    assert all(pattern.fullmatch(str(w.message)) for w in caught)

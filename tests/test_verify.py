@@ -483,7 +483,7 @@ def test_rank_checks_match_reference_at_m64(family):
     for _ in range(2):
         simple, g = simplified_graphs(draw(rng, 64))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # greedy trees above 16 vertices
+            warnings.simplefilter("ignore")  # the tree search warns above 16 vertices
             code = _planned(simple, g)
         assert isinstance(rank_decodable(code, simple), DecodeCertificate)
         rows = list(code.rows)
