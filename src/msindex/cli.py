@@ -39,8 +39,12 @@ def _read(path: str) -> str:
 def _load_json(path: str) -> dict:
     try:
         doc = json.loads(_read(path))
+    except UnicodeDecodeError as exc:
+        raise InstanceError(path, f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(path, f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError(path, "invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceError(path, "expected a JSON object")
     return doc

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, combinations, repeat
 from typing import Any, Mapping
 
 SCHEMA_VERSION = 1
@@ -234,7 +235,14 @@ def check_schema(document: Mapping[str, Any], path: str) -> None:
 
 
 def _parse_index_set(raw: Any, path: str, m: int) -> frozenset[int]:
+    """The distinct indices 1..m of a JSON list.  A list of plain ints is
+    checked whole; any other list goes through the element loop, which
+    names the first bad index."""
     _require(isinstance(raw, list), path, f"expected a list, got {type(raw).__name__}")
+    if all(type(x) is int for x in raw):
+        found = frozenset(raw)
+        if len(found) == len(raw) and (not raw or 1 <= min(raw) and max(raw) <= m):
+            return found
     seen: set[int] = set()
     for k, x in enumerate(raw):
         _require(isinstance(x, int) and not isinstance(x, bool),
@@ -257,6 +265,8 @@ def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise InstanceError("$", f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InstanceError("$", "invalid JSON: nested too deeply") from exc
     _require(isinstance(document, Mapping), "$", "expected a JSON object")
 
     allowed = {"schema", "num_messages", "senders", "wants"}
@@ -318,15 +328,8 @@ def build_graphs(inst: ProblemInstance) -> GraphPair:
     """Derive the information-flow digraph and message graph of an instance."""
     if not inst.simplified:
         raise ValueError("instance must be simplified before building graphs")
-    arcs = set()
-    for j, wr in enumerate(inst.wants, start=1):
-        for i in wr:
-            arcs.add((i, j))
-    edges = set()
-    for ms in inst.senders:
-        owned = sorted(ms)
-        for a in range(len(owned)):
-            for b in range(a + 1, len(owned)):
-                edges.add((owned[a], owned[b]))
-    return GraphPair(n=inst.num_messages, arcs=frozenset(arcs),
-                     edges=frozenset(edges))
+    arcs = frozenset(chain.from_iterable(
+        zip(wr, repeat(j)) for j, wr in enumerate(inst.wants, start=1)))
+    edges = frozenset(chain.from_iterable(
+        combinations(sorted(ms), 2) for ms in inst.senders))
+    return GraphPair(n=inst.num_messages, arcs=arcs, edges=edges)

@@ -10,7 +10,9 @@ it meets the structural lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from . import graphs
 from .code import CodeRow, LinearIndexCode
@@ -33,15 +35,36 @@ class CertEntry:
     uses_prior: bool
 
 
-@dataclass(frozen=True)
 class DecodeCertificate:
-    entries: tuple[CertEntry, ...]
+    """One entry per (receiver, wanted) pair, in index order: the rows the
+    receiver XORs, and whether it adds its own message.  ``entries`` may be
+    any iterable of entries; it is read into a tuple on first use, so a
+    certificate nobody reads costs nothing.  Certificates with equal
+    entries are equal."""
+
+    def __init__(self, entries: Iterable[CertEntry]):
+        self._source = entries
+
+    @cached_property
+    def entries(self) -> tuple[CertEntry, ...]:
+        return tuple(self._source)
 
     def entry(self, receiver: int, wanted: int) -> CertEntry:
         for e in self.entries:
             if e.receiver == receiver and e.wanted == wanted:
                 return e
         raise KeyError((receiver, wanted))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecodeCertificate):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"DecodeCertificate(entries={self.entries!r})"
 
 
 @dataclass(frozen=True)
@@ -51,10 +74,11 @@ class DecodeFailure:
 
 
 def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
+    owned = [mask_of(ms) for ms in inst.senders]
     for k, row in enumerate(code.rows):
         if not (1 <= row.sender <= inst.num_senders):
             raise InstanceError(f"rows[{k}]", f"unknown sender {row.sender}")
-        if not row.support() <= inst.senders[row.sender - 1]:
+        if row.coeffs & ~owned[row.sender - 1]:
             raise InstanceError(
                 f"rows[{k}]", f"support {sorted(row.support())} not owned by "
                 f"sender {row.sender}")
@@ -105,26 +129,19 @@ def _extend(basis: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _decode(row_of: dict[int, int], prior: int | None,
-            target: int) -> tuple[int, ...]:
-    """``red(target)``, and ``red(target ^ prior)`` for a receiver with a
-    prior, modulo a reduced echelon basis given as pivot -> row: the
-    receiver decodes ``target`` by the rows alone, or with its prior, when
-    that reduction has no message bits.  A unit vector reduces by at most
-    the row it is the pivot of, and reduction is linear."""
-    t = target ^ row_of.get(target, 0)
-    if prior is None:
-        return (t,)
-    return t, t ^ prior ^ row_of.get(prior, 0)
+def _unit_reductions(rows: tuple[CodeRow, ...], m: int) -> tuple[list[int], int]:
+    """``red(e_j)`` for every message j (index 0 unused) modulo the code
+    rows' reduced echelon basis, and the offset of the row tags.
 
-
-def _row_basis(rows: tuple[CodeRow, ...], m: int) -> tuple[dict[int, int], int]:
-    """The code rows' reduced echelon basis as pivot -> row, and the offset
-    of the row tags: row k carries tag bit ``offset + k``, above every
-    message bit, so the tag bits of a reduction name the rows a decoder
-    XORs.  A row whose message bits reduce to 0 depends on earlier rows and
-    is left out, so the basis holds the first independent subset of the
-    rows, over which the rows that give a vector are unique."""
+    Row k carries tag bit ``offset + k``, above every message bit, so the
+    tag bits of a reduction name the rows a decoder XORs.  A row whose
+    message bits reduce to 0 depends on earlier rows and is left out, so
+    the basis holds the first independent subset of the rows, over which
+    the rows that give a vector are unique.  A unit vector reduces by at
+    most the row it is the pivot of, so each ``red(e_j)`` is one lookup.
+    Receiver r decodes message j by the rows alone when ``red(e_j)`` has
+    no message bits, and with its prior e_r when ``red(e_j) ^ red(e_r)``
+    has none; reduction is linear."""
     offset = max([m] + [row.coeffs.bit_length() for row in rows])
     messages = (1 << offset) - 1
     basis: tuple[int, ...] = ()
@@ -132,7 +149,23 @@ def _row_basis(rows: tuple[CodeRow, ...], m: int) -> tuple[dict[int, int], int]:
         r = _reduce(basis, row.coeffs | 1 << (offset + k))
         if r & messages:
             basis = _extend(basis, r)
-    return {b & -b: b for b in basis}, offset
+    row_of = {b & -b: b for b in basis}.get
+    return [0] + [u ^ row_of(u, 0) for u in (1 << j for j in range(m))], offset
+
+
+def _certificate_entries(inst: ProblemInstance, red: list[int],
+                         offset: int) -> Iterator[CertEntry]:
+    """The certificate entries in (receiver, wanted) index order, for a
+    code every receiver decodes."""
+    messages = (1 << offset) - 1
+    for r, wanted in enumerate(inst.wants, start=1):
+        for j in sorted(wanted):
+            t = red[j]
+            uses_prior = bool(t & messages)
+            if uses_prior:
+                t ^= red[r]
+            yield CertEntry(r, j, tuple(k - 1 for k in bits(t >> offset)),
+                            uses_prior)
 
 
 def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
@@ -143,22 +176,30 @@ def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
     message exists); success means each wanted unit vector lies in that
     span.  Returns certificates, or the first failing (receiver, wanted)
     pair in index order.
+
+    The messages are grouped by the message bits of their reductions
+    (`_unit_reductions`): receiver r decodes exactly the group of key 0,
+    and, when its own message exists, the group of its own key, so one
+    mask test per receiver checks all its wants.  The certificate's
+    entries are built when first read.
     """
     _validate_supports(code, inst)
-    row_of, offset = _row_basis(code.rows, inst.num_messages)
+    m = inst.num_messages
+    red, offset = _unit_reductions(code.rows, m)
     messages = (1 << offset) - 1
-    entries = []
-    for r, prior, wanted in _requirements(inst):
-        for target in wanted:
-            for uses_prior, red in enumerate(_decode(row_of, prior, target)):
-                if not red & messages:
-                    rows_used = tuple(k - 1 for k in bits(red >> offset))
-                    entries.append(CertEntry(r, target.bit_length(), rows_used,
-                                             bool(uses_prior)))
-                    break
-            else:
-                return DecodeFailure(receiver=r, wanted=target.bit_length())
-    return DecodeCertificate(tuple(entries))
+    group: dict[int, int] = {}
+    for j in range(1, m + 1):
+        key = red[j] & messages
+        group[key] = group.get(key, 0) | 1 << (j - 1)
+    alone = group.get(0, 0)
+    carried = mask_of(inst.carried)
+    for r, wanted in enumerate(inst.wants, start=1):
+        missed = mask_of(wanted) & ~alone
+        if missed and carried >> (r - 1) & 1:
+            missed &= ~group[red[r] & messages]
+        if missed:
+            return DecodeFailure(receiver=r, wanted=(missed & -missed).bit_length())
+    return DecodeCertificate(_certificate_entries(inst, red, offset))
 
 
 def verify_exhaustive(code: LinearIndexCode, inst: ProblemInstance) -> bool:
@@ -389,7 +430,7 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
     simple, _ = simplify(inst)
     g = build_graphs(simple)
     violations = []
-    row_of, offset = _row_basis(code.rows, simple.num_messages)
+    red, offset = _unit_reductions(code.rows, simple.num_messages)
     messages = (1 << offset) - 1
 
     plain_targets: set[tuple[str, int]] = set()
@@ -401,15 +442,14 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
         for j in sorted(scc):
             plain_targets.add(("disconnected-scc", j))
     for rule, j in sorted(plain_targets):
-        if _decode(row_of, None, mask_of((j,)))[0] & messages:
+        if red[j] & messages:
             violations.append(ClosureViolation(rule, None, j))
 
     carried = simple.carried
     for r in range(1, g.n + 1):
-        prior = mask_of((r,)) if r in carried else None
         for j in sorted(graphs.predecessors(g, r) & carried):
-            if all(red & messages
-                   for red in _decode(row_of, prior, mask_of((j,)))):
+            if red[j] & messages and (r not in carried
+                                      or (red[j] ^ red[r]) & messages):
                 violations.append(ClosureViolation("predecessor", r, j))
     return ClosureReport(tuple(violations))
 

@@ -1,4 +1,5 @@
 import json
+import random
 import runpy
 import sys
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from msindex import cli
+from msindex import cli, generate, verify
 from msindex.cli import main
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
@@ -389,3 +390,45 @@ def test_tree_warning_matches_the_benchmark_pattern(capsys, tmp_path, m, expecte
     assert len(caught) == expected
     pattern = _tree_fallback()
     assert all(pattern.fullmatch(str(w.message)) for w in caught)
+
+
+# two bytes that are not UTF-8, and lists nested past the interpreter's
+# recursion limit
+UNREADABLE = {"not-utf8": (b"\xff\xfe", "not UTF-8 text"),
+              "too-deep": (b"[" * 100_000, "invalid JSON: nested too deeply")}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("argv", [
+    ("validate", "{bad}"), ("report", "{bad}"), ("dot", "{bad}"),
+    ("verify", "{bad}", TWO_WAY), ("verify", TWO_WAY, "{bad}"),
+], ids=["validate", "report", "dot", "verify-instance", "verify-code"])
+def test_unreadable_files_are_parse_errors(capsys, tmp_path, kind, argv):
+    data, message = UNREADABLE[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    rc, out, err = run(capsys, *(arg.format(bad=bad) for arg in argv))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {bad}: {message}")
+    assert "Traceback" not in err
+
+
+def test_report_builds_no_certificate_entries(capsys, tmp_path, monkeypatch):
+    # the pipeline only asks whether the rank check failed, so a plain
+    # m = 64 draw (thousands of (receiver, wanted) pairs) builds no entry
+    inst = generate.random_instance(random.Random(64), 64)
+    path = tmp_path / "plain64.json"
+    path.write_text(json.dumps(inst.to_document()), encoding="utf-8")
+    built = []
+    original = verify.CertEntry.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(verify.CertEntry, "__init__", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tree search warns above 16 vertices
+        rc, out, _ = run(capsys, "report", str(path), "--json")
+    assert rc == 0 and json.loads(out)["instance"]["num_messages"] == 64
+    assert sum(map(len, inst.wants)) > 1000
+    assert built == []

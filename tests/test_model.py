@@ -1,10 +1,12 @@
 import json
+from enum import IntEnum
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from msindex.model import (InstanceError, build_graphs, parse_instance,
-                           simplify)
+from msindex.model import (InstanceError, _parse_index_set, _require,
+                           build_graphs, parse_instance, simplify)
 from msindex.verify import oracle_min_linear
 
 from conftest import make_instance
@@ -61,6 +63,97 @@ def test_parse_wants_length_must_match():
         parse_instance({"num_messages": 3, "senders": [[1, 2, 3]],
                         "wants": [[2], [1]]})
     assert err.value.path == "wants"
+
+
+def test_parse_deeply_nested_text_is_an_instance_error():
+    with pytest.raises(InstanceError) as err:
+        parse_instance("[" * 100_000)
+    assert (err.value.path, err.value.message) == (
+        "$", "invalid JSON: nested too deeply")
+
+
+def _reference_parse_index_set(raw, path, m):
+    """The element-by-element check that the whole-list check runs
+    ahead of."""
+    _require(isinstance(raw, list), path, f"expected a list, got {type(raw).__name__}")
+    seen: set[int] = set()
+    for k, x in enumerate(raw):
+        _require(isinstance(x, int) and not isinstance(x, bool),
+                 f"{path}[{k}]", f"expected an integer, got {x!r}")
+        _require(1 <= x <= m, f"{path}[{k}]", f"index {x} out of range 1..{m}")
+        _require(x not in seen, f"{path}[{k}]", f"duplicate index {x}")
+        seen.add(x)
+    return frozenset(seen)
+
+
+class _Index(IntEnum):
+    ONE = 1
+    TWO = 2
+    NINE = 9
+
+
+def _foreign_elements(m):
+    """Anything a JSON list (or a Python caller) may hold besides a fresh
+    index in 1..m."""
+    out_of_range = st.sampled_from([0, -1, m + 1, m + 2])
+    return st.one_of(
+        out_of_range, out_of_range, st.integers(), st.booleans(),
+        st.sampled_from(list(_Index)), st.floats(allow_nan=False),
+        st.sampled_from([1.0, 2.0]), st.text(max_size=2), st.none(),
+        st.lists(st.integers(1, m), max_size=2))
+
+
+@st.composite
+def _index_lists(draw):
+    """A list of distinct indices in 1..m, maybe with foreign elements or
+    duplicates inserted, or now and then no list at all."""
+    m = draw(st.integers(1, 8))
+    raw = draw(st.lists(st.integers(1, m), unique=True, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        new = draw(st.sampled_from(raw) if raw and draw(st.booleans())
+                   else _foreign_elements(m))
+        raw.insert(draw(st.integers(0, len(raw))), new)
+    if draw(st.integers(0, 9)) == 0:
+        raw = draw(st.sampled_from([None, 3, "1", {"a": 1}, (1, 2)]))
+    return raw, m
+
+
+def _outcome(parse, raw, m):
+    try:
+        return "ok", parse(raw, "wants[3]", m)
+    except InstanceError as exc:
+        return "error", exc.path, exc.message
+
+
+@settings(max_examples=400, deadline=None)
+@given(_index_lists())
+def test_parse_index_set_matches_the_element_loop(case):
+    raw, m = case
+    expected = _outcome(_reference_parse_index_set, raw, m)
+    got = _outcome(_parse_index_set, raw, m)
+    assert got == expected
+
+
+def _reference_build_graphs(inst):
+    """The pair loops that the comprehensions replaced."""
+    arcs = set()
+    for j, wr in enumerate(inst.wants, start=1):
+        for i in wr:
+            arcs.add((i, j))
+    edges = set()
+    for ms in inst.senders:
+        owned = sorted(ms)
+        for a in range(len(owned)):
+            for b in range(a + 1, len(owned)):
+                edges.add((owned[a], owned[b]))
+    return arcs, edges
+
+
+@given(instances())
+def test_build_graphs_matches_the_pair_loops(inst):
+    simple, _ = simplify(inst)
+    g = build_graphs(simple)
+    assert (g.arcs, g.edges) == _reference_build_graphs(simple)
 
 
 def test_simplify_removes_unwanted_message():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from msindex import generate, graphs
 from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
     find_connecting_trees, mask_of, plan_code
-from msindex.model import bits, build_graphs, simplify
+from msindex.model import InstanceError, bits, build_graphs, simplify
 from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
                             DecodeCertificate, DecodeFailure, GuardError,
                             _candidate_rows, _extend, _needs_more_than,
@@ -83,6 +83,27 @@ def test_rank_decodable_rejects_bad_support(two_way):
     with pytest.raises(ValueError):
         rank_decodable(LinearIndexCode(2, (CodeRow(1, mask_of((1, 2))),)),
                        simple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_m=6), st.data())
+def test_support_check_matches_the_subset_test(inst, data):
+    # rows with any sender (some unknown) and any coefficients
+    rows = data.draw(st.lists(st.builds(
+        CodeRow, st.integers(0, inst.num_senders + 1),
+        st.integers(0, (1 << inst.num_messages) - 1)), max_size=4))
+    expected = None
+    for k, row in enumerate(rows):
+        if (not 1 <= row.sender <= inst.num_senders
+                or not row.support() <= inst.senders[row.sender - 1]):
+            expected = f"rows[{k}]"
+            break
+    try:
+        _validate_supports(LinearIndexCode(inst.num_messages, tuple(rows)), inst)
+        got = None
+    except InstanceError as exc:
+        got = exc.path
+    assert got == expected
 
 
 def test_exhaustive_four_sender_xors(three_pairs):
