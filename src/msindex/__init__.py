@@ -14,7 +14,7 @@ from .code import (CodeBlueprint, CodeRow, LinearIndexCode, Tree,
                    upper_bound)
 from .analysis import Analysis, analyze
 from .verify import (DecodeCertificate, DecodeFailure, GuardError,
-                     check_decode_closure, oracle_min_linear, rank_decodable,
-                     verify_exhaustive)
+                     check_decode_closure, min_linear_length,
+                     oracle_min_linear, rank_decodable, verify_exhaustive)
 
 __version__ = "0.1.0"

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator
 
 from . import graphs
 from .code import CodeRow, LinearIndexCode
-from .model import (InstanceError, ProblemInstance, bits, build_graphs,
-                    mask_of, simplify)
+from .model import (InstanceError, ProblemInstance, adjacent, bits,
+                    build_graphs, mask_of, simplify)
 
 EXHAUSTIVE_LIMIT = 20
 ORACLE_LIMIT = 8
@@ -318,12 +318,12 @@ def _search_at_length(masks: list[int], length: int,
                       ) -> tuple[int, ...] | None:
     """First (lexicographically by index) length-subset that decodes.
 
-    Decodability depends only on the span of the chosen rows, and when
-    lengths are scanned in increasing order any minimal decodable subset
-    is linearly independent, so the search may skip dependent extensions
-    and prune spans whose completions already failed at this length
-    without changing which subset is found first.  A span is keyed by
-    its reduced echelon basis.
+    Decodability depends only on the span of the chosen rows, and at a
+    length no shorter code reaches (the optimum, or any length below it)
+    every decodable subset is linearly independent, so the search may
+    skip dependent extensions and prune spans whose completions already
+    failed at this length without changing which subset is found first.
+    A span is keyed by its reduced echelon basis.
 
     Every node lists the options of its open requirements
     (`_open_options`).  With no rows left the span decodes when the list
@@ -335,9 +335,9 @@ def _search_at_length(masks: list[int], length: int,
     failed spans are exact.  It counts across receivers, which a
     per-receiver rank test cannot do where every receiver wants one
     message.  On the m = 8 single-sender instance where every receiver
-    wants every other message, the root of each length 2-6 is cut at
-    once: the scan takes 2 ms there, and about 46 s without the cut (one
-    core of a 2-vCPU x86-64 VM, Python 3.11).
+    wants every other message, the search at the optimal length 7 takes
+    2 ms, and about 6 s without the cut (one core of a 2-vCPU x86-64 VM,
+    Python 3.11).
     """
     wants = [(prior, t) for _, prior, wanted in reqs for t in wanted]
     failed: set[tuple[int, ...]] = set()
@@ -379,28 +379,129 @@ def _search_at_length(masks: list[int], length: int,
     return dfs(0, (), ())
 
 
-def oracle_min_linear(inst: ProblemInstance, max_len: int | None = None
-                      ) -> tuple[int, LinearIndexCode] | None:
-    """Minimum-length linear code by exhaustive subset search.
+def _sender_feasible(basis: tuple[int, ...], senders: list[int],
+                     dim_c: int) -> bool:
+    """Whether C, the annihilator of ``span(basis)`` inside the carried
+    coordinates (``dim_c`` its dimension), is spanned by its vectors that
+    lie inside one sender's set.
 
-    Candidate rows are all distinct nonzero sender-feasible vectors;
-    duplicate rows can never help a span, so codes are searched as sets,
-    shortest first, returning the lexicographically smallest witness.
-    Returns None when ``max_len`` is exhausted without success.
+    For each sender set S, C ∩ V_S is the null space of the basis rows
+    restricted to S: column j of the rows (bit i for row i) is tagged
+    with bit j - 1 above the ``len(basis)`` column bits, and a tagged
+    column whose column bits reduce to 0 is a null vector.  Those null
+    vectors span C ∩ V_S, and their sum over the senders is C exactly
+    when its rank reaches ``dim_c``."""
+    d = len(basis)
+    columns: dict[int, int] = {}
+    for i, b in enumerate(basis):
+        for j in bits(b):
+            columns[j] = columns.get(j, 0) | 1 << i
+    spanned: tuple[int, ...] = ()
+    for owned in senders:
+        null: tuple[int, ...] = ()
+        for j in bits(owned):
+            x = _reduce(null, columns.get(j, 0) | 1 << (d + j - 1))
+            if x >> d << d != x:
+                null = _extend(null, x)
+                continue
+            x = _reduce(spanned, x >> d)
+            if x:
+                spanned = _extend(spanned, x)
+                if len(spanned) == dim_c:
+                    return True
+    return len(spanned) == dim_c
+
+
+def min_linear_length(inst: ProblemInstance) -> int:
+    """The minimum length of a sender-feasible linear code that every
+    receiver decodes, computed in the dual space.  No bound is used.
+
+    Messages nobody wants are dropped first (`simplify`): deleting their
+    coordinates from every row of a code keeps each row inside its
+    sender's set, and a receiver that used such a message as its prior
+    decodes without it, so the optimum does not change.  K is the set of
+    carried messages left, C the row space of a code inside V_K, and
+    D = C^⊥ its annihilator there; dim C = |K| - dim D.
+
+    Decoding.  A receiver r wanting t decodes when e_t ∈ C + ⟨e_r⟩ if r
+    is carried, or e_t ∈ C if not.  As (C + ⟨e_r⟩)^⊥ = D ∩ e_r^⊥, this
+    holds exactly when every y ∈ D with y_t = 1 has y_r = 1; for r
+    outside K no vector of V_K has y_r = 1, so then y_t = 0.  So C
+    decodes exactly when every nonzero y ∈ D is *allowed*: its support
+    is a subset of K closed under "t in it and r wants t ⇒ r in it".
+
+    Feasibility.  C is the row space of rows inside single senders'
+    sets exactly when C = Σ_s (C ∩ V_{S_s}), one null space and one rank
+    step per sender (`_sender_feasible`); a sender set inside another
+    adds nothing.  Feasibility is not monotone in D, so it is tested on
+    each allowed subspace in turn, never inferred from a larger one.
+
+    Search.  The allowed vectors are the submasks of K that pass the
+    closure test, at most 256 under the size guard.  A subspace is keyed
+    by its reduced echelon basis and carries ``ext``, the vectors w
+    whose whole coset w + D is allowed; it grows by the members of
+    ``ext`` that its basis leaves unchanged (one per coset), and
+    ext(D + ⟨v⟩) = {w ∈ ext(D) : w ^ v ∈ ext(D)}.  The levels are built
+    by dimension, then tested from the top: the optimum is |K| minus the
+    largest dimension with a feasible subspace.  D = 0 is feasible, as
+    every message of K is owned by some sender, so the answer is at
+    most |K|.
     """
     if inst.num_messages > ORACLE_LIMIT:
         raise GuardError(
             f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
+    simple, _ = simplify(inst)
+    carried = mask_of(simple.carried)
+    wanters = [0] * (simple.num_messages + 1)
+    for r, wanted in enumerate(simple.wants, start=1):
+        for t in wanted:
+            wanters[t] |= 1 << (r - 1)
+    allowed = set()
+    y = carried
+    while y:
+        if not adjacent(wanters, y) & ~y:
+            allowed.add(y)
+        y = (y - 1) & carried
+    owned = {mask_of(ms) for ms in simple.senders if ms}
+    senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
+
+    levels = [{(): frozenset(allowed)}]
+    while levels[-1]:
+        grown: dict[tuple[int, ...], frozenset[int]] = {}
+        for basis, ext in levels[-1].items():
+            for v in ext:
+                if _reduce(basis, v) != v:
+                    continue
+                key = _extend(basis, v)
+                if key not in grown:
+                    grown[key] = frozenset(w for w in ext if w ^ v in ext)
+        levels.append(grown)
+    k = carried.bit_count()
+    for d in range(len(levels) - 2, 0, -1):
+        if any(_sender_feasible(basis, senders, k - d) for basis in levels[d]):
+            return k - d
+    return k
+
+
+def oracle_min_linear(inst: ProblemInstance) -> tuple[int, LinearIndexCode]:
+    """Minimum-length linear code: the length from the dual
+    (`min_linear_length`), the witness by subset search at that length.
+
+    Candidate rows are all distinct nonzero sender-feasible vectors;
+    duplicate rows can never help a span, so codes are searched as sets,
+    returning the lexicographically smallest witness.  The primal search
+    at each length is independent of the others, so this is the witness
+    a scan from length 0 finds.  A dual length with no witness raises
+    ``AssertionError``.
+    """
+    length = min_linear_length(inst)
     candidates = _candidate_rows(inst)
-    masks = [row.coeffs for row in candidates]
-    reqs = _requirements(inst)
-    cap = len(inst.carried) if max_len is None else max_len
-    for length in range(min(cap, len(masks)) + 1):
-        hit = _search_at_length(masks, length, reqs)
-        if hit is not None:
-            rows = tuple(candidates[k] for k in hit)
-            return length, LinearIndexCode(inst.num_messages, rows)
-    return None
+    hit = _search_at_length([row.coeffs for row in candidates], length,
+                            _requirements(inst))
+    if hit is None:
+        raise AssertionError(f"no linear code of the dual's length {length}")
+    rows = tuple(candidates[k] for k in hit)
+    return length, LinearIndexCode(inst.num_messages, rows)
 
 
 @dataclass(frozen=True)
@@ -456,7 +557,8 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
 
 __all__ = [
     "GuardError", "CertEntry", "DecodeCertificate", "DecodeFailure",
-    "rank_decodable", "verify_exhaustive", "oracle_min_linear",
+    "rank_decodable", "verify_exhaustive", "min_linear_length",
+    "oracle_min_linear",
     "ClosureViolation", "ClosureReport", "check_decode_closure",
     "EXHAUSTIVE_LIMIT", "ORACLE_LIMIT",
 ]

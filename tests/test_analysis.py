@@ -64,3 +64,9 @@ def test_oracle_must_sit_in_the_sandwich(monkeypatch, three_pairs):
                         lambda inst: (3, a.planned))
     with pytest.raises(AssertionError, match="sandwich violated: 4 <= 3 <= 5"):
         analyze(three_pairs).oracle
+
+
+def test_oracle_must_find_a_witness_at_the_dual_length(monkeypatch, three_pairs):
+    monkeypatch.setattr(verify, "min_linear_length", lambda inst: 3)
+    with pytest.raises(AssertionError, match="dual's length 3"):
+        analyze(three_pairs).oracle

@@ -251,6 +251,14 @@ def test_oracle_exhausted(capsys):
     assert json.loads(out)["exhausted"] is True
 
 
+def test_oracle_max_len_at_the_optimum_prints_the_oracle(capsys):
+    for flags in ((), ("--json",)):
+        plain = run(capsys, "oracle", THREE_PAIRS, *flags)
+        assert run(capsys, "oracle", THREE_PAIRS, "--max-len", "4", *flags) == plain
+    assert run(capsys, "oracle", THREE_PAIRS, "--max-len", "3") == (
+        0, "exhausted: no linear code of length <= 3\n", "")
+
+
 def test_dot_instance_counts(capsys):
     rc, out, _ = run(capsys, "dot", THREE_PAIRS)
     assert rc == 0

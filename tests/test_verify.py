@@ -15,8 +15,9 @@ from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
                             _candidate_rows, _extend, _needs_more_than,
                             _open_options, _reduce, _requirements,
                             _search_at_length, _validate_supports,
-                            check_decode_closure, oracle_min_linear,
-                            rank_decodable, verify_exhaustive)
+                            check_decode_closure, min_linear_length,
+                            oracle_min_linear, rank_decodable,
+                            verify_exhaustive)
 
 from conftest import make_instance, simplified_graphs
 from strategies import codes_for, instance_and_code, instances
@@ -143,9 +144,61 @@ def test_oracle_triangle_and_two_way(triangle, two_way):
     assert oracle_min_linear(simplify(two_way)[0])[0] == 2
 
 
-def test_oracle_exhausted_is_reported(three_pairs):
+def test_no_code_below_the_dual_length(three_pairs):
     simple, _ = simplify(three_pairs)
-    assert oracle_min_linear(simple, max_len=3) is None
+    assert min_linear_length(three_pairs) == min_linear_length(simple) == 4
+    masks = [row.coeffs for row in _candidate_rows(simple)]
+    reqs = _requirements(simple)
+    assert all(_search_at_length(masks, length, reqs) is None
+               for length in range(4))
+
+
+def _reference_oracle(inst):
+    """The oracle as a primal scan from length 0: the first length with a
+    witness is the optimum, with the lexicographically smallest witness."""
+    candidates = _candidate_rows(inst)
+    masks = [row.coeffs for row in candidates]
+    reqs = _requirements(inst)
+    for length in range(len(inst.carried) + 1):
+        hit = _search_at_length(masks, length, reqs)
+        if hit is not None:
+            rows = tuple(candidates[k] for k in hit)
+            return length, LinearIndexCode(inst.num_messages, rows)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(max_m=6))
+def test_dual_length_and_witness_match_the_primal_scan(inst):
+    # raw instances too: a message nobody wants keeps its prior there
+    for case in (inst, simplify(inst)[0]):
+        reference = _reference_oracle(case)
+        assert min_linear_length(case) == reference[0]
+        assert oracle_min_linear(case) == reference
+
+
+def test_dual_tests_each_sender_on_its_own():
+    # the wants form the cycle 1 -> 3 -> 4 -> 1; one sender owning all
+    # three sends it in 2 rows (x1 + x3, x3 + x4), but here message 1
+    # shares no sender with the others, so it takes 3
+    inst = make_instance(4, senders=[{1}, {3, 4}, {2}],
+                         wants=[{4}, {}, {1}, {3}])
+    assert min_linear_length(inst) == 3
+    assert _reference_oracle(simplify(inst)[0])[0] == 3
+    merged = make_instance(4, senders=[{1, 2, 3, 4}],
+                           wants=[{4}, {}, {1}, {3}])
+    assert min_linear_length(merged) == 2
+
+
+def test_dual_bars_wants_of_receivers_without_a_prior():
+    # nobody wants message 1, so receiver 1 holds no carried prior; a
+    # closure test read inside K would pass e2 + e3 and answer 1 (the row
+    # x2 + x3), which receiver 1 cannot decode
+    inst = make_instance(3, senders=[{1, 2, 3}], wants=[{2}, {3}, {2}])
+    simple, removed = simplify(inst)
+    assert removed == {1}
+    assert min_linear_length(simple) == min_linear_length(inst) == 2
+    assert _reference_oracle(simple)[0] == 2
 
 
 def test_oracle_guard():
