@@ -56,13 +56,20 @@ class Analysis:
 
     @cached_property
     def oracle(self) -> tuple[int, code.LinearIndexCode]:
-        """The minimum linear codelength and a witness code.  Past
-        ``verify.ORACLE_LIMIT`` messages the oracle raises ``GuardError``
-        before either bound is read."""
+        """The minimum linear codelength and a witness code of that
+        length, checked by the rank test.  Past ``verify.ORACLE_LIMIT``
+        messages the oracle raises ``GuardError`` before either bound is
+        read."""
         length, witness = verify.oracle_min_linear(self.simple)
         if not self.lower_bound <= length <= self.upper_bound:
             raise AssertionError(f"bound sandwich violated: "
                                  f"{self.lower_bound} <= {length} <= {self.upper_bound}")
+        check = verify.rank_decodable(witness, self.simple)
+        if isinstance(check, verify.DecodeFailure):
+            raise AssertionError(f"oracle witness failed verification at {check}")
+        if witness.length != length:
+            raise AssertionError(f"oracle witness length {witness.length} "
+                                 f"!= oracle length {length}")
         return length, witness
 
 

@@ -246,8 +246,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     a = _analyze(args.instance)
-    if (args.max_len is not None
-            and verify.min_linear_length(a.simple) > args.max_len):
+    length, best = a.oracle
+    if args.max_len is not None and length > args.max_len:
         out = {"schema": SCHEMA_VERSION, "exhausted": True,
                "max_len": args.max_len}
         if args.json:
@@ -255,7 +255,6 @@ def cmd_oracle(args) -> int:
         else:
             print(f"exhausted: no linear code of length <= {args.max_len}")
         return 0
-    length, best = a.oracle
     lb = a.lower_bound
     out = {"schema": SCHEMA_VERSION, "linear_optimal_length": length,
            "lower_bound": lb, "certified": length == lb,

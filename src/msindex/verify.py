@@ -84,21 +84,6 @@ def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
                 f"sender {row.sender}")
 
 
-def _requirements(inst: ProblemInstance
-                  ) -> list[tuple[int, int | None, list[int]]]:
-    """Per receiver with nonempty wants: (receiver, prior mask or None,
-    wanted masks in increasing order)."""
-    carried = inst.carried
-    reqs = []
-    for r in range(1, inst.num_messages + 1):
-        wants = sorted(inst.wants[r - 1])
-        if not wants:
-            continue
-        prior = mask_of((r,)) if r in carried else None
-        reqs.append((r, prior, [mask_of((j,)) for j in wants]))
-    return reqs
-
-
 def _reduce(basis: tuple[int, ...], x: int) -> int:
     """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
     canonical representative of the coset ``x + span(basis)``, and 0
@@ -248,163 +233,37 @@ def _candidate_rows(inst: ProblemInstance) -> list[CodeRow]:
             for mask in sorted(best_sender)]
 
 
-def _open_options(basis: tuple[int, ...],
-                  wants: list[tuple[int | None, int]]
-                  ) -> list[tuple[int, ...]]:
-    """The options of every requirement ``span(basis)`` does not serve
-    yet, modulo the span: single-option requirements first, then
-    two-option ones, each group in the order of ``wants``.
-
-    A requirement is a (prior mask or None, wanted unit vector t).  Its
-    options are ``red(t)``, and ``red(t) ^ red(prior)`` when the prior is
-    not yet in the span; the span plus new rows X serves it exactly when
-    one option lies in ``span(X)`` modulo the span.  A unit vector reduces
-    by at most the row it is the pivot of, so each option is one lookup.
-    """
-    pivot_row = {b & -b: b for b in basis}.get
-    single: list[tuple[int, ...]] = []
-    double: list[tuple[int, ...]] = []
-    for prior, t in wants:
-        t ^= pivot_row(t, 0)
-        if not t:
-            continue
-        p = 0 if prior is None else prior ^ pivot_row(prior, 0)
-        if not p:
-            single.append((t,))
-        elif p != t:
-            double.append((t, t ^ p))
-    return single + double
-
-
-def _needs_more_than(options: list[tuple[int, ...]], k: int) -> bool:
-    """Whether serving every requirement with ``options`` (as given by
-    `_open_options`) takes more than ``k`` new rows.  No bound is used.
-
-    The walk keeps a second basis W of options.  A requirement counts when
-    every one of its options is nonzero modulo the span plus W, and its
-    options then join W.  Counted requirement j is served by some c_j in
-    ``span(X)`` modulo the span, one of its options, and c_j lies outside
-    the span of the earlier counted c_i, which are in W.  So the c_j are
-    independent modulo the span, and X has at least as many rows as
-    requirements counted.  The options are reduced modulo the span
-    already, so reducing them modulo W alone suffices.  W only grows, and
-    each row joins it reduced by the rows before it, so one pass over W
-    in insertion order reduces a vector fully.
-    """
-    if len(options) <= k:
-        return False
-    w: list[int] = []
-    counted = 0
-    for opts in options:
-        reds = []
-        for o in opts:
-            o = _reduce(w, o)
-            if not o:
-                break
-            reds.append(o)
-        else:
-            counted += 1
-            if counted > k:
-                return True
-            for o in reds:
-                o = _reduce(w, o)
-                if o:
-                    w.append(o)
-    return False
-
-
-def _search_at_length(masks: list[int], length: int,
-                      reqs: list[tuple[int, int | None, list[int]]]
-                      ) -> tuple[int, ...] | None:
-    """First (lexicographically by index) length-subset that decodes.
-
-    Decodability depends only on the span of the chosen rows, and at a
-    length no shorter code reaches (the optimum, or any length below it)
-    every decodable subset is linearly independent, so the search may
-    skip dependent extensions and prune spans whose completions already
-    failed at this length without changing which subset is found first.
-    A span is keyed by its reduced echelon basis.
-
-    Every node lists the options of its open requirements
-    (`_open_options`).  With no rows left the span decodes when the list
-    is empty.  The last row is not searched: it is the first candidate
-    whose reduction is an option of every open requirement.  With k >= 2
-    rows left, a node whose requirements need more than k independent
-    new rows (`_needs_more_than`) is cut.  The cut trusts no bound: a cut
-    node has no completion at all, so the first witness and the memo of
-    failed spans are exact.  It counts across receivers, which a
-    per-receiver rank test cannot do where every receiver wants one
-    message.  On the m = 8 single-sender instance where every receiver
-    wants every other message, the search at the optimal length 7 takes
-    2 ms, and about 6 s without the cut (one core of a 2-vCPU x86-64 VM,
-    Python 3.11).
-    """
-    wants = [(prior, t) for _, prior, wanted in reqs for t in wanted]
-    failed: set[tuple[int, ...]] = set()
-
-    def dfs(start: int, chosen: tuple[int, ...],
-            basis: tuple[int, ...]) -> tuple[int, ...] | None:
-        remaining = length - len(chosen)
-        options = _open_options(basis, wants)
-        if remaining == 0:
-            return None if options else chosen
-        if remaining == 1:
-            allowed = set(options[0]) if options else None
-            for opts in options[1:]:
-                allowed.intersection_update(opts)
-                if not allowed:
-                    return None
-            for idx in range(start, len(masks)):
-                r = _reduce(basis, masks[idx])
-                if r and (allowed is None or r in allowed):
-                    return chosen + (idx,)
-            return None
-        if _needs_more_than(options, remaining):
-            return None
-        tried = {0}  # reductions seen here; each one's span already failed
-        for idx in range(start, len(masks) - remaining + 1):
-            r = _reduce(basis, masks[idx])
-            if r in tried:
-                continue
-            tried.add(r)
-            grown = _extend(basis, r)
-            if grown in failed:
-                continue
-            hit = dfs(idx + 1, chosen + (idx,), grown)
-            if hit is not None:
-                return hit
-            failed.add(grown)
-        return None
-
-    return dfs(0, (), ())
-
-
 def _sender_feasible(basis: tuple[int, ...], senders: list[int],
                      dim_c: int) -> bool:
     """Whether C, the annihilator of ``span(basis)`` inside the carried
     coordinates (``dim_c`` its dimension), is spanned by its vectors that
     lie inside one sender's set.
 
-    For each sender set S, C ∩ V_S is the null space of the basis rows
-    restricted to S: column j of the rows (bit i for row i) is tagged
-    with bit j - 1 above the ``len(basis)`` column bits, and a tagged
-    column whose column bits reduce to 0 is a null vector.  Those null
-    vectors span C ∩ V_S, and their sum over the senders is C exactly
-    when its rank reaches ``dim_c``."""
-    d = len(basis)
-    columns: dict[int, int] = {}
-    for i, b in enumerate(basis):
-        for j in bits(b):
-            columns[j] = columns.get(j, 0) | 1 << i
+    For each sender set S, C ∩ V_S is the annihilator inside V_S of the
+    basis rows restricted to S.  With R the reduced echelon basis of
+    those restrictions, every bit j of S that is no pivot of R gives one
+    null vector: e_j plus the pivot of each row of R that holds j (a
+    pivot occurs in no other row, so every row meets the vector in 0 or
+    2 bits).  These |S| - rank(R) vectors span C ∩ V_S, and their sum
+    over the senders is C exactly when its rank reaches ``dim_c``."""
     spanned: tuple[int, ...] = ()
     for owned in senders:
-        null: tuple[int, ...] = ()
-        for j in bits(owned):
-            x = _reduce(null, columns.get(j, 0) | 1 << (d + j - 1))
-            if x >> d << d != x:
-                null = _extend(null, x)
-                continue
-            x = _reduce(spanned, x >> d)
+        rows: tuple[int, ...] = ()
+        for b in basis:
+            r = _reduce(rows, b & owned)
+            if r:
+                rows = _extend(rows, r)
+        free = owned
+        for r in rows:
+            free &= ~(r & -r)
+        while free:
+            j = free & -free
+            free ^= j
+            x = j
+            for r in rows:
+                if r & j:
+                    x |= r & -r
+            x = _reduce(spanned, x)
             if x:
                 spanned = _extend(spanned, x)
                 if len(spanned) == dim_c:
@@ -412,16 +271,53 @@ def _sender_feasible(basis: tuple[int, ...], senders: list[int],
     return len(spanned) == dim_c
 
 
+def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
+    """The minimum linear length and the reduced echelon bases of every
+    feasible allowed D at that length: the one search behind
+    `min_linear_length` and `oracle_min_linear`."""
+    if inst.num_messages > ORACLE_LIMIT:
+        raise GuardError(
+            f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
+    carried = mask_of(inst.carried)
+    wanters = [0] * (inst.num_messages + 1)
+    for r, wanted in enumerate(inst.wants, start=1):
+        for t in wanted:
+            wanters[t] |= 1 << (r - 1)
+    allowed = set()
+    y = carried
+    while y:
+        if not adjacent(wanters, y) & ~y:
+            allowed.add(y)
+        y = (y - 1) & carried
+    owned = {mask_of(ms) for ms in inst.senders if ms}
+    senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
+
+    levels = [{(): frozenset(allowed)}]
+    while levels[-1]:
+        grown: dict[tuple[int, ...], frozenset[int]] = {}
+        for basis, ext in levels[-1].items():
+            for v in ext:
+                if _reduce(basis, v) != v:
+                    continue
+                key = _extend(basis, v)
+                if key not in grown:
+                    grown[key] = frozenset(w for w in ext if w ^ v in ext)
+        levels.append(grown)
+    k = carried.bit_count()
+    for d in range(len(levels) - 2, 0, -1):
+        feasible = [basis for basis in levels[d]
+                    if _sender_feasible(basis, senders, k - d)]
+        if feasible:
+            return k - d, feasible
+    return k, [()]
+
+
 def min_linear_length(inst: ProblemInstance) -> int:
     """The minimum length of a sender-feasible linear code that every
     receiver decodes, computed in the dual space.  No bound is used.
 
-    Messages nobody wants are dropped first (`simplify`): deleting their
-    coordinates from every row of a code keeps each row inside its
-    sender's set, and a receiver that used such a message as its prior
-    decodes without it, so the optimum does not change.  K is the set of
-    carried messages left, C the row space of a code inside V_K, and
-    D = C^⊥ its annihilator there; dim C = |K| - dim D.
+    K is the set of carried messages, C the row space of a code inside
+    V_K, and D = C^⊥ its annihilator there; dim C = |K| - dim D.
 
     Decoding.  A receiver r wanting t decodes when e_t ∈ C + ⟨e_r⟩ if r
     is carried, or e_t ∈ C if not.  As (C + ⟨e_r⟩)^⊥ = D ∩ e_r^⊥, this
@@ -446,62 +342,57 @@ def min_linear_length(inst: ProblemInstance) -> int:
     largest dimension with a feasible subspace.  D = 0 is feasible, as
     every message of K is owned by some sender, so the answer is at
     most |K|.
-    """
-    if inst.num_messages > ORACLE_LIMIT:
-        raise GuardError(
-            f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
-    simple, _ = simplify(inst)
-    carried = mask_of(simple.carried)
-    wanters = [0] * (simple.num_messages + 1)
-    for r, wanted in enumerate(simple.wants, start=1):
-        for t in wanted:
-            wanters[t] |= 1 << (r - 1)
-    allowed = set()
-    y = carried
-    while y:
-        if not adjacent(wanters, y) & ~y:
-            allowed.add(y)
-        y = (y - 1) & carried
-    owned = {mask_of(ms) for ms in simple.senders if ms}
-    senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
 
-    levels = [{(): frozenset(allowed)}]
-    while levels[-1]:
-        grown: dict[tuple[int, ...], frozenset[int]] = {}
-        for basis, ext in levels[-1].items():
-            for v in ext:
-                if _reduce(basis, v) != v:
-                    continue
-                key = _extend(basis, v)
-                if key not in grown:
-                    grown[key] = frozenset(w for w in ext if w ^ v in ext)
-        levels.append(grown)
-    k = carried.bit_count()
-    for d in range(len(levels) - 2, 0, -1):
-        if any(_sender_feasible(basis, senders, k - d) for basis in levels[d]):
-            return k - d
-    return k
+    The instance is searched as given.  Simplifying it first leaves the
+    optimum unchanged: deleting the coordinates of messages nobody wants
+    from every row keeps each row inside its sender's set, and a
+    receiver that used such a message as its prior decodes without it.
+    """
+    return _optimal_duals(inst)[0]
 
 
 def oracle_min_linear(inst: ProblemInstance) -> tuple[int, LinearIndexCode]:
-    """Minimum-length linear code: the length from the dual
-    (`min_linear_length`), the witness by subset search at that length.
+    """Minimum-length linear code: the length and the lexicographically
+    smallest witness over the candidate rows, both from the dual search
+    of `min_linear_length`.
 
-    Candidate rows are all distinct nonzero sender-feasible vectors;
-    duplicate rows can never help a span, so codes are searched as sets,
-    returning the lexicographically smallest witness.  The primal search
-    at each length is independent of the others, so this is the witness
-    a scan from length 0 finds.  A dual length with no witness raises
-    ``AssertionError``.
+    Candidate rows are all distinct nonzero sender-feasible vectors in
+    mask order (`_candidate_rows`).  A code is read as the tuple of its
+    row indices.  For every feasible allowed D of the optimal dimension,
+    the witness of C = D^⊥ is its greedy basis: each candidate in C (even
+    parity with every row of D's basis) that is independent of the rows
+    taken so far.  The oracle returns the smallest of these index tuples.
+
+    This is the lexicographically smallest decoding code of the optimal
+    length L.  Its rows are independent, or fewer rows would decode, so
+    they are a basis of their span C, and C^⊥ is one of the feasible D:
+    every such code is a basis of exactly one feasible C.  Conversely a
+    feasible C is spanned by candidates, and every basis of it decodes.
+    The candidates in one C form a matroid, whose greedy basis in index
+    order is its lexicographically smallest basis (Gale).  So the
+    minimum over all feasible D is the smallest code of length L, and it
+    does not depend on the order in which the D are visited.
     """
-    length = min_linear_length(inst)
+    length, duals = _optimal_duals(inst)
     candidates = _candidate_rows(inst)
-    hit = _search_at_length([row.coeffs for row in candidates], length,
-                            _requirements(inst))
-    if hit is None:
-        raise AssertionError(f"no linear code of the dual's length {length}")
-    rows = tuple(candidates[k] for k in hit)
-    return length, LinearIndexCode(inst.num_messages, rows)
+
+    def greedy(dual: tuple[int, ...]) -> tuple[int, ...]:
+        chosen: list[int] = []
+        basis: tuple[int, ...] = ()
+        for idx, row in enumerate(candidates):
+            if any((row.coeffs & y).bit_count() & 1 for y in dual):
+                continue
+            r = _reduce(basis, row.coeffs)
+            if r:
+                basis = _extend(basis, r)
+                chosen.append(idx)
+                if len(chosen) == length:
+                    break
+        return tuple(chosen)
+
+    hit = min(greedy(dual) for dual in duals)
+    return length, LinearIndexCode(inst.num_messages,
+                                   tuple(candidates[k] for k in hit))
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,13 @@ def test_oracle_must_sit_in_the_sandwich(monkeypatch, three_pairs):
         analyze(three_pairs).oracle
 
 
-def test_oracle_must_find_a_witness_at_the_dual_length(monkeypatch, three_pairs):
-    monkeypatch.setattr(verify, "min_linear_length", lambda inst: 3)
-    with pytest.raises(AssertionError, match="dual's length 3"):
+def test_oracle_witness_must_decode_at_its_length(monkeypatch, three_pairs):
+    length, witness = analyze(three_pairs).oracle
+    assert (length, witness.length) == (4, 4)
+    partial = code.LinearIndexCode(witness.num_messages, witness.rows[:-1])
+    monkeypatch.setattr(verify, "oracle_min_linear", lambda inst: (4, partial))
+    with pytest.raises(AssertionError, match="witness failed verification"):
+        analyze(three_pairs).oracle
+    monkeypatch.setattr(verify, "oracle_min_linear", lambda inst: (5, witness))
+    with pytest.raises(AssertionError, match="witness length 4 != oracle length 5"):
         analyze(three_pairs).oracle

@@ -259,6 +259,20 @@ def test_oracle_max_len_at_the_optimum_prints_the_oracle(capsys):
         0, "exhausted: no linear code of length <= 3\n", "")
 
 
+@pytest.mark.parametrize("max_len", ["3", "4"])
+def test_oracle_max_len_runs_the_dual_search_once(monkeypatch, capsys, max_len):
+    # each of these names runs the dual search once per call; the
+    # exhaustion test reads the length of the one oracle call
+    calls = []
+    for name in ("min_linear_length", "oracle_min_linear"):
+        def counted(inst, _name=name, _original=getattr(verify, name)):
+            calls.append(_name)
+            return _original(inst)
+        monkeypatch.setattr(verify, name, counted)
+    assert run(capsys, "oracle", THREE_PAIRS, "--max-len", max_len)[0] == 0
+    assert calls == ["oracle_min_linear"]
+
+
 def test_dot_instance_counts(capsys):
     rc, out, _ = run(capsys, "dot", THREE_PAIRS)
     assert rc == 0
