@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import graphs
-from .model import GraphPair, bits, edge_key
+from .model import GraphPair, bits, edge_key, mask_of
 
 DEFAULT_STATE_BUDGET = 20_000
 
@@ -95,13 +95,24 @@ class GroundingTrace:
         return twin
 
     def canonical_key(self):
-        """State identity up to renaming of dummy vertices."""
-        g = self.graphs
-        by_sources = sorted((tuple(bits(g.pred[d])), d) for d in self.dummies)
-        relabel = {d: self.n_real + k + 1 for k, (_, d) in enumerate(by_sources)}
-        arcs = frozenset((relabel.get(i, i), relabel.get(j, j))
-                         for (i, j) in g.arcs) if relabel else g.arcs
-        return (self.n_real, len(self.dummies), arcs, g.edges)
+        """State identity up to renaming of dummy vertices: the successor
+        masks with the dummies (vertices past ``n_real``, never with an
+        edge) relabelled in order of their sorted sources, and the
+        message-graph masks."""
+        g, n_real = self.graphs, self.n_real
+        order = [d for _, d in sorted((tuple(bits(g.pred[d])), d)
+                                      for d in self.dummies)]
+        succ = g.succ
+        if order != sorted(order):
+            moved = {1 << (d - 1): 1 << (n_real + k) for k, d in enumerate(order)}
+
+            def relabel(mask: int) -> int:
+                out = mask & (1 << n_real) - 1
+                for bit in bits(mask >> n_real):
+                    out |= moved[1 << (n_real + bit - 1)]
+                return out
+            succ = tuple(map(relabel, succ[:n_real + 1] + tuple(succ[d] for d in order)))
+        return (n_real, len(order), succ, g.adj)
 
 
 def _leaf_scc_sets(trace: GroundingTrace) -> list[frozenset[int]]:
@@ -122,7 +133,7 @@ def _class_of(trace: GroundingTrace, scc: frozenset[int]) -> graphs.LeafClass | 
 def _apply_prune(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
     g = trace.graphs
     removed = tuple((v, j) for j in bits(g.succ[v]))
-    trace.graphs = GraphPair(n=g.n, arcs=g.arcs.difference(removed), edges=g.edges)
+    trace.graphs = g.prune(mask_of(scc), v)
     trace.log.append(("i", tuple(sorted(scc)), v, removed))
 
 
@@ -138,7 +149,7 @@ def prune_scc(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
 def _apply_dummy(trace: GroundingTrace, scc: frozenset[int], source: int) -> int:
     g = trace.graphs
     dummy = g.n + 1
-    trace.graphs = GraphPair(n=dummy, arcs=g.arcs | {(source, dummy)}, edges=g.edges)
+    trace.graphs = g.add_dummy(mask_of(scc), source)
     trace.dummies |= {dummy}
     trace.log.append(("ii", tuple(sorted(scc)), source, dummy))
     return dummy
@@ -160,8 +171,7 @@ def append_dummy(trace: GroundingTrace, scc: frozenset[int]) -> int:
 def _apply_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
                           witness: graphs.DegeneracyWitness,
                           source: int, target: int, tag: str) -> None:
-    g = trace.graphs
-    trace.graphs = GraphPair(n=g.n, arcs=g.arcs | {(source, target)}, edges=g.edges)
+    trace.graphs = trace.graphs.add_arc(mask_of(scc), source, target)
     trace.log.append((tag, tuple(sorted(scc)), tuple(sorted(witness.part)),
                       tuple(sorted(witness.cover)), source, target))
 
@@ -203,8 +213,7 @@ def _chain_edges(trace: GroundingTrace, scc: frozenset[int]
 
 def _apply_edges(trace: GroundingTrace, scc: frozenset[int],
                  new_edges: tuple[tuple[int, int], ...]) -> None:
-    g = trace.graphs
-    trace.graphs = GraphPair(n=g.n, arcs=g.arcs, edges=g.edges.union(new_edges))
+    trace.graphs = trace.graphs.add_edges(new_edges)
     trace.log.append(("iv-b", tuple(sorted(scc)), new_edges))
 
 
@@ -296,9 +305,7 @@ def _degenerated_options(trace: GroundingTrace):
     """Every (scc, witness, source, target, tag) a degenerated semi leaf
     SCC currently admits, in deterministic order, generated lazily."""
     g = trace.graphs
-    for scc in _leaf_scc_sets(trace):
-        if _class_of(trace, scc) is not None:
-            continue
+    for scc in graphs.leaf_sccs_of_class(g, None):
         for witness in graphs.iter_degeneracy_witnesses(g, scc):
             if not witness.cover:
                 continue

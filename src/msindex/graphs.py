@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .model import GraphPair, adjacent, bits, mask_of
 
@@ -151,27 +151,38 @@ def iter_degeneracy_witnesses(g: GraphPair, scc: frozenset[int]):
     message graph restricted to the SCC (exactly the bipartitions with no
     edge across), ordered by component count then smallest members.  For
     each, the candidate cover is every leaf vertex outside the SCC plus at
-    most one non-leaf vertex w; since enlarging a cover with leaves
-    preserves witnesses, no witness shape is missed.  Candidates whose
-    cover misses an m-neighbor are skipped before the full check.
+    most one non-leaf vertex w, in increasing w after the leaves alone;
+    since enlarging a cover with leaves preserves witnesses, no witness
+    shape is missed.
+
+    The covers are found by intersection, not tested one by one.  The
+    leaves and their ancestors (``base``) cover whatever they hold, so
+    such a cover covers the part's m-neighbours exactly when each one
+    outside ``base`` is w or an ancestor of w: w lies in ``{x} ∪ desc(x)``
+    for every such x.  With none outside ``base`` the leaves alone and
+    every w qualify.  Each cover found still passes the full check.
     """
     scc_m = mask_of(scc)
     comps = g.components(scc_m)
     leaves = g.leaf_mask & ~scc_m
-    covers = [leaves] + [leaves | 1 << (w - 1)
-                         for w in bits(g.vertex_mask & ~scc_m & ~leaves)]
+    leaf_set = frozenset(bits(leaves))
+    base = leaves | g.ancestors(leaves)
+    others = g.vertex_mask & ~scc_m & ~leaves
     for r in range(1, len(comps)):
         for chosen in combinations(comps, r):
             part_m = sum(chosen)
             part = frozenset(bits(part_m))
             neighbors = adjacent(g.adj, part_m) & ~part_m
             if not neighbors:
-                yield DegeneracyWitness(part, frozenset(bits(leaves)), vacuous=True)
+                yield DegeneracyWitness(part, leaf_set, vacuous=True)
                 continue
-            for cover in covers:
-                if not _covered(g, neighbors, cover):
-                    continue
-                witness = DegeneracyWitness(part, frozenset(bits(cover)))
+            rest = neighbors & ~base
+            ws = others
+            for x in bits(rest):
+                ws &= 1 << (x - 1) | g.descendants(1 << (x - 1))
+            covers = [] if rest else [leaf_set]
+            for cover in chain(covers, (leaf_set | {w} for w in bits(ws))):
+                witness = DegeneracyWitness(part, cover)
                 if check_degeneracy_witness(g, scc, witness):
                     yield witness
 
@@ -187,19 +198,29 @@ def is_degenerated(g: GraphPair, scc: frozenset[int]
 
 def classify_without_degeneracy(g: GraphPair, scc: frozenset[int]) -> LeafClass | None:
     """Message-connected/disconnected test; None means semi."""
-    mask = mask_of(scc)
-    if len(g.components(mask)) <= 1:
-        return LeafClass.MESSAGE_CONNECTED
-    if g.u_comp[min(scc)] & mask != mask:
-        return LeafClass.MESSAGE_DISCONNECTED
-    return None
+    return _class_of_mask(g, mask_of(scc))
 
 
-def leaf_sccs_of_class(g: GraphPair, cls: LeafClass) -> list[frozenset[int]]:
-    """The message-connected or the message-disconnected leaf SCCs of g,
-    ordered by smallest member; the degeneracy test never runs."""
+def _class_of_mask(g: GraphPair, mask: int) -> LeafClass | None:
+    """`classify_without_degeneracy` of a vertex mask, memoized in
+    ``g.leaf_classes``: it reads only the mask and the message graph."""
+    memo = g.leaf_classes
+    if mask not in memo:
+        if len(g.components(mask)) <= 1:
+            memo[mask] = LeafClass.MESSAGE_CONNECTED
+        elif g.u_comp[(mask & -mask).bit_length()] & mask != mask:
+            memo[mask] = LeafClass.MESSAGE_DISCONNECTED
+        else:
+            memo[mask] = None
+    return memo[mask]
+
+
+def leaf_sccs_of_class(g: GraphPair, cls: LeafClass | None) -> list[frozenset[int]]:
+    """The message-connected, the message-disconnected or (for ``None``)
+    the semi leaf SCCs of g, ordered by smallest member; the degeneracy
+    test never runs."""
     return [g.sccs[k] for k in g.leaf_sccs
-            if classify_without_degeneracy(g, g.sccs[k]) is cls]
+            if _class_of_mask(g, g.scc_masks[k]) is cls]
 
 
 def classify_leaf_scc(g: GraphPair, scc: frozenset[int]

@@ -10,9 +10,10 @@ Vertex sets are packed into ints throughout: bit v-1 stands for vertex v.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from bisect import bisect
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import compress
 from typing import Any, Mapping
 
 SCHEMA_VERSION = 1
@@ -105,7 +106,20 @@ def closure(adjacency, start: int, within: int = -1) -> int:
     return reach
 
 
-@dataclass(frozen=True)
+def _decompose(succ, pred, rest: int) -> list[int]:
+    """The strongly connected components of the vertices of ``rest``, when
+    no arc leaves ``rest``, ordered by smallest member: the component of
+    the smallest unplaced vertex is what it reaches and is reached from
+    through unplaced vertices."""
+    comps = []
+    while rest:
+        low = rest & -rest
+        comp = low | (closure(succ, low, rest) & closure(pred, low, rest))
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 class GraphPair:
     """Information-flow digraph and message graph over vertices 1..n.
 
@@ -113,43 +127,80 @@ class GraphPair:
     the sorted pair) means some sender owns both messages.  The edge set
     deliberately forgets which sender that is.
 
-    A GraphPair is immutable, so it is also the graph kernel: validation
-    builds per-vertex successor, predecessor and message-neighbour masks
-    (``succ[v]``, ``pred[v]``, ``adj[v]``; index 0 unused), and the
-    structural queries below are computed from them on first use and kept
-    for the life of the object.  A changed graph is a new GraphPair.
+    The graph is its per-vertex masks: successors ``succ[v]``, predecessors
+    ``pred[v]`` and message neighbours ``adj[v]`` (index 0 unused).  The
+    pair sets ``arcs`` and ``edges`` are derived from them on first read.
+    A GraphPair is immutable, so it is also the graph kernel: the
+    structural queries below are computed on first use and kept for the
+    life of the object.  A changed graph is a new GraphPair.
+    ``GraphPair(n, arcs, edges)`` checks every pair of outside data; the
+    four grounding steps (`prune`, `add_dummy`, `add_arc`, `add_edges`)
+    build the next state from its parent's masks, check only what they
+    add, and carry over every cache the step leaves valid.  Equality and
+    hashing are over ``(n, succ, adj)``, which determine the arcs and
+    edges.  ``leaf_classes`` is the memo of
+    `graphs.classify_without_degeneracy` per vertex mask, which reads only
+    the mask and the message graph.
     """
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
-    edges: frozenset[tuple[int, int]]
-    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _ancestors: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, arcs, edges):
+        arcs, edges = frozenset(arcs), frozenset(edges)
         succ, pred, adj = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-        for i, j in self.arcs:
-            if i == j:
-                raise ValueError(f"self-loop arc ({i},{j})")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"arc ({i},{j}) out of range 1..{n}")
+        for i, j in arcs:
+            _check_arc(i, j, n)
             succ[i] |= 1 << (j - 1)
             pred[j] |= 1 << (i - 1)
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop edge ({i},{j})")
-            if i > j:
-                raise ValueError(f"edge ({i},{j}) not in canonical (min,max) order")
-            if not (1 <= i and j <= n):
-                raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
+        for i, j in edges:
+            _check_edge(i, j, n)
             adj[i] |= 1 << (j - 1)
             adj[j] |= 1 << (i - 1)
-        for name, value in (("succ", tuple(succ)), ("pred", tuple(pred)),
-                            ("adj", tuple(adj)), ("_ancestors", {})):
-            object.__setattr__(self, name, value)
+        self._fill(n, tuple(succ), tuple(pred), tuple(adj),
+                   {"arcs": arcs, "edges": edges})
+
+    @classmethod
+    def _of_masks(cls, n: int, succ, pred, adj, caches: dict) -> "GraphPair":
+        g = object.__new__(cls)
+        g._fill(n, succ, pred, adj, caches)
+        return g
+
+    def _fill(self, n, succ, pred, adj, caches: dict) -> None:
+        vars(self).update({"n": n, "succ": succ, "pred": pred, "adj": adj,
+                           "_ancestors": {}, "_descendants": {},
+                           "leaf_classes": {}, **caches})
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The constant-time shape check that every construction runs
+        once (``perfbench/tracer.py`` counts constructions through it);
+        the pairs were checked where they were added."""
+        if not len(self.succ) == len(self.pred) == len(self.adj) == self.n + 1:
+            raise ValueError(f"masks do not cover vertices 1..{self.n}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GraphPair is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GraphPair is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphPair):
+            return NotImplemented
+        return (self.n, self.succ, self.adj) == (other.n, other.succ, other.adj)
+
+    def __hash__(self):
+        return hash((self.n, self.succ, self.adj))
+
+    def __repr__(self):
+        return f"GraphPair(n={self.n!r}, arcs={self.arcs!r}, edges={self.edges!r})"
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i in self.vertices() for j in bits(self.succ[i]))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i in self.vertices()
+                         for j in bits(self.adj[i] >> i << i))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -171,19 +222,18 @@ class GraphPair:
             found = self._ancestors[mask] = closure(self.pred, mask)
         return found
 
+    def descendants(self, mask: int) -> int:
+        """Vertices with a nonempty directed path from ``mask``, memoized
+        per mask."""
+        found = self._descendants.get(mask)
+        if found is None:
+            found = self._descendants[mask] = closure(self.succ, mask)
+        return found
+
     @cached_property
     def scc_masks(self) -> tuple[int, ...]:
-        """Strongly connected components, ordered by smallest member: the
-        component of the smallest unplaced vertex is what it reaches and is
-        reached from through unplaced vertices."""
-        comps = []
-        rest = self.vertex_mask
-        while rest:
-            low = rest & -rest
-            comp = low | (closure(self.succ, low, rest) & closure(self.pred, low, rest))
-            comps.append(comp)
-            rest &= ~comp
-        return tuple(comps)
+        """Strongly connected components, ordered by smallest member."""
+        return tuple(_decompose(self.succ, self.pred, self.vertex_mask))
 
     @cached_property
     def sccs(self) -> tuple[frozenset[int], ...]:
@@ -193,7 +243,7 @@ class GraphPair:
     def leaf_sccs(self) -> tuple[int, ...]:
         """Indices of the SCCs with two or more vertices and no arc leaving."""
         return tuple(k for k, comp in enumerate(self.scc_masks)
-                     if comp & (comp - 1) and not adjacent(self.succ, comp) & ~comp)
+                     if _is_leaf(self.succ, comp))
 
     def components(self, within: int) -> list[int]:
         """Connected components of the message graph restricted to
@@ -214,6 +264,137 @@ class GraphPair:
             for v in bits(members):
                 comp[v] = members
         return tuple(comp)
+
+    # -- grounding steps ----------------------------------------------------
+    #
+    # Each step takes the leaf SCC ``scc`` (a mask) it acts on; the caller
+    # guarantees that it is a leaf SCC of this graph and that the arc
+    # sources lie in it.  A cache is carried only if this graph has it.
+
+    def _kept(self, *names: str) -> dict:
+        cached = vars(self)
+        return {name: cached[name] for name in names if name in cached}
+
+    def _regrouped(self, succ, gone: list[int], parts: list[int], unleaf: int) -> dict:
+        """The SCC caches of a successor whose SCCs are this graph's, less
+        the SCCs ``gone``, plus ``parts``.  Every other SCC keeps its leaf
+        status, except ``unleaf``, which loses it."""
+        if "leaf_sccs" not in vars(self):
+            return {}
+        masks, sets = list(self.scc_masks), list(self.sccs)
+        leaf = set(map(masks.__getitem__, self.leaf_sccs))
+        leaf.difference_update(gone, (unleaf,))
+        for comp in gone:
+            k = masks.index(comp)
+            del masks[k], sets[k]
+        for comp in parts:
+            k = bisect(masks, comp & -comp, key=lambda c: c & -c)
+            masks.insert(k, comp)
+            sets.insert(k, frozenset(bits(comp)))
+            if _is_leaf(succ, comp):
+                leaf.add(comp)
+        return {"scc_masks": tuple(masks), "sccs": tuple(sets),
+                "leaf_sccs": tuple(compress(range(len(masks)),
+                                            map(leaf.__contains__, masks)))}
+
+    def prune(self, scc: int, v: int) -> "GraphPair":
+        """Remove every outgoing arc of vertex ``v`` of the leaf SCC ``scc``."""
+        bit = 1 << (v - 1)
+        succ, pred = list(self.succ), list(self.pred)
+        for j in bits(succ[v]):
+            pred[j] &= ~bit
+        succ[v] = 0
+        caches = {
+            # adj is unchanged, and so are the message-graph caches
+            "leaf_classes": self.leaf_classes, **self._kept("u_comp"),
+            # no arc leaves scc, so only scc splits, and parts of it may
+            # become leaf SCCs
+            **self._regrouped(succ, [scc], _decompose(succ, pred, scc), 0)}
+        if "leaf_mask" in vars(self):
+            caches["leaf_mask"] = self.leaf_mask | bit  # v lost its last arc
+        return GraphPair._of_masks(self.n, tuple(succ), tuple(pred), self.adj, caches)
+
+    def add_dummy(self, scc: int, source: int) -> "GraphPair":
+        """Append vertex n+1 with no edges and one arc into it from
+        ``source`` of the leaf SCC ``scc``."""
+        n = self.n + 1
+        _check_arc(source, n, n)
+        bit = 1 << self.n
+        succ = list(self.succ)
+        succ[source] |= bit
+        caches = {
+            # the new vertex has no edge, so the old components stand and
+            # it is one of its own
+            "leaf_classes": self.leaf_classes,
+            # scc now has an arc leaving it, and the new vertex is an SCC
+            **self._regrouped(succ, [], [bit], scc)}
+        if "u_comp" in vars(self):
+            caches["u_comp"] = self.u_comp + (bit,)
+        if "leaf_mask" in vars(self):
+            caches["leaf_mask"] = self.leaf_mask | bit
+        return GraphPair._of_masks(n, tuple(succ) + (0,), self.pred + (1 << (source - 1),),
+                                   self.adj + (0,), caches)
+
+    def add_arc(self, scc: int, source: int, target: int) -> "GraphPair":
+        """Add the arc from ``source`` of the leaf SCC ``scc`` to a vertex
+        ``target`` outside it."""
+        _check_arc(source, target, self.n)
+        t = 1 << (target - 1)
+        succ, pred = list(self.succ), list(self.pred)
+        succ[source] |= t
+        pred[target] |= 1 << (source - 1)
+        caches = {
+            # adj is unchanged, and so are the message-graph caches
+            "leaf_classes": self.leaf_classes,
+            **self._kept("u_comp",
+                         # source was no leaf, since scc is a cycle
+                         "leaf_mask")}
+        if "leaf_sccs" in vars(self):
+            if self.ancestors(scc) & t:
+                # the new cycles run from target through its descendants
+                # back into scc, and merge them with scc
+                merged = scc | (t | self.descendants(t)) & self.ancestors(scc)
+                gone = [comp for comp in self.scc_masks if comp & merged]
+                caches.update(self._regrouped(succ, gone, [merged], scc))
+            else:
+                # no new cycle: only scc changes, and stops being a leaf
+                caches.update(self._regrouped(succ, [], [], scc))
+        return GraphPair._of_masks(self.n, tuple(succ), tuple(pred), self.adj, caches)
+
+    def add_edges(self, edges) -> "GraphPair":
+        """Add message edges, each a pair i < j."""
+        adj = list(self.adj)
+        for i, j in edges:
+            _check_edge(i, j, self.n)
+            adj[i] |= 1 << (j - 1)
+            adj[j] |= 1 << (i - 1)
+        # the arcs are unchanged, and so are the digraph caches
+        caches = self._kept("leaf_mask", "scc_masks", "sccs", "leaf_sccs")
+        caches.update(_ancestors=self._ancestors, _descendants=self._descendants)
+        if "u_comp" in vars(self) and all(self.u_comp[i] >> (j - 1) & 1 for i, j in edges):
+            caches["u_comp"] = self.u_comp  # each edge lies in one component
+        return GraphPair._of_masks(self.n, self.succ, self.pred, tuple(adj), caches)
+
+
+def _is_leaf(succ, comp: int) -> bool:
+    """``comp`` has two or more vertices and no arc leaving it."""
+    return bool(comp & (comp - 1)) and not adjacent(succ, comp) & ~comp
+
+
+def _check_arc(i: int, j: int, n: int) -> None:
+    if i == j:
+        raise ValueError(f"self-loop arc ({i},{j})")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"arc ({i},{j}) out of range 1..{n}")
+
+
+def _check_edge(i: int, j: int, n: int) -> None:
+    if i == j:
+        raise ValueError(f"self-loop edge ({i},{j})")
+    if i > j:
+        raise ValueError(f"edge ({i},{j}) not in canonical (min,max) order")
+    if not (1 <= i and j <= n):
+        raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -325,11 +506,28 @@ def simplify(inst: ProblemInstance) -> tuple[ProblemInstance, frozenset[int]]:
 
 
 def build_graphs(inst: ProblemInstance) -> GraphPair:
-    """Derive the information-flow digraph and message graph of an instance."""
+    """Derive the information-flow digraph and message graph of an
+    instance from its sets: ``pred[j]`` is the mask of W_j, ``succ`` its
+    transpose, and ``adj[v]`` the union of the sender masks that hold v,
+    less v.  No pair is built."""
     if not inst.simplified:
         raise ValueError("instance must be simplified before building graphs")
-    arcs = frozenset(chain.from_iterable(
-        zip(wr, repeat(j)) for j, wr in enumerate(inst.wants, start=1)))
-    edges = frozenset(chain.from_iterable(
-        combinations(sorted(ms), 2) for ms in inst.senders))
-    return GraphPair(n=inst.num_messages, arcs=arcs, edges=edges)
+    n = inst.num_messages
+    pred = [0] + [mask_of(wr) for wr in inst.wants]
+    succ, adj = [0] * (n + 1), [0] * (n + 1)
+    for j, wr in enumerate(inst.wants, start=1):
+        bit = 1 << (j - 1)
+        if pred[j] & bit or pred[j] >> n:
+            raise ValueError(f"receiver {j} wants {sorted(wr)} "
+                             f"outside 1..{n} less {j}")
+        for i in wr:
+            succ[i] |= bit
+    for ms in inst.senders:
+        owned = mask_of(ms)
+        if owned >> n:
+            raise ValueError(f"sender set {sorted(ms)} out of range 1..{n}")
+        for v in ms:
+            adj[v] |= owned
+    return GraphPair._of_masks(
+        n, tuple(succ), tuple(pred),
+        (0,) + tuple(a & ~(1 << k) for k, a in enumerate(adj[1:])), {})

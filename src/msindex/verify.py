@@ -271,13 +271,9 @@ def _sender_feasible(basis: tuple[int, ...], senders: list[int],
     return len(spanned) == dim_c
 
 
-def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
-    """The minimum linear length and the reduced echelon bases of every
-    feasible allowed D at that length: the one search behind
-    `min_linear_length` and `oracle_min_linear`."""
-    if inst.num_messages > ORACLE_LIMIT:
-        raise GuardError(
-            f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
+def _allowed_vectors(inst: ProblemInstance) -> set[int]:
+    """The nonzero submasks y of the carried messages whose support is
+    closed under "t in it and r wants t ⇒ r in it" (`min_linear_length`)."""
     carried = mask_of(inst.carried)
     wanters = [0] * (inst.num_messages + 1)
     for r, wanted in enumerate(inst.wants, start=1):
@@ -289,21 +285,43 @@ def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
         if not adjacent(wanters, y) & ~y:
             allowed.add(y)
         y = (y - 1) & carried
-    owned = {mask_of(ms) for ms in inst.senders if ms}
-    senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
+    return allowed
 
+
+def _subspace_levels(allowed: set[int]) -> list[dict[tuple[int, ...], frozenset[int]]]:
+    """Every subspace whose nonzero vectors all lie in ``allowed``, by
+    dimension: its reduced echelon basis mapped to ``ext``, the vectors w
+    whose coset w + span lies in ``allowed``, so that adding w keeps the
+    subspace inside.  Each subspace is built once, from its one parent,
+    the span of its rows other than the lowest-pivot row ``basis[0]``: a
+    basis grows only by a reduced v whose pivot lies below ``basis[0]``'s,
+    which puts v first and changes no other row."""
     levels = [{(): frozenset(allowed)}]
     while levels[-1]:
         grown: dict[tuple[int, ...], frozenset[int]] = {}
         for basis, ext in levels[-1].items():
+            pivots = 0
+            for b in basis:
+                pivots |= b & -b
+            below = (basis[0] & -basis[0]) - 1 if basis else -1
             for v in ext:
-                if _reduce(basis, v) != v:
-                    continue
-                key = _extend(basis, v)
-                if key not in grown:
-                    grown[key] = frozenset(w for w in ext if w ^ v in ext)
+                if v & below and not v & pivots:
+                    grown[(v,) + basis] = frozenset(w for w in ext if w ^ v in ext)
         levels.append(grown)
-    k = carried.bit_count()
+    return levels
+
+
+def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
+    """The minimum linear length and the reduced echelon bases of every
+    feasible allowed D at that length: the one search behind
+    `min_linear_length` and `oracle_min_linear`."""
+    if inst.num_messages > ORACLE_LIMIT:
+        raise GuardError(
+            f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
+    owned = {mask_of(ms) for ms in inst.senders if ms}
+    senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
+    levels = _subspace_levels(_allowed_vectors(inst))
+    k = len(inst.carried)
     for d in range(len(levels) - 2, 0, -1):
         feasible = [basis for basis in levels[d]
                     if _sender_feasible(basis, senders, k - d)]

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 
 from msindex import graphs
-from msindex.bound import (GroundingTrace, StaleWitnessError, append_dummy,
+from msindex.bound import (GroundingTrace, StaleWitnessError, _apply_degenerate_arc,
+                           _apply_dummy, _apply_edges, _apply_prune, append_dummy,
                            add_degenerate_arc, break_leaf_sccs, lower_bound,
                            lower_bound_prune_all, make_message_connected,
                            prune_scc, run_grounding)
 from msindex.graphs import (grounded_set, is_degenerated, is_grounded_digraph,
                             num_out_vertices, scc_decompose)
+
+from msindex.model import GraphPair
 
 from conftest import gp, make_instance, simplified_graphs
 from strategies import graph_pairs, instances
@@ -19,6 +22,32 @@ def leaf_scc_sets(g):
 
 
 # --- individual steps ------------------------------------------------------
+
+def test_each_step_runs_post_init_once(monkeypatch, three_pairs):
+    """Every construction, built or stepped, runs the shape check once:
+    the benchmark counts constructions through it."""
+    runs = []
+    check = GraphPair.__post_init__
+    monkeypatch.setattr(GraphPair, "__post_init__",
+                        lambda g: runs.append(g) or check(g))
+    _, g = simplified_graphs(three_pairs)
+    assert len(runs) == 1
+    trace = GroundingTrace.from_graphs(g)
+    scc = frozenset({1, 2})
+    leaf_scc_sets(g)
+    steps = [lambda: _apply_edges(trace, scc, ((1, 2),)),
+             lambda: _apply_dummy(trace, scc, 1),
+             lambda: _apply_degenerate_arc(
+                 trace, frozenset({3, 4}),
+                 graphs.DegeneracyWitness(frozenset({3}), frozenset({1})),
+                 3, 1, "iii-a"),
+             lambda: _apply_prune(trace, frozenset({5, 6}), 5)]
+    for step in steps:
+        before = len(runs)
+        step()
+        assert runs[before:] == [trace.graphs]
+
+
 
 def test_prune_triangle_grounds_everything(triangle):
     _, g = simplified_graphs(triangle)
@@ -322,3 +351,20 @@ def test_sandwich_in_the_cycle_heavy_regime():
         assert trace.n_iv >= len(trees)
         phase2_runs += bool(trace.n_iv)
     assert phase2_runs > 0
+
+
+def test_disjoint_gadgets_take_one_iteration_each():
+    # k copies of: messages a, b, c; b wants a and c; c wants b; senders
+    # {a, b} and {a, c}.  Each leaf SCC {b, c} is degenerated, its witness
+    # arc b -> a makes {a, b, c} message-connected, and phase 2 prunes it
+    from msindex import analyze
+
+    k = 100
+    senders, wants = [], []
+    for a in range(1, 3 * k, 3):
+        senders += [{a, a + 1}, {a, a + 2}]
+        wants += [set(), {a, a + 2}, {a + 1}]
+    result = analyze(make_instance(3 * k, senders, wants))
+    with pytest.warns(UserWarning, match="greedy connecting-tree search"):
+        assert (result.lower_bound, result.upper_bound) == (200, 200)
+    assert (result.trace.n_iv, result.trace.n_connected) == (100, 0)

@@ -1,10 +1,10 @@
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from msindex import graphs
+from msindex import bound, graphs
 from msindex.bound import (GroundingTrace, add_degenerate_arc, append_dummy,
                            make_message_connected, prune_scc)
 from msindex.graphs import (DegeneracyWitness, LeafClass, classify_all,
@@ -12,7 +12,8 @@ from msindex.graphs import (DegeneracyWitness, LeafClass, classify_all,
                             grounded_set, is_degenerated, is_grounded_digraph,
                             leaf_vertices, m_neighbors, num_out_vertices,
                             predecessors, scc_decompose, to_dot)
-from msindex.model import GraphPair, build_graphs, edge_key, simplify
+from msindex.model import (GraphPair, adjacent, bits, build_graphs, edge_key,
+                           mask_of, simplify)
 
 from conftest import gp, simplified_graphs
 from strategies import graph_pairs, instances
@@ -364,20 +365,110 @@ def pairing_graphs(draw):
     return GraphPair(m, frozenset(arcs), frozenset(edges))
 
 
+def _reference_witnesses(g, scc):
+    """The degeneracy witnesses of a leaf SCC by testing every candidate
+    cover in turn: the leaves outside the SCC alone, then with each
+    non-leaf vertex w outside it, in increasing w."""
+    scc_m = mask_of(scc)
+    comps = g.components(scc_m)
+    leaves = g.leaf_mask & ~scc_m
+    covers = [leaves] + [leaves | 1 << (w - 1)
+                         for w in bits(g.vertex_mask & ~scc_m & ~leaves)]
+    found = []
+    for r in range(1, len(comps)):
+        for chosen in combinations(comps, r):
+            part_m = sum(chosen)
+            part = frozenset(bits(part_m))
+            neighbors = adjacent(g.adj, part_m) & ~part_m
+            if not neighbors:
+                found.append(DegeneracyWitness(part, frozenset(bits(leaves)),
+                                               vacuous=True))
+                continue
+            for cover in covers:
+                if not graphs._covered(g, neighbors, cover):
+                    continue
+                witness = DegeneracyWitness(part, frozenset(bits(cover)))
+                if check_degeneracy_witness(g, scc, witness):
+                    found.append(witness)
+    return found
+
+
+def assert_witnesses_match(g):
+    for k in g.leaf_sccs:
+        scc = g.sccs[k]
+        assert list(graphs.iter_degeneracy_witnesses(g, scc)) == \
+            _reference_witnesses(g, scc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graph_pairs(max_n=7), pairing_graphs()))
+def test_cover_search_matches_the_cover_loop(g):
+    assert_witnesses_match(g)
+
+
+CARRIED = ("leaf_mask", "scc_masks", "sccs", "leaf_sccs", "u_comp")
+
+
+def assert_caches_fresh(state):
+    """The state equals the same graphs built from their pairs, and every
+    cache and memo entry it holds equals the fresh answer."""
+    fresh = GraphPair(state.n, state.arcs, state.edges)
+    assert state == fresh and hash(state) == hash(fresh)
+    held = [name for name in CARRIED if name in vars(state)]
+    assert [vars(state)[name] for name in held] == \
+        [getattr(fresh, name) for name in held]
+    assert all(fresh.ancestors(mask) == found
+               for mask, found in state._ancestors.items())
+    assert all(fresh.descendants(mask) == found
+               for mask, found in state._descendants.items())
+    assert all(graphs.classify_without_degeneracy(fresh, frozenset(bits(mask))) is cls
+               for mask, cls in state.leaf_classes.items())
+
+
+def _reference_key(trace):
+    """The state key as a set of arcs with relabelled dummies."""
+    g = trace.graphs
+    by_sources = sorted((tuple(bits(g.pred[d])), d) for d in trace.dummies)
+    relabel = {d: trace.n_real + k + 1 for k, (_, d) in enumerate(by_sources)}
+    arcs = frozenset((relabel.get(i, i), relabel.get(j, j))
+                     for (i, j) in g.arcs) if relabel else g.arcs
+    return (trace.n_real, len(trace.dummies), arcs, g.edges)
+
+
+def assert_carried_caches_fresh(state):
+    """A step from a state with every cache filled carried them all."""
+    assert set(CARRIED) <= vars(state).keys()
+    assert_caches_fresh(state)
+
+
+def assert_key_matches(trace):
+    n_real, dummies, succ, adj = trace.canonical_key()
+    arcs = frozenset((i, j) for i, out in enumerate(succ) for j in bits(out))
+    edges = frozenset((i, j) for i, out in enumerate(adj)
+                      for j in bits(out) if i < j)
+    assert (n_real, dummies, arcs, edges) == _reference_key(trace)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(graph_pairs(max_n=6), pairing_graphs()), st.data())
 def test_cached_queries_follow_grounding_steps(g, data):
-    """Random prune, dummy, witness-arc and edge steps; after each, every
-    cached query equals the same query on a freshly built GraphPair and
-    the brute-force oracles, and a clone taken before the step keeps the
-    state it shared."""
+    """Random prune, dummy, witness-arc and edge steps; after each, the
+    state equals a freshly built GraphPair with every carried cache equal
+    to the fresh one's, every cached query equals the same query on the
+    fresh object and the brute-force oracles, the cover search matches
+    the cover loop, the state key matches the arc-set key, and a clone
+    taken before the step keeps the state it shared."""
     trace = GroundingTrace.from_graphs(g)
     for _ in range(8):
         state = trace.graphs
+        if state is not g:
+            assert_carried_caches_fresh(state)
         cached = kernel_queries(state)
         assert kernel_queries(GraphPair(state.n, state.arcs, state.edges)) == cached
         brute = brute_queries(state)
         assert {key: cached[key] for key in brute} == brute
+        assert_witnesses_match(state)
+        assert_key_matches(trace)
         if not cached["leaf_sccs"]:
             break
         k = data.draw(st.integers(0, len(cached["leaf_sccs"]) - 1))
@@ -402,6 +493,78 @@ def test_cached_queries_follow_grounding_steps(g, data):
             add_degenerate_arc(trace, scc, witness)
         assert trace.graphs != state
         assert before.graphs is state and kernel_queries(state) == cached
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graph_pairs(max_n=7), pairing_graphs()), st.data())
+def test_engine_choices_carry_fresh_caches(g, data):
+    """Random choices of the grounding engine itself: any option at a
+    sweep's choice points (so witness arcs from every source to every
+    target), then a phase-2 iteration, pruning one message-connected
+    leaf SCC or connecting any semi one by any edge set; after each step
+    the carried caches, the cover search and the state key are checked."""
+    trace = GroundingTrace.from_graphs(g)
+    ctl, limit = bound._START, None
+    for _ in range(16):
+        kernel_queries(trace.graphs)
+        point = bound._choice_point(trace, limit, ctl)
+        if point is not None:
+            ctl, options = point
+            ctl = bound._take(trace, ctl,
+                              data.draw(st.sampled_from(list(islice(options, 40)))))
+        elif not bound._leaf_scc_sets(trace):
+            break
+        else:
+            ctl, limit = bound._START, 1
+            if not graphs.leaf_sccs_of_class(trace.graphs,
+                                             LeafClass.MESSAGE_CONNECTED):
+                scc_t, _ = data.draw(st.sampled_from(
+                    bound._phase2_branch_options(trace)))
+                bound._connect(trace, scc_t, data.draw(st.sampled_from(list(
+                    islice(bound._all_edge_options(trace, frozenset(scc_t)), 20)))))
+                limit = None
+        assert_carried_caches_fresh(trace.graphs)
+        assert_witnesses_match(trace.graphs)
+        assert_key_matches(trace)
+
+
+def _children(trace):
+    """A clone of ``trace`` after each step it admits: a prune at every
+    vertex and a dummy from every vertex of each leaf SCC that allows
+    them, connecting edges for each semi one, and the first witness arcs."""
+    children = []
+
+    def child(step, *args):
+        twin = trace.clone()
+        step(twin, *args)
+        children.append(twin)
+
+    for scc in bound._leaf_scc_sets(trace):
+        cls = graphs.classify_without_degeneracy(trace.graphs, scc)
+        for v in sorted(scc):
+            child(bound._apply_prune, scc, v)
+            if cls is LeafClass.MESSAGE_DISCONNECTED:
+                child(bound._apply_dummy, scc, v)
+        if cls is None:
+            child(make_message_connected, scc)
+    for option in islice(bound._degenerated_options(trace), 20):
+        child(bound._apply_degenerate_arc, *option)
+    return children
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graph_pairs(max_n=6), pairing_graphs()))
+def test_sibling_states_hold_fresh_caches(g):
+    """Two levels of every step from g.  Siblings and cousins share the
+    memos a step carries, so all are filled before any is checked."""
+    states = level = [GroundingTrace.from_graphs(g)]
+    for _ in range(2):
+        level = [c for trace in level for c in _children(trace)][:40]
+        states = states + level
+    for trace in states:
+        kernel_queries(trace.graphs)
+    for trace in states:
+        assert_caches_fresh(trace.graphs)
 
 
 # --- dot export ------------------------------------------------------------

@@ -5,8 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from msindex.model import (InstanceError, _parse_index_set, _require,
-                           build_graphs, parse_instance, simplify)
+from msindex.model import (GraphPair, InstanceError, _parse_index_set,
+                           _require, build_graphs, parse_instance, simplify)
 from msindex.verify import oracle_min_linear
 
 from conftest import make_instance
@@ -154,6 +154,27 @@ def test_build_graphs_matches_the_pair_loops(inst):
     simple, _ = simplify(inst)
     g = build_graphs(simple)
     assert (g.arcs, g.edges) == _reference_build_graphs(simple)
+
+
+@pytest.mark.parametrize("arcs, edges", [
+    ([(2, 2)], []), ([(0, 1)], []), ([(1, 4)], []),
+    ([], [(2, 2)]), ([], [(2, 1)]), ([], [(0, 1)]), ([], [(1, 4)])])
+def test_graph_pair_rejects_bad_pairs(arcs, edges):
+    with pytest.raises(ValueError):
+        GraphPair(3, frozenset(arcs), frozenset(edges))
+
+
+def test_grounding_steps_reject_bad_endpoints():
+    g = GraphPair(3, frozenset({(1, 2), (2, 1)}), frozenset())
+    scc = 0b011
+    steps = [lambda: g.add_arc(scc, 1, 1), lambda: g.add_arc(scc, 1, 4),
+             lambda: g.add_arc(scc, 0, 3), lambda: g.add_dummy(scc, 0),
+             lambda: g.add_dummy(scc, 5), lambda: g.add_edges([(2, 2)]),
+             lambda: g.add_edges([(2, 1)]), lambda: g.add_edges([(0, 1)]),
+             lambda: g.add_edges([(1, 4)])]
+    for step in steps:
+        with pytest.raises(ValueError):
+            step()
 
 
 def test_simplify_removes_unwanted_message():

@@ -11,8 +11,8 @@ from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
 from msindex.model import InstanceError, bits, build_graphs, simplify
 from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
                             DecodeCertificate, DecodeFailure, GuardError,
-                            _candidate_rows, _extend, _reduce,
-                            _validate_supports,
+                            _allowed_vectors, _candidate_rows, _extend,
+                            _reduce, _subspace_levels, _validate_supports,
                             check_decode_closure, min_linear_length,
                             oracle_min_linear, rank_decodable,
                             verify_exhaustive)
@@ -232,6 +232,31 @@ def test_dual_length_and_witness_match_the_primal_scan(inst):
         reference = _reference_oracle(case)
         assert min_linear_length(case) == reference[0]
         assert oracle_min_linear(case) == reference
+
+
+def _reference_levels(allowed):
+    """The subspace levels built from every hyperplane of each subspace:
+    every basis is extended by every reduced vector of its ``ext``."""
+    levels = [{(): frozenset(allowed)}]
+    while levels[-1]:
+        grown = {}
+        for basis, ext in levels[-1].items():
+            for v in ext:
+                if _reduce(basis, v) != v:
+                    continue
+                key = _extend(basis, v)
+                if key not in grown:
+                    grown[key] = frozenset(w for w in ext if w ^ v in ext)
+        levels.append(grown)
+    return levels
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(max_m=6))
+def test_subspace_levels_match_the_hyperplane_loop(inst):
+    for case in (inst, simplify(inst)[0]):
+        allowed = _allowed_vectors(case)
+        assert _subspace_levels(allowed) == _reference_levels(allowed)
 
 
 def test_dual_tests_each_sender_on_its_own():
