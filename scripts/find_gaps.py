@@ -15,7 +15,8 @@ import sys
 
 from msindex import ProblemInstance, analyze
 from msindex.cli import _int_at_least
-from msindex.generate import random_cycle_instance, random_instance
+from msindex.generate import (own_every_message, random_cycle_instance,
+                              random_instance)
 from msindex.verify import ORACLE_LIMIT
 
 
@@ -33,12 +34,8 @@ def random_pairing_instance(rng, m):
     for _ in range(rng.randint(2, m)):
         size = rng.randint(2, 3)
         senders.append(set(rng.sample(range(1, m + 1), size)))
-    covered = set().union(*senders)
-    for msg in range(1, m + 1):
-        if msg not in covered:
-            senders[rng.randrange(len(senders))].add(msg)
     return ProblemInstance(num_messages=m,
-                           senders=tuple(frozenset(s) for s in senders),
+                           senders=own_every_message(rng, senders, m),
                            wants=tuple(frozenset(w) for w in wants))
 
 

@@ -10,8 +10,9 @@ vertices to message-disconnected ones and adds arcs out of degenerated
 semi ones until neither kind remains.  Phase 2 loops: prune one
 message-connected leaf SCC if present, otherwise pick a semi leaf SCC,
 add message edges until it is message-connected, and sweep again.  Every
-arbitrary choice defaults to the smallest vertex index; exhaustive mode
-searches all choices for the fewest phase-2 iterations, since a smaller
+choice is generated lazily with the smallest-index option first;
+deterministic mode takes the first option everywhere, and exhaustive mode
+searches all of them for the fewest phase-2 iterations, since a smaller
 iteration count means a larger bound.
 """
 
@@ -26,8 +27,6 @@ from . import graphs
 from .model import GraphPair, bits, edge_key, mask_of
 
 DEFAULT_STATE_BUDGET = 20_000
-
-Step = tuple  # ("i", scc, v, removed) etc.; tuples keep the log comparable
 
 
 class StaleWitnessError(ValueError):
@@ -57,14 +56,16 @@ class GroundingTrace:
 
     ``graphs`` is the current state.  It is immutable and caches every
     query made on it; only the four ``_apply_*`` steps replace it, and a
-    clone shares it until one of them runs.
+    clone shares it until one of them runs.  Each step is logged as its
+    trace document, e.g. ``{"step": "i", "scc": [1, 2], "vertex": 1,
+    "removed_arcs": [[1, 2]]}``.
     """
 
     original: GraphPair
     n_real: int
     graphs: GraphPair
     dummies: frozenset[int] = frozenset()
-    log: list[Step] = field(default_factory=list)
+    log: list[dict] = field(default_factory=list)
     n_connected: int = 0
     n_iv: int = 0
     n_remaining: int = 0
@@ -115,16 +116,6 @@ class GroundingTrace:
         return (n_real, len(order), succ, g.adj)
 
 
-def _leaf_scc_sets(trace: GroundingTrace) -> list[frozenset[int]]:
-    """The leaf SCCs of the current state, ordered by smallest member."""
-    g = trace.graphs
-    return [g.sccs[k] for k in g.leaf_sccs]
-
-
-def _class_of(trace: GroundingTrace, scc: frozenset[int]) -> graphs.LeafClass | None:
-    return graphs.classify_without_degeneracy(trace.graphs, scc)
-
-
 # ---------------------------------------------------------------------------
 # The individual mutation steps.  Public variants validate their
 # preconditions against the current state; the engine applies the same
@@ -132,9 +123,9 @@ def _class_of(trace: GroundingTrace, scc: frozenset[int]) -> graphs.LeafClass | 
 
 def _apply_prune(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
     g = trace.graphs
-    removed = tuple((v, j) for j in bits(g.succ[v]))
     trace.graphs = g.prune(mask_of(scc), v)
-    trace.log.append(("i", tuple(sorted(scc)), v, removed))
+    trace.log.append({"step": "i", "scc": sorted(scc), "vertex": v,
+                      "removed_arcs": [[v, j] for j in bits(g.succ[v])]})
 
 
 def prune_scc(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
@@ -151,7 +142,8 @@ def _apply_dummy(trace: GroundingTrace, scc: frozenset[int], source: int) -> int
     dummy = g.n + 1
     trace.graphs = g.add_dummy(mask_of(scc), source)
     trace.dummies |= {dummy}
-    trace.log.append(("ii", tuple(sorted(scc)), source, dummy))
+    trace.log.append({"step": "ii", "scc": sorted(scc), "source": source,
+                      "dummy": dummy})
     return dummy
 
 
@@ -163,7 +155,8 @@ def append_dummy(trace: GroundingTrace, scc: frozenset[int]) -> int:
     """
     if not graphs.is_leaf_scc(trace.graphs, scc):
         raise ValueError(f"{sorted(scc)} is not a leaf SCC of the current state")
-    if _class_of(trace, scc) is not graphs.LeafClass.MESSAGE_DISCONNECTED:
+    if (graphs.classify_without_degeneracy(trace.graphs, scc)
+            is not graphs.LeafClass.MESSAGE_DISCONNECTED):
         raise ValueError(f"SCC {sorted(scc)} is not message-disconnected")
     return _apply_dummy(trace, scc, min(scc))
 
@@ -172,16 +165,18 @@ def _apply_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
                           witness: graphs.DegeneracyWitness,
                           source: int, target: int, tag: str) -> None:
     trace.graphs = trace.graphs.add_arc(mask_of(scc), source, target)
-    trace.log.append((tag, tuple(sorted(scc)), tuple(sorted(witness.part)),
-                      tuple(sorted(witness.cover)), source, target))
+    trace.log.append({"step": tag, "scc": sorted(scc), "part": sorted(witness.part),
+                      "cover": sorted(witness.cover), "source": source,
+                      "target": target})
 
 
 def _witness_action(g: GraphPair, witness: graphs.DegeneracyWitness
                     ) -> tuple[str, list[int]]:
-    """Step tag and valid targets for a witness on state g."""
-    non_leaf = sorted(witness.cover - graphs.leaf_vertices(g))
-    if len(non_leaf) == 1:
-        return "iii-a", non_leaf
+    """Step tag and valid targets for a witness on state g; a witness has
+    at most one non-leaf cover vertex."""
+    non_leaf = mask_of(witness.cover) & ~g.leaf_mask
+    if non_leaf:
+        return "iii-a", [non_leaf.bit_length()]
     return "iii-b", sorted(witness.cover)
 
 
@@ -194,7 +189,7 @@ def add_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
     g = trace.graphs
     if not graphs.is_leaf_scc(g, scc):
         raise StaleWitnessError(f"{sorted(scc)} is not a leaf SCC anymore")
-    if _class_of(trace, scc) is not None:
+    if graphs.classify_without_degeneracy(g, scc) is not None:
         raise StaleWitnessError(f"SCC {sorted(scc)} is not semi anymore")
     if not graphs.check_degeneracy_witness(g, scc, witness):
         raise StaleWitnessError("witness conditions no longer hold")
@@ -204,17 +199,29 @@ def add_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
     _apply_degenerate_arc(trace, scc, witness, min(witness.part), targets[0], tag)
 
 
-def _chain_edges(trace: GroundingTrace, scc: frozenset[int]
-                 ) -> tuple[tuple[int, int], ...]:
-    comps = graphs.u_components(trace.graphs, scc)
-    reps = [min(c) for c in comps]
-    return tuple(edge_key(reps[k], reps[k + 1]) for k in range(len(reps) - 1))
-
-
 def _apply_edges(trace: GroundingTrace, scc: frozenset[int],
                  new_edges: tuple[tuple[int, int], ...]) -> None:
     trace.graphs = trace.graphs.add_edges(new_edges)
-    trace.log.append(("iv-b", tuple(sorted(scc)), new_edges))
+    trace.log.append({"step": "iv-b", "scc": sorted(scc),
+                      "added_edges": [list(e) for e in new_edges]})
+
+
+def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]):
+    """Every minimal edge set connecting the message components of an SCC
+    (spanning trees over components, arbitrary endpoints), lazily; first
+    the deterministic chain through the components' smallest members."""
+    comps = graphs.u_components(trace.graphs, scc)
+    first = tuple(edge_key(min(a), min(b)) for a, b in zip(comps, comps[1:]))
+    yield first
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    cross = sorted(edge_key(a, b)
+                   for ca, cb in combinations(comps, 2)
+                   for a in ca for b in cb)
+    for subset in combinations(cross, len(comps) - 1):
+        joined = graphs.spanning_forest(
+            ((comp_of[a], comp_of[b]) for a, b in subset), len(comps))
+        if len(joined) == len(comps) - 1 and subset != first:
+            yield subset
 
 
 def make_message_connected(trace: GroundingTrace, scc: frozenset[int]
@@ -223,9 +230,9 @@ def make_message_connected(trace: GroundingTrace, scc: frozenset[int]
     smallest members; adding edges only relaxes the sender constraints."""
     if not graphs.is_leaf_scc(trace.graphs, scc):
         raise ValueError(f"{sorted(scc)} is not a leaf SCC of the current state")
-    if _class_of(trace, scc) is not None:
+    if graphs.classify_without_degeneracy(trace.graphs, scc) is not None:
         raise ValueError(f"SCC {sorted(scc)} is not a semi leaf SCC")
-    added = _chain_edges(trace, scc)
+    added = next(_all_edge_options(trace, scc))
     _apply_edges(trace, scc, added)
     return added
 
@@ -233,72 +240,53 @@ def make_message_connected(trace: GroundingTrace, scc: frozenset[int]
 # ---------------------------------------------------------------------------
 # The sweep procedure shared by phase 1 and phase 2.
 #
-# A sweep prunes message-connected leaf SCCs (at most ``prune_limit`` of
-# them), then alternates appending dummies to message-disconnected leaf
-# SCCs and adding witness arcs for degenerated ones until a round does
-# neither.  Every step is a choice among options.  The sweep is a small
-# machine so a search can branch at a choice point without replaying the
-# steps before it: its control point is ``(stage, pruned, acted)``, and a
-# paused sweep is a state plus a control point.
+# A sweep prunes message-connected leaf SCCs (just one when ``once``), then
+# alternates appending dummies to message-disconnected leaf SCCs and adding
+# witness arcs for degenerated ones until neither kind is left.  Every step
+# is a choice among options.  The sweep is a small machine so a search can
+# branch at a choice point without replaying the steps before it: its
+# control point is its stage, and a paused sweep is a state plus a stage.
 
 _PRUNE, _DUMMY, _DEGENERATE = range(3)
-_START = (_PRUNE, 0, False)
+_APPLY = (_apply_prune, _apply_dummy, _apply_degenerate_arc)
 _STEP_CAP = 100_000
 
 
-def _choice_point(trace: GroundingTrace, prune_limit: int | None, ctl):
-    """Advance ``ctl`` to the sweep's next choice point and return it with
-    that point's nonempty options in deterministic order (the witness-arc
-    options lazily), or None once the sweep is done."""
-    stage, pruned, acted = ctl
+def _choice_point(trace: GroundingTrace, once: bool, stage: int):
+    """Advance from ``stage`` to the sweep's next choice point and return
+    its stage with its nonempty options in deterministic order, lazily,
+    or None once the sweep is done."""
+    g = trace.graphs
     while True:
         if stage == _PRUNE:
             connected = graphs.leaf_sccs_of_class(
-                trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED)
-            if connected and (prune_limit is None or pruned < prune_limit):
-                sccs = connected if prune_limit == 1 else connected[:1]
-                return ctl, [(scc, v) for scc in sccs for v in sorted(scc)]
+                g, graphs.LeafClass.MESSAGE_CONNECTED)
+            if connected:
+                sccs = connected if once else connected[:1]
+                return stage, ((scc, v) for scc in sccs for v in sorted(scc))
             stage = _DUMMY
         elif stage == _DUMMY:
             disconnected = graphs.leaf_sccs_of_class(
-                trace.graphs, graphs.LeafClass.MESSAGE_DISCONNECTED)
+                g, graphs.LeafClass.MESSAGE_DISCONNECTED)
             if disconnected:
                 scc = disconnected[0]
-                return (stage, pruned, acted), [(scc, s) for s in sorted(scc)]
+                return stage, ((scc, s) for s in sorted(scc))
             stage = _DEGENERATE
         else:
             options = _degenerated_options(trace)
             first = next(options, None)
             if first is not None:
-                return (stage, pruned, acted), chain((first,), options)
-            if not acted:
+                return stage, chain((first,), options)
+            if not graphs.leaf_sccs_of_class(
+                    g, graphs.LeafClass.MESSAGE_DISCONNECTED):
                 return None
-            stage, acted = _DUMMY, False
+            stage = _DUMMY
 
 
-def _take(trace: GroundingTrace, ctl, option):
-    """Apply one option at control point ``ctl``; return the next one."""
-    stage, pruned, _ = ctl
-    if stage == _PRUNE:
-        _apply_prune(trace, *option)
-        return stage, pruned + 1, False
-    if stage == _DUMMY:
-        _apply_dummy(trace, *option)
-    else:
-        _apply_degenerate_arc(trace, *option)
-    return stage, pruned, True
-
-
-def _run_sweep(trace: GroundingTrace, prune_limit: int | None) -> None:
-    """One sweep taking the first option at every choice point."""
-    ctl = _START
-    for _ in range(_STEP_CAP):
-        point = _choice_point(trace, prune_limit, ctl)
-        if point is None:
-            return
-        ctl, options = point
-        ctl = _take(trace, ctl, next(iter(options)))
-    raise AssertionError("sweep failed to terminate")
+def _take(trace: GroundingTrace, once: bool, stage: int, option) -> int:
+    """Apply one option at a choice point; return the stage to resume at."""
+    _APPLY[stage](trace, *option)
+    return _DUMMY if once and stage == _PRUNE else stage
 
 
 def _degenerated_options(trace: GroundingTrace):
@@ -315,53 +303,54 @@ def _degenerated_options(trace: GroundingTrace):
                     yield (scc, witness, source, target, tag)
 
 
-def break_leaf_sccs(trace: GroundingTrace, prune_limit: int | None = None) -> None:
-    """Deterministic sweep: prune message-connected leaf SCCs (all of
-    them, or just one when ``prune_limit=1``), then break every
-    message-disconnected and degenerated leaf SCC."""
-    _run_sweep(trace, prune_limit)
+def break_leaf_sccs(trace: GroundingTrace, once: bool = False) -> None:
+    """Deterministic sweep, the first option at every choice point: prune
+    message-connected leaf SCCs (all of them, or just one when ``once``),
+    then break every message-disconnected and degenerated leaf SCC."""
+    stage = _PRUNE
+    for _ in range(_STEP_CAP):
+        point = _choice_point(trace, once, stage)
+        if point is None:
+            return
+        stage, options = point
+        stage = _take(trace, once, stage, next(options))
+    raise AssertionError("sweep failed to terminate")
 
 
 # ---------------------------------------------------------------------------
-# Full runs.
+# Phase-2 openings and full runs.
 
-def _phase2_branch_options(trace: GroundingTrace) -> list[tuple]:
-    """Choices opening a phase-2 iteration when no message-connected leaf
-    SCC exists: which semi leaf SCC to connect, and with which edges."""
-    options = []
-    for scc in _leaf_scc_sets(trace):
-        cls = _class_of(trace, scc)
+def _openings(trace: GroundingTrace):
+    """The ways to open a phase-2 iteration, lazily and deterministic
+    first: ``None`` (step iv-0, then a sweep pruning once) while a
+    message-connected leaf SCC exists, else each semi leaf SCC with each
+    edge set connecting it, the chain first."""
+    g = trace.graphs
+    if graphs.leaf_sccs_of_class(g, graphs.LeafClass.MESSAGE_CONNECTED):
+        yield None
+        return
+    for k in g.leaf_sccs:
+        scc = g.sccs[k]
+        cls = graphs.classify_without_degeneracy(g, scc)
         if cls is not None:
             raise AssertionError(
                 f"unexpected {cls} leaf SCC {sorted(scc)} at iteration start")
-        options.append((tuple(sorted(scc)), _chain_edges(trace, scc)))
-    return options
+        for edges in _all_edge_options(trace, scc):
+            yield scc, edges
 
 
-def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]):
-    """Every minimal edge set connecting the message components of an SCC
-    (spanning trees over components, arbitrary endpoints), lazily; the
-    deterministic chain comes first."""
-    comps = graphs.u_components(trace.graphs, scc)
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    cross = sorted(edge_key(a, b)
-                   for ca, cb in combinations(comps, 2)
-                   for a in ca for b in cb)
-    first = _chain_edges(trace, scc)
-    yield first
-    for subset in combinations(cross, len(comps) - 1):
-        joined = graphs.spanning_forest(
-            ((comp_of[a], comp_of[b]) for a, b in subset), len(comps))
-        if len(joined) == len(comps) - 1 and subset != first:
-            yield subset
-
-
-def _connect(trace: GroundingTrace, scc_t: tuple[int, ...],
-             edges: tuple[tuple[int, int], ...]) -> None:
-    """Open a phase-2 iteration on a semi leaf SCC by adding edges."""
-    trace.log.append(("iv-a", scc_t))
-    _apply_edges(trace, frozenset(scc_t), edges)
-    trace.log.append(("iv-c",))
+def _open(trace: GroundingTrace, opening) -> bool:
+    """Apply an opening from `_openings`; return whether the iteration's
+    sweep prunes once."""
+    trace.n_iv += 1
+    if opening is None:
+        trace.log.append({"step": "iv-0"})
+        return True
+    scc, edges = opening
+    trace.log.append({"step": "iv-a", "scc": sorted(scc)})
+    _apply_edges(trace, scc, edges)
+    trace.log.append({"step": "iv-c"})
+    return False
 
 
 def run_grounding(g: GraphPair, mode: str = "deterministic",
@@ -394,7 +383,7 @@ def run_grounding(g: GraphPair, mode: str = "deterministic",
 
 def _finish(trace: GroundingTrace) -> GroundingTrace:
     trace.complete = True
-    if _leaf_scc_sets(trace):
+    if trace.graphs.leaf_sccs:
         raise AssertionError("grounding finished with leaf SCCs left")
     if not graphs.is_grounded_digraph(trace.graphs):
         raise AssertionError("grounding finished with a non-grounded digraph")
@@ -402,50 +391,41 @@ def _finish(trace: GroundingTrace) -> GroundingTrace:
 
 
 def _end_phase1(trace: GroundingTrace) -> None:
-    trace.n_connected = sum(1 for step in trace.log if step[0] == "i")
-    trace.n_remaining = len(_leaf_scc_sets(trace))
+    trace.n_connected = sum(1 for step in trace.log if step["step"] == "i")
+    trace.n_remaining = len(trace.graphs.leaf_sccs)
 
 
 def _run_deterministic(g: GraphPair) -> GroundingTrace:
+    """The first path of the exhaustive search, taken in place."""
     trace = GroundingTrace.from_graphs(g)
-    _run_sweep(trace, None)
+    break_leaf_sccs(trace)
     _end_phase1(trace)
     for _ in range(_STEP_CAP):
-        if not _leaf_scc_sets(trace):
-            break
-        if graphs.leaf_sccs_of_class(trace.graphs,
-                                     graphs.LeafClass.MESSAGE_CONNECTED):
-            trace.log.append(("iv-0",))
-            _run_sweep(trace, 1)
-        else:
-            _connect(trace, *_phase2_branch_options(trace)[0])
-            _run_sweep(trace, None)
-        trace.n_iv += 1
-    else:
-        raise AssertionError("phase 2 failed to terminate")
-    return _finish(trace)
+        if not trace.graphs.leaf_sccs:
+            return _finish(trace)
+        break_leaf_sccs(trace, _open(trace, next(_openings(trace))))
+    raise AssertionError("phase 2 failed to terminate")
 
 
-def _enumerate_sweeps(trace: GroundingTrace, prune_limit: int | None,
-                      budget: _Budget):
+def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
     """Every completed sweep from ``trace``, lazily, in shortlex order of
     the choice sequences reaching it: breadth first over choice points.
     A queue entry is one branch, a paused parent and the option it takes;
     the branch clones the parent at that choice point, and each entry
     taken from the queue spends one unit of budget."""
-    queue = deque([(trace, _START, None)])
+    queue = deque([(trace, _PRUNE, None)])
     while queue:
-        parent, ctl, option = queue.popleft()
+        parent, stage, option = queue.popleft()
         budget.spend()
         work = parent.clone()
         if option is not None:
-            ctl = _take(work, ctl, option)
-        point = _choice_point(work, prune_limit, ctl)
+            stage = _take(work, once, stage, option)
+        point = _choice_point(work, once, stage)
         if point is None:
             yield work
         else:
-            ctl, options = point
-            queue.extend((work, ctl, o) for o in options)
+            stage, options = point
+            queue.extend((work, stage, o) for o in options)
 
 
 def _distinct(outcomes):
@@ -460,19 +440,11 @@ def _distinct(outcomes):
 
 def _iteration_sweeps(trace: GroundingTrace, budget: _Budget):
     """Every state one phase-2 iteration reaches, each a trace carrying
-    the iteration's steps, lazily and in the deterministic choice order."""
-    if graphs.leaf_sccs_of_class(trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED):
+    the iteration's steps, lazily and in the deterministic choice order:
+    each opening applied to a clone, then each of its sweeps."""
+    for opening in _openings(trace):
         staged = trace.clone()
-        staged.log.append(("iv-0",))
-        staged.n_iv += 1
-        yield from _enumerate_sweeps(staged, 1, budget)
-        return
-    for scc_t, _ in _phase2_branch_options(trace):
-        for edges in _all_edge_options(trace, frozenset(scc_t)):
-            staged = trace.clone()
-            _connect(staged, scc_t, edges)
-            staged.n_iv += 1
-            yield from _enumerate_sweeps(staged, None, budget)
+        yield from _enumerate_sweeps(staged, _open(staged, opening), budget)
 
 
 def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
@@ -492,7 +464,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
             return memo[key]
         if key in visiting:
             raise AssertionError("phase-2 state revisited without progress")
-        if not _leaf_scc_sets(state):
+        if not state.graphs.leaf_sccs:
             memo[key] = 0
             return 0
         visiting.add(key)
@@ -508,7 +480,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
         return best
 
     trace, best = None, None
-    for key, outcome in _distinct(_enumerate_sweeps(base, None, budget)):
+    for key, outcome in _distinct(_enumerate_sweeps(base, False, budget)):
         _end_phase1(outcome)
         iv = min_iv(outcome, key)
         if best is None or iv < best:
@@ -520,7 +492,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
     # another trace of the same state; with the same graphs and dummy
     # labels its choices replay verbatim, otherwise take the first
     # iteration outcome attaining the optimum, as the recording would.
-    while _leaf_scc_sets(trace):
+    while trace.graphs.leaf_sccs:
         key = trace.canonical_key()
         owner, child = best_step[key]
         if (owner.graphs, owner.dummies) == (trace.graphs, trace.dummies):
@@ -558,9 +530,9 @@ def lower_bound_prune_all(g: GraphPair) -> int:
     vertex and count surviving out-vertices.  Never exceeds the bound from
     a full grounding run."""
     trace = GroundingTrace.from_graphs(g)
-    for scc in _leaf_scc_sets(trace):
-        _apply_prune(trace, scc, min(scc))
-    if _leaf_scc_sets(trace):
+    for k in g.leaf_sccs:
+        _apply_prune(trace, g.sccs[k], min(g.sccs[k]))
+    if trace.graphs.leaf_sccs:
         raise AssertionError("pruning every leaf SCC left a leaf SCC behind")
     return graphs.num_out_vertices(trace.graphs)
 

@@ -62,32 +62,13 @@ def _dump(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _step_to_dict(step: tuple) -> dict:
-    tag = step[0]
-    if tag == "i":
-        return {"step": tag, "scc": list(step[1]), "vertex": step[2],
-                "removed_arcs": [list(a) for a in step[3]]}
-    if tag == "ii":
-        return {"step": tag, "scc": list(step[1]), "source": step[2],
-                "dummy": step[3]}
-    if tag in ("iii-a", "iii-b"):
-        return {"step": tag, "scc": list(step[1]), "part": list(step[2]),
-                "cover": list(step[3]), "source": step[4], "target": step[5]}
-    if tag == "iv-a":
-        return {"step": tag, "scc": list(step[1])}
-    if tag == "iv-b":
-        return {"step": tag, "scc": list(step[1]),
-                "added_edges": [list(e) for e in step[2]]}
-    return {"step": tag}
-
-
 def _trace_to_dict(trace: bound.GroundingTrace) -> dict:
     g = trace.graphs
     return {
         "schema": SCHEMA_VERSION,
         "mode": trace.mode,
         "fell_back": trace.fell_back,
-        "steps": [_step_to_dict(s) for s in trace.log],
+        "steps": trace.log,
         "n_connected": trace.n_connected,
         "n_remaining": trace.n_remaining,
         "n_iv": trace.n_iv,
@@ -351,7 +332,11 @@ def _final_state(doc: dict, at: str) -> tuple[GraphPair, frozenset[int]]:
             out.add((i, j))
         return frozenset(out)
 
-    g = GraphPair(n=n, arcs=pairs("arcs", True), edges=pairs("edges", False))
+    arcs, edges = pairs("arcs", True), pairs("edges", False)
+    try:
+        g = GraphPair(n=n, arcs=arcs, edges=edges)
+    except (MemoryError, OverflowError) as exc:
+        raise verify.GuardError(f"{where}.n: {n} vertices do not fit in memory") from exc
     return g, frozenset(vertices(final["dummies"], f"{where}.dummies"))
 
 

@@ -6,31 +6,41 @@ import random
 
 from .model import ProblemInstance
 
+WANT_PROB = 0.35
 
-def random_instance(rng: random.Random, num_messages: int,
-                    want_prob: float = 0.35,
-                    max_senders: int | None = None) -> ProblemInstance:
+
+def own_every_message(rng: random.Random, senders: list[set[int]], m: int
+                      ) -> tuple[frozenset[int], ...]:
+    """The sender sets, with each message 1..m that none owns given to a
+    random sender, in message order."""
+    covered = set().union(*senders)
+    for msg in range(1, m + 1):
+        if msg not in covered:
+            senders[rng.randrange(len(senders))].add(msg)
+    return tuple(frozenset(s) for s in senders)
+
+
+def _coin_wants(rng: random.Random, m: int) -> tuple[frozenset[int], ...]:
+    """Each receiver wants each other message with probability
+    ``WANT_PROB``, independently."""
+    return tuple(frozenset(j for j in range(1, m + 1)
+                           if j != r and rng.random() < WANT_PROB)
+                 for r in range(1, m + 1))
+
+
+def random_instance(rng: random.Random, num_messages: int) -> ProblemInstance:
     """A random uniprior multicast instance with every message owned
     somewhere.  Wants are independent coin flips; sender sets are random
     nonempty subsets patched to cover all messages."""
     m = num_messages
-    wants = []
-    for r in range(1, m + 1):
-        wants.append(frozenset(
-            j for j in range(1, m + 1) if j != r and rng.random() < want_prob))
-
-    n_senders = rng.randint(1, max_senders or m)
+    wants = _coin_wants(rng, m)
     senders = []
-    for _ in range(n_senders):
+    for _ in range(rng.randint(1, m)):
         size = rng.randint(1, m)
         senders.append(set(rng.sample(range(1, m + 1), size)))
-    covered = set().union(*senders)
-    for msg in range(1, m + 1):
-        if msg not in covered:
-            senders[rng.randrange(n_senders)].add(msg)
     return ProblemInstance(num_messages=m,
-                           senders=tuple(frozenset(s) for s in senders),
-                           wants=tuple(wants))
+                           senders=own_every_message(rng, senders, m),
+                           wants=wants)
 
 
 def random_cycle_instance(rng: random.Random, num_messages: int,
@@ -47,29 +57,20 @@ def random_cycle_instance(rng: random.Random, num_messages: int,
             wants[target - 1].add(i)
 
     senders = []
-    n_senders = rng.randint(1, max(1, m))
-    for _ in range(n_senders):
+    for _ in range(rng.randint(1, max(1, m))):
         size = min(m, rng.randint(1, max(1, sender_size)))
         senders.append(set(rng.sample(range(1, m + 1), size)))
-    covered = set().union(*senders)
-    for msg in range(1, m + 1):
-        if msg not in covered:
-            senders[rng.randrange(n_senders)].add(msg)
     return ProblemInstance(num_messages=m,
-                           senders=tuple(frozenset(s) for s in senders),
+                           senders=own_every_message(rng, senders, m),
                            wants=tuple(frozenset(w) for w in wants))
 
 
-def random_partitioned_instance(rng: random.Random, num_messages: int,
-                                want_prob: float = 0.35) -> ProblemInstance:
+def random_partitioned_instance(rng: random.Random, num_messages: int
+                                ) -> ProblemInstance:
     """Like random_instance, but sender sets partition the messages (no
     message is owned twice)."""
     m = num_messages
-    wants = []
-    for r in range(1, m + 1):
-        wants.append(frozenset(
-            j for j in range(1, m + 1) if j != r and rng.random() < want_prob))
-
+    wants = _coin_wants(rng, m)
     order = list(range(1, m + 1))
     rng.shuffle(order)
     n_senders = rng.randint(1, m)
@@ -80,8 +81,8 @@ def random_partitioned_instance(rng: random.Random, num_messages: int,
         senders.append(frozenset(order[last:cut]))
         last = cut
     return ProblemInstance(num_messages=m, senders=tuple(senders),
-                           wants=tuple(wants))
+                           wants=wants)
 
 
-__all__ = ["random_instance", "random_cycle_instance",
+__all__ = ["own_every_message", "random_instance", "random_cycle_instance",
            "random_partitioned_instance"]

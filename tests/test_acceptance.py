@@ -124,7 +124,7 @@ def test_criterion_4_partitioned_senders():
                                          LeafClass.MESSAGE_DISCONNECTED)
         trace = run_grounding(g, "exhaustive")
         assert trace.n_remaining == 0
-        assert all(step[0] in ("i", "ii") for step in trace.log)
+        assert all(step["step"] in ("i", "ii") for step in trace.log)
         trees = find_connecting_trees(g)
         target = num_out_vertices(g) - trace.n_connected
         assert lower_bound(trace) == target

@@ -1,19 +1,27 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from msindex import graphs
 from msindex.bound import (GroundingTrace, StaleWitnessError, _apply_degenerate_arc,
-                           _apply_dummy, _apply_edges, _apply_prune, append_dummy,
+                           _apply_dummy, _apply_edges, _apply_prune,
+                           _degenerated_options, append_dummy,
                            add_degenerate_arc, break_leaf_sccs, lower_bound,
                            lower_bound_prune_all, make_message_connected,
                            prune_scc, run_grounding)
-from msindex.graphs import (grounded_set, is_degenerated, is_grounded_digraph,
-                            num_out_vertices, scc_decompose)
+from msindex.graphs import (LeafClass, grounded_set, is_degenerated,
+                            is_grounded_digraph, num_out_vertices, scc_decompose)
 
-from msindex.model import GraphPair
+from msindex.model import GraphPair, build_graphs, edge_key, simplify
 
 from conftest import gp, make_instance, simplified_graphs
 from strategies import graph_pairs, instances
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from find_gaps import random_pairing_instance  # noqa: E402
 
 
 def leaf_scc_sets(g):
@@ -54,7 +62,8 @@ def test_prune_triangle_grounds_everything(triangle):
     trace = GroundingTrace.from_graphs(g)
     prune_scc(trace, frozenset({1, 2, 3}), 1)
     assert grounded_set(trace.graphs) == {1, 2, 3}
-    assert trace.log == [("i", (1, 2, 3), 1, ((1, 2),))]
+    assert trace.log == [{"step": "i", "scc": [1, 2, 3], "vertex": 1,
+                          "removed_arcs": [[1, 2]]}]
 
 
 def test_prune_drops_leaf_scc_count(three_pairs):
@@ -146,7 +155,7 @@ def test_degenerate_arc_to_all_leaf_cover_grounds():
     assert degen and witness.cover == {3}
     add_degenerate_arc(trace, frozenset({1, 2}), witness)
     assert (1, 3) in trace.arcs
-    assert trace.log[-1][0] == "iii-b"
+    assert trace.log[-1]["step"] == "iii-b"
     assert leaf_scc_sets(trace.graphs) == []
 
 
@@ -180,7 +189,7 @@ def test_sweep_triangle_single_prune(triangle):
     _, g = simplified_graphs(triangle)
     trace = GroundingTrace.from_graphs(g)
     break_leaf_sccs(trace)
-    assert [s[0] for s in trace.log] == ["i"]
+    assert [s["step"] for s in trace.log] == ["i"]
     assert is_grounded_digraph(trace.graphs)
 
 
@@ -196,8 +205,24 @@ def test_sweep_two_way_appends_one_dummy(two_way):
     _, g = simplified_graphs(two_way)
     trace = GroundingTrace.from_graphs(g)
     break_leaf_sccs(trace)
-    assert [s[0] for s in trace.log] == ["ii"]
+    assert [s["step"] for s in trace.log] == ["ii"]
     assert trace.dummy_count == 1
+
+
+def test_sweep_returns_to_dummies_after_a_witness_arc():
+    # the witness arc 1 -> 3 closes the cycle 1 -> 3 -> 4 -> 1, which
+    # merges {1, 2} into the leaf SCC {1, 2, 3, 4}; vertex 4 has no message
+    # edge, so the merged SCC is message-disconnected and needs a dummy
+    _, g = simplified_graphs(make_instance(
+        4, senders=[{1, 3}, {2, 3}, {4}], wants=[{2, 4}, {1}, set(), {3}]))
+    trace = GroundingTrace.from_graphs(g)
+    break_leaf_sccs(trace)
+    assert trace.log == [
+        {"step": "iii-a", "scc": [1, 2], "part": [1], "cover": [3],
+         "source": 1, "target": 3},
+        {"step": "ii", "scc": [1, 2, 3, 4], "source": 1, "dummy": 5}]
+    assert is_grounded_digraph(trace.graphs)
+    assert_matches_reference(g)
 
 
 # --- full runs ---------------------------------------------------------------
@@ -206,10 +231,12 @@ def test_run_three_pairs_counters(three_pairs):
     _, g = simplified_graphs(three_pairs)
     trace = run_grounding(g)
     assert (trace.n_connected, trace.n_remaining, trace.n_iv) == (0, 3, 2)
-    tags = [s[0] for s in trace.log]
+    tags = [s["step"] for s in trace.log]
     assert tags == ["iv-a", "iv-b", "iv-c", "i", "iii-a", "iii-a", "iv-0", "i"]
-    assert ("iii-a", (3, 4), (3,), (1, 5), 3, 5) in trace.log
-    assert ("iii-a", (5, 6), (5,), (1, 3), 5, 3) in trace.log
+    assert {"step": "iii-a", "scc": [3, 4], "part": [3], "cover": [1, 5],
+            "source": 3, "target": 5} in trace.log
+    assert {"step": "iii-a", "scc": [5, 6], "part": [5], "cover": [1, 3],
+            "source": 5, "target": 3} in trace.log
     assert lower_bound(trace) == 4
 
 
@@ -270,6 +297,117 @@ def test_exhaustive_strictly_beats_deterministic_sometimes():
     exh = run_grounding(g, "exhaustive")
     assert det.n_iv == 2 and lower_bound(det) == 4
     assert exh.n_iv == 1 and lower_bound(exh) == 5
+
+
+# --- the earlier deterministic run, kept as the reference ---------------------
+#
+# A sweep paused on a (stage, pruned, acted) triple and ended after a round
+# that did nothing.  Phase 2 either logged iv-0 and swept with a prune
+# limit of 1, or listed every semi leaf SCC with its chain edges and
+# connected the first.  The engine's deterministic run must log the same
+# steps and reach the same state.
+
+_PRUNE, _DUMMY, _DEGENERATE = range(3)
+_CAP = 10_000
+
+
+def _reference_sweep(trace, prune_limit):
+    stage, pruned, acted = _PRUNE, 0, False
+    for _ in range(_CAP):
+        g = trace.graphs
+        if stage == _PRUNE:
+            connected = graphs.leaf_sccs_of_class(g, LeafClass.MESSAGE_CONNECTED)
+            if connected and (prune_limit is None or pruned < prune_limit):
+                _apply_prune(trace, connected[0], min(connected[0]))
+                pruned += 1
+                continue
+            stage = _DUMMY
+        elif stage == _DUMMY:
+            disconnected = graphs.leaf_sccs_of_class(
+                g, LeafClass.MESSAGE_DISCONNECTED)
+            if disconnected:
+                _apply_dummy(trace, disconnected[0], min(disconnected[0]))
+                acted = True
+                continue
+            stage = _DEGENERATE
+        else:
+            option = next(_degenerated_options(trace), None)
+            if option is not None:
+                _apply_degenerate_arc(trace, *option)
+                acted = True
+                continue
+            if not acted:
+                return
+            stage, acted = _DUMMY, False
+    raise AssertionError("sweep failed to terminate")
+
+
+def _phase2_branch_options(trace):
+    """Every semi leaf SCC with the edges chaining its message components
+    through their smallest members."""
+    options = []
+    for scc in leaf_scc_sets(trace.graphs):
+        cls = graphs.classify_without_degeneracy(trace.graphs, scc)
+        if cls is not None:
+            raise AssertionError(f"unexpected {cls} leaf SCC at iteration start")
+        reps = [min(c) for c in graphs.u_components(trace.graphs, scc)]
+        options.append((tuple(sorted(scc)),
+                        tuple(map(edge_key, reps, reps[1:]))))
+    return options
+
+
+def reference_deterministic(g):
+    trace = GroundingTrace.from_graphs(g)
+    _reference_sweep(trace, None)
+    trace.n_connected = sum(1 for step in trace.log if step["step"] == "i")
+    trace.n_remaining = len(leaf_scc_sets(trace.graphs))
+    for _ in range(_CAP):
+        if not leaf_scc_sets(trace.graphs):
+            return trace
+        if graphs.leaf_sccs_of_class(trace.graphs, LeafClass.MESSAGE_CONNECTED):
+            trace.log.append({"step": "iv-0"})
+            _reference_sweep(trace, 1)
+        else:
+            scc_t, edges = _phase2_branch_options(trace)[0]
+            trace.log.append({"step": "iv-a", "scc": list(scc_t)})
+            _apply_edges(trace, frozenset(scc_t), edges)
+            trace.log.append({"step": "iv-c"})
+            _reference_sweep(trace, None)
+        trace.n_iv += 1
+    raise AssertionError("phase 2 failed to terminate")
+
+
+def assert_matches_reference(g):
+    new, ref = run_grounding(g), reference_deterministic(g)
+    assert new.log == ref.log
+    assert ((new.n_connected, new.n_remaining, new.n_iv)
+            == (ref.n_connected, ref.n_remaining, ref.n_iv))
+    assert (new.graphs, new.dummies) == (ref.graphs, ref.dummies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs(max_n=7))
+def test_deterministic_run_matches_the_reference(g):
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 16, 32])
+def test_deterministic_run_matches_the_reference_on_pairing_draws(m):
+    rng = random.Random(f"det-reference/{m}")
+    for _ in range(12):
+        assert_matches_reference(
+            build_graphs(simplify(random_pairing_instance(rng, m))[0]))
+
+
+def test_deterministic_run_matches_the_reference_on_gadgets():
+    k = 20
+    senders, wants = [], []
+    for a in range(1, 3 * k, 3):
+        senders += [{a, a + 1}, {a, a + 2}]
+        wants += [set(), {a, a + 2}, {a + 1}]
+    _, g = simplified_graphs(make_instance(3 * k, senders, wants))
+    assert_matches_reference(g)
+    assert [s["step"] for s in run_grounding(g).log] == ["iii-a"] * k + ["iv-0", "i"] * k
 
 
 # --- structural properties ---------------------------------------------------

@@ -341,6 +341,20 @@ def test_dot_rejects_malformed_trace(capsys, tmp_path, field, value, where):
     assert f"{trace_path}:{where}" in err
 
 
+# Both counts fail Python's own list-size check before anything is
+# allocated; counts between about 10**7 and 2**60 would allocate real
+# memory, so they are not tried.
+@pytest.mark.parametrize("n", [2**62, 10**20])
+def test_dot_guards_a_huge_vertex_count(capsys, tmp_path, n):
+    trace_path = tmp_path / "trace.json"
+    trace_path.write_text(json.dumps({"schema": 1, "steps": [], "final": {
+        "n": n, "arcs": [], "edges": [], "dummies": []}}))
+    rc, out, err = run(capsys, "dot", str(trace_path))
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"guard: {trace_path}:final.n: ")
+    assert "Traceback" not in err
+
+
 def test_outputs_are_byte_identical(capsys):
     first = run(capsys, "report", THREE_PAIRS, "--oracle", "--json")
     second = run(capsys, "report", THREE_PAIRS, "--oracle", "--json")

@@ -17,10 +17,13 @@ import hashlib
 import io
 import json
 import random
+import sys
 import warnings
 from pathlib import Path
 
 from msindex.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 MODES = ((), ("--exhaustive",))
@@ -82,6 +85,15 @@ def test_report_matches_golden(case, tmp_path):
     assert {key: summary[key] for key in case["summary"]} == case["summary"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
 
+
+
+def test_generators_reproduce_the_stored_instances():
+    """The stored corpus is what the generators draw today, so a change
+    to a generator's draws fails here, not as a digest mismatch."""
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+    assert len(stored) == 222
+    assert ([(case["id"], case["flags"], case["instance"]) for case in build_cases()]
+            == [(case["id"], case["flags"], case["instance"]) for case in stored])
 
 if __name__ == "__main__":
     import tempfile

@@ -504,25 +504,26 @@ def test_engine_choices_carry_fresh_caches(g, data):
     leaf SCC or connecting any semi one by any edge set; after each step
     the carried caches, the cover search and the state key are checked."""
     trace = GroundingTrace.from_graphs(g)
-    ctl, limit = bound._START, None
+    stage, once = bound._PRUNE, False
     for _ in range(16):
         kernel_queries(trace.graphs)
-        point = bound._choice_point(trace, limit, ctl)
+        point = bound._choice_point(trace, once, stage)
         if point is not None:
-            ctl, options = point
-            ctl = bound._take(trace, ctl,
-                              data.draw(st.sampled_from(list(islice(options, 40)))))
-        elif not bound._leaf_scc_sets(trace):
+            stage, options = point
+            stage = bound._take(trace, once, stage,
+                                data.draw(st.sampled_from(list(islice(options, 40)))))
+        elif not trace.graphs.leaf_sccs:
             break
         else:
-            ctl, limit = bound._START, 1
+            opening = None
             if not graphs.leaf_sccs_of_class(trace.graphs,
                                              LeafClass.MESSAGE_CONNECTED):
-                scc_t, _ = data.draw(st.sampled_from(
-                    bound._phase2_branch_options(trace)))
-                bound._connect(trace, scc_t, data.draw(st.sampled_from(list(
-                    islice(bound._all_edge_options(trace, frozenset(scc_t)), 20)))))
-                limit = None
+                state = trace.graphs
+                scc = data.draw(st.sampled_from([state.sccs[k]
+                                                 for k in state.leaf_sccs]))
+                opening = scc, data.draw(st.sampled_from(list(
+                    islice(bound._all_edge_options(trace, scc), 20))))
+            stage, once = bound._PRUNE, bound._open(trace, opening)
         assert_carried_caches_fresh(trace.graphs)
         assert_witnesses_match(trace.graphs)
         assert_key_matches(trace)
@@ -539,7 +540,8 @@ def _children(trace):
         step(twin, *args)
         children.append(twin)
 
-    for scc in bound._leaf_scc_sets(trace):
+    g = trace.graphs
+    for scc in (g.sccs[k] for k in g.leaf_sccs):
         cls = graphs.classify_without_degeneracy(trace.graphs, scc)
         for v in sorted(scc):
             child(bound._apply_prune, scc, v)

@@ -18,9 +18,12 @@ import hashlib
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 from msindex.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 GOLDEN = Path(__file__).with_name("oracle_golden.json")
 COMMANDS = {"oracle": ("oracle", "--json"), "report": ("report", "--json", "--oracle")}
@@ -77,6 +80,15 @@ def test_oracle_outputs_match_golden(case, tmp_path):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case[name], name
     assert json.loads(out)["oracle"] == case["length"]
 
+
+
+def test_generators_reproduce_the_stored_instances():
+    """The stored corpus is what the generators draw today, so a change
+    to a generator's draws fails here, not as a digest mismatch."""
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+    assert len(stored) == 68
+    assert ([(case["id"], case["instance"]) for case in build_cases()]
+            == [(case["id"], case["instance"]) for case in stored])
 
 if __name__ == "__main__":
     import tempfile
