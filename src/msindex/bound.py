@@ -250,6 +250,7 @@ def make_message_connected(trace: GroundingTrace, scc: frozenset[int]
 _PRUNE, _DUMMY, _DEGENERATE = range(3)
 _APPLY = (_apply_prune, _apply_dummy, _apply_degenerate_arc)
 _STEP_CAP = 100_000
+_DONE = object()
 
 
 def _choice_point(trace: GroundingTrace, once: bool, stage: int):
@@ -410,12 +411,18 @@ def _run_deterministic(g: GraphPair) -> GroundingTrace:
 def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
     """Every completed sweep from ``trace``, lazily, in shortlex order of
     the choice sequences reaching it: breadth first over choice points.
-    A queue entry is one branch, a paused parent and the option it takes;
-    the branch clones the parent at that choice point, and each entry
-    taken from the queue spends one unit of budget."""
-    queue = deque([(trace, _PRUNE, None)])
+    A queue entry is a paused state with its stage and the lazy options
+    of its choice point.  Each branch taken from the queue clones the
+    state, applies the entry's next option and spends one unit of budget;
+    an entry leaves the queue once its options run out, so an option is
+    generated only when its branch is explored."""
+    queue = deque([(trace, _PRUNE, iter((None,)))])
     while queue:
-        parent, stage, option = queue.popleft()
+        parent, stage, options = queue[0]
+        option = next(options, _DONE)
+        if option is _DONE:
+            queue.popleft()
+            continue
         budget.spend()
         work = parent.clone()
         if option is not None:
@@ -424,8 +431,7 @@ def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
         if point is None:
             yield work
         else:
-            stage, options = point
-            queue.extend((work, stage, o) for o in options)
+            queue.append((work, *point))
 
 
 def _distinct(outcomes):

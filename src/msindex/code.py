@@ -184,28 +184,28 @@ def plan_code(g: GraphPair, trees: list[Tree]) -> CodeBlueprint:
 
 
 def assign_senders(inst: ProblemInstance, blueprint: CodeBlueprint) -> LinearIndexCode:
-    """Attach each planned bit to the smallest sender that can produce it."""
-    def owner_of_pair(i: int, j: int) -> int:
-        for s, ms in enumerate(inst.senders, start=1):
-            if i in ms and j in ms:
-                return s
-        raise ValueError(f"no sender owns both messages {i} and {j}")
+    """Attach each planned bit to the smallest sender that can produce it.
+    Each message lists its owners in index order, so a bit scans only the
+    senders that own its first message."""
+    owners: dict[int, list[int]] = {}
+    for s, ms in enumerate(inst.senders, start=1):
+        for v in ms:
+            owners.setdefault(v, []).append(s)
 
-    def owner_of(i: int) -> int:
-        for s, ms in enumerate(inst.senders, start=1):
-            if i in ms:
-                return s
-        raise ValueError(f"no sender owns message {i}")
+    def row(kind: str, i: int, j: int | None = None) -> CodeRow:
+        for s in owners.get(i, ()):
+            if j is None:
+                return CodeRow(s, 1 << (i - 1), kind)
+            if j in inst.senders[s - 1]:
+                return CodeRow(s, 1 << (i - 1) | 1 << (j - 1), kind)
+        raise ValueError(f"no sender owns message {i}" if j is None
+                         else f"no sender owns both messages {i} and {j}")
 
-    rows = []
-    for tree in blueprint.connecting_trees:
-        for i, j in tree.edges:
-            rows.append(CodeRow(owner_of_pair(i, j), mask_of((i, j)), "tree-xor"))
-    for tree in blueprint.scc_spanning_trees:
-        for i, j in tree.edges:
-            rows.append(CodeRow(owner_of_pair(i, j), mask_of((i, j)), "scc-xor"))
-    for i in blueprint.uncoded:
-        rows.append(CodeRow(owner_of(i), mask_of((i,)), "uncoded"))
+    rows = [row("tree-xor", i, j)
+            for tree in blueprint.connecting_trees for i, j in tree.edges]
+    rows += [row("scc-xor", i, j)
+             for tree in blueprint.scc_spanning_trees for i, j in tree.edges]
+    rows += [row("uncoded", i) for i in blueprint.uncoded]
     return LinearIndexCode(inst.num_messages, tuple(rows))
 
 

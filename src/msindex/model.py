@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Any, Mapping
@@ -44,6 +44,26 @@ class ProblemInstance:
     @property
     def num_senders(self) -> int:
         return len(self.senders)
+
+    # Mask views of the sets, computed on first read and kept.  They are
+    # no fields, so equality and hashing ignore them; `simplify` hands its
+    # result the parent's views cut down to the wanted messages.
+
+    @cached_property
+    def sender_masks(self) -> tuple[int, ...]:
+        return tuple(map(mask_of, self.senders))
+
+    @cached_property
+    def want_masks(self) -> tuple[int, ...]:
+        return tuple(map(mask_of, self.wants))
+
+    @cached_property
+    def carried_mask(self) -> int:
+        """The mask of `carried`."""
+        out = 0
+        for owned in self.sender_masks:
+            out |= owned
+        return out
 
     @property
     def carried(self) -> frozenset[int]:
@@ -500,9 +520,14 @@ def simplify(inst: ProblemInstance) -> tuple[ProblemInstance, frozenset[int]]:
     message indices.  Idempotent.
     """
     wanted = inst.wanted
-    removed = inst.carried - wanted
-    senders = tuple(ms & wanted for ms in inst.senders)
-    return replace(inst, senders=senders, simplified=True), frozenset(removed)
+    keep = mask_of(wanted)
+    simple = ProblemInstance(inst.num_messages,
+                             tuple(ms & wanted for ms in inst.senders),
+                             inst.wants, True)
+    vars(simple).update(
+        sender_masks=tuple(owned & keep for owned in inst.sender_masks),
+        want_masks=inst.want_masks, carried_mask=inst.carried_mask & keep)
+    return simple, frozenset(bits(inst.carried_mask & ~keep))
 
 
 def build_graphs(inst: ProblemInstance) -> GraphPair:
@@ -513,7 +538,7 @@ def build_graphs(inst: ProblemInstance) -> GraphPair:
     if not inst.simplified:
         raise ValueError("instance must be simplified before building graphs")
     n = inst.num_messages
-    pred = [0] + [mask_of(wr) for wr in inst.wants]
+    pred = (0,) + inst.want_masks
     succ, adj = [0] * (n + 1), [0] * (n + 1)
     for j, wr in enumerate(inst.wants, start=1):
         bit = 1 << (j - 1)
@@ -522,12 +547,11 @@ def build_graphs(inst: ProblemInstance) -> GraphPair:
                              f"outside 1..{n} less {j}")
         for i in wr:
             succ[i] |= bit
-    for ms in inst.senders:
-        owned = mask_of(ms)
+    for ms, owned in zip(inst.senders, inst.sender_masks):
         if owned >> n:
             raise ValueError(f"sender set {sorted(ms)} out of range 1..{n}")
         for v in ms:
             adj[v] |= owned
     return GraphPair._of_masks(
-        n, tuple(succ), tuple(pred),
+        n, tuple(succ), pred,
         (0,) + tuple(a & ~(1 << k) for k, a in enumerate(adj[1:])), {})

@@ -74,7 +74,7 @@ class DecodeFailure:
 
 
 def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
-    owned = [mask_of(ms) for ms in inst.senders]
+    owned = inst.sender_masks
     for k, row in enumerate(code.rows):
         if not (1 <= row.sender <= inst.num_senders):
             raise InstanceError(f"rows[{k}]", f"unknown sender {row.sender}")
@@ -84,58 +84,71 @@ def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:
                 f"sender {row.sender}")
 
 
-def _reduce(basis: tuple[int, ...], x: int) -> int:
-    """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
-    canonical representative of the coset ``x + span(basis)``, and 0
-    exactly when ``x`` lies in the span.  Each pivot (lowest set bit of its
-    row) occurs in no other row, so one pass in any order suffices."""
-    for b in basis:
-        if x & b & -b:
-            x ^= b
-    return x
+def _insert(basis: dict[int, int], x: int, width: int = -1) -> bool:
+    """Add ``x`` to the echelon ``basis``, a dict from each row's pivot
+    (the position ``bit_length`` of its lowest set bit) to the row, and
+    return whether it was stored.  While the vector's lowest bit is a
+    pivot, it XORs in that row, which changes only higher bits; it is
+    stored at the first lowest bit that is no pivot, unless it reached 0
+    or that bit lies past ``width`` (if ``width`` >= 0): then x lies in
+    the span on the bits up to ``width``.  Every echelon basis of a span
+    has the same pivots, the lowest bits of its nonzero vectors.
 
-
-def _extend(basis: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The reduced echelon basis of ``span(basis) + r`` for a nonzero
-    ``r = _reduce(basis, r)``: its pivot is cleared from the other rows.
-    Rows are kept in pivot order, so equal spans have equal bases.  No
-    other row's pivot changes (r has no bit below its own pivot), so r is
-    inserted after the rows with a bit below its pivot, which come first,
-    and nothing is re-sorted."""
-    pivot = r & -r
-    below = pivot - 1
-    rows = [b ^ r if b & pivot else b for b in basis]
-    at = 0
-    for b in rows:
-        if not b & below:
-            break
-        at += 1
-    rows.insert(at, r)
-    return tuple(rows)
+    A stored x then replaces the row of the first pivot it met, which is
+    x XOR the later rows met XOR the new row, so pivots and span stay;
+    the XORs (1, j) of a star then take two steps each, not one per
+    earlier row."""
+    first = 0
+    y = x
+    while y:
+        low = (y & -y).bit_length()
+        row = basis.get(low)
+        if row is None:
+            if 0 <= width < low:
+                return False
+            basis[low] = y
+            if first:
+                basis[first] = x
+            return True
+        first = first or low
+        y ^= row
+    return False
 
 
 def _unit_reductions(rows: tuple[CodeRow, ...], m: int) -> tuple[list[int], int]:
-    """``red(e_j)`` for every message j (index 0 unused) modulo the code
-    rows' reduced echelon basis, and the offset of the row tags.
+    """``red(e_j)`` for every message j (index 0 unused), the coset
+    representative of e_j with no pivot bit modulo the span of the code
+    rows, and the offset of the row tags.
 
     Row k carries tag bit ``offset + k``, above every message bit, so the
     tag bits of a reduction name the rows a decoder XORs.  A row whose
     message bits reduce to 0 depends on earlier rows and is left out, so
-    the basis holds the first independent subset of the rows, over which
-    the rows that give a vector are unique.  A unit vector reduces by at
-    most the row it is the pivot of, so each ``red(e_j)`` is one lookup.
-    Receiver r decodes message j by the rows alone when ``red(e_j)`` has
-    no message bits, and with its prior e_r when ``red(e_j) ^ red(e_r)``
-    has none; reduction is linear."""
+    the basis spans the first independent subset of the rows, over which
+    the rows that give a vector are unique.  The representative with no
+    pivot bit is unique, so ``red`` does not depend on the basis chosen:
+    from j = offset down, ``red(e_j)`` is e_j when j is no pivot, else the
+    tag bits of the row of pivot j XOR the ``red`` of its other message
+    bits, all of them higher.  Receiver r decodes message j by the rows
+    alone when ``red(e_j)`` has no message bits, and with its prior e_r
+    when ``red(e_j) ^ red(e_r)`` has none; reduction is linear."""
     offset = max([m] + [row.coeffs.bit_length() for row in rows])
-    messages = (1 << offset) - 1
-    basis: tuple[int, ...] = ()
+    basis: dict[int, int] = {}
     for k, row in enumerate(rows):
-        r = _reduce(basis, row.coeffs | 1 << (offset + k))
-        if r & messages:
-            basis = _extend(basis, r)
-    row_of = {b & -b: b for b in basis}.get
-    return [0] + [u ^ row_of(u, 0) for u in (1 << j for j in range(m))], offset
+        _insert(basis, row.coeffs | 1 << (offset + k), offset)
+    messages = (1 << offset) - 1
+    tags = ~messages
+    red = [0] * (offset + 1)
+    for j in range(offset, 0, -1):
+        row = basis.get(j)
+        if row is None:
+            red[j] = 1 << (j - 1)
+            continue
+        rest = row & (row - 1)
+        t = rest & tags
+        for i in bits(rest & messages):
+            t ^= red[i]
+        red[j] = t
+    return red[:m + 1], offset
 
 
 def _certificate_entries(inst: ProblemInstance, red: list[int],
@@ -177,9 +190,9 @@ def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
         key = red[j] & messages
         group[key] = group.get(key, 0) | 1 << (j - 1)
     alone = group.get(0, 0)
-    carried = mask_of(inst.carried)
-    for r, wanted in enumerate(inst.wants, start=1):
-        missed = mask_of(wanted) & ~alone
+    carried = inst.carried_mask
+    for r, wanted in enumerate(inst.want_masks, start=1):
+        missed = wanted & ~alone
         if missed and carried >> (r - 1) & 1:
             missed &= ~group[red[r] & messages]
         if missed:
@@ -201,7 +214,7 @@ def verify_exhaustive(code: LinearIndexCode, inst: ProblemInstance) -> bool:
     carried_set = inst.carried
     carried = sorted(carried_set)
     receivers = [r for r in range(1, inst.num_messages + 1) if inst.wants[r - 1]]
-    want_masks = {r: mask_of(inst.wants[r - 1]) for r in receivers}
+    want_masks = {r: inst.want_masks[r - 1] for r in receivers}
     seen: dict[int, dict[tuple, int]] = {r: {} for r in receivers}
 
     for bits in range(1 << len(carried)):
@@ -233,48 +246,56 @@ def _candidate_rows(inst: ProblemInstance) -> list[CodeRow]:
             for mask in sorted(best_sender)]
 
 
+def _null_vectors(basis: tuple[int, ...], owned: int) -> Iterator[int]:
+    """A basis of the annihilator inside V_S of the ``basis`` rows, for the
+    sender set S = ``owned``.  The rows restricted to S go into an echelon
+    basis R (`_insert`), which is back-substituted once, highest pivot
+    first, so that each pivot occurs in its own row alone.  Every bit j of
+    S that is no pivot of R then gives one null vector: e_j plus the pivot
+    of each row of R that holds j (every row meets it in 0 or 2 bits), so
+    there are |S| - rank(R) of them."""
+    rows: dict[int, int] = {}
+    for b in basis:
+        _insert(rows, b & owned)
+    pivots = 0
+    for p in rows:
+        pivots |= 1 << (p - 1)
+    for p in sorted(rows, reverse=True):
+        r = rows[p]
+        for q in bits(r & (r - 1) & pivots):
+            r ^= rows[q]
+        rows[p] = r
+    free = owned & ~pivots
+    while free:
+        j = free & -free
+        free ^= j
+        x = j
+        for p, r in rows.items():
+            if r & j:
+                x |= 1 << (p - 1)
+        yield x
+
+
 def _sender_feasible(basis: tuple[int, ...], senders: list[int],
                      dim_c: int) -> bool:
     """Whether C, the annihilator of ``span(basis)`` inside the carried
     coordinates (``dim_c`` its dimension), is spanned by its vectors that
-    lie inside one sender's set.
-
-    For each sender set S, C ∩ V_S is the annihilator inside V_S of the
-    basis rows restricted to S.  With R the reduced echelon basis of
-    those restrictions, every bit j of S that is no pivot of R gives one
-    null vector: e_j plus the pivot of each row of R that holds j (a
-    pivot occurs in no other row, so every row meets the vector in 0 or
-    2 bits).  These |S| - rank(R) vectors span C ∩ V_S, and their sum
-    over the senders is C exactly when its rank reaches ``dim_c``."""
-    spanned: tuple[int, ...] = ()
+    lie inside one sender's set.  For each sender set S, C ∩ V_S is the
+    annihilator inside V_S of the basis rows restricted to S, spanned by
+    `_null_vectors`; their sum over the senders is C exactly when its rank
+    reaches ``dim_c``."""
+    spanned: dict[int, int] = {}
     for owned in senders:
-        rows: tuple[int, ...] = ()
-        for b in basis:
-            r = _reduce(rows, b & owned)
-            if r:
-                rows = _extend(rows, r)
-        free = owned
-        for r in rows:
-            free &= ~(r & -r)
-        while free:
-            j = free & -free
-            free ^= j
-            x = j
-            for r in rows:
-                if r & j:
-                    x |= r & -r
-            x = _reduce(spanned, x)
-            if x:
-                spanned = _extend(spanned, x)
-                if len(spanned) == dim_c:
-                    return True
+        for x in _null_vectors(basis, owned):
+            if _insert(spanned, x) and len(spanned) == dim_c:
+                return True
     return len(spanned) == dim_c
 
 
 def _allowed_vectors(inst: ProblemInstance) -> set[int]:
     """The nonzero submasks y of the carried messages whose support is
     closed under "t in it and r wants t ⇒ r in it" (`min_linear_length`)."""
-    carried = mask_of(inst.carried)
+    carried = inst.carried_mask
     wanters = [0] * (inst.num_messages + 1)
     for r, wanted in enumerate(inst.wants, start=1):
         for t in wanted:
@@ -318,10 +339,10 @@ def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
     if inst.num_messages > ORACLE_LIMIT:
         raise GuardError(
             f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
-    owned = {mask_of(ms) for ms in inst.senders if ms}
+    owned = set(inst.sender_masks) - {0}
     senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
     levels = _subspace_levels(_allowed_vectors(inst))
-    k = len(inst.carried)
+    k = inst.carried_mask.bit_count()
     for d in range(len(levels) - 2, 0, -1):
         feasible = [basis for basis in levels[d]
                     if _sender_feasible(basis, senders, k - d)]
@@ -396,13 +417,11 @@ def oracle_min_linear(inst: ProblemInstance) -> tuple[int, LinearIndexCode]:
 
     def greedy(dual: tuple[int, ...]) -> tuple[int, ...]:
         chosen: list[int] = []
-        basis: tuple[int, ...] = ()
+        basis: dict[int, int] = {}
         for idx, row in enumerate(candidates):
             if any((row.coeffs & y).bit_count() & 1 for y in dual):
                 continue
-            r = _reduce(basis, row.coeffs)
-            if r:
-                basis = _extend(basis, r)
+            if _insert(basis, row.coeffs):
                 chosen.append(idx)
                 if len(chosen) == length:
                     break

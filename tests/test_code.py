@@ -13,15 +13,17 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from msindex import generate, graphs
-from msindex.code import (EXACT_LIMIT, CodeBlueprint, Tree, _max_packing,
+from msindex.code import (EXACT_LIMIT, CodeBlueprint, CodeRow, LinearIndexCode,
+                          Tree, _max_packing,
                           _tree_candidates, assign_senders,
                           find_connecting_trees, mask_of, plan_code,
                           upper_bound)
-from msindex.model import GraphPair, adjacent, bits, closure
+from msindex.model import GraphPair, adjacent, bits, closure, simplify
 from msindex.verify import DecodeCertificate, rank_decodable
 
 from conftest import gp, simplified_graphs
@@ -223,6 +225,58 @@ def test_assign_senders_rejects_non_edge(two_way):
         scc_spanning_trees=(), uncoded=())
     with pytest.raises(ValueError):
         assign_senders(simple, bp)
+
+
+def _reference_assign_senders(inst, blueprint):
+    """The sender scan that the owner lists replaced: every bit tests
+    every sender in index order."""
+    def owner_of_pair(i, j):
+        for s, ms in enumerate(inst.senders, start=1):
+            if i in ms and j in ms:
+                return s
+        raise ValueError(f"no sender owns both messages {i} and {j}")
+
+    def owner_of(i):
+        for s, ms in enumerate(inst.senders, start=1):
+            if i in ms:
+                return s
+        raise ValueError(f"no sender owns message {i}")
+
+    rows = []
+    for tree in blueprint.connecting_trees:
+        for i, j in tree.edges:
+            rows.append(CodeRow(owner_of_pair(i, j), mask_of((i, j)), "tree-xor"))
+    for tree in blueprint.scc_spanning_trees:
+        for i, j in tree.edges:
+            rows.append(CodeRow(owner_of_pair(i, j), mask_of((i, j)), "scc-xor"))
+    for i in blueprint.uncoded:
+        rows.append(CodeRow(owner_of(i), mask_of((i,)), "uncoded"))
+    return LinearIndexCode(inst.num_messages, tuple(rows))
+
+
+def _assign_outcome(assign, inst, blueprint):
+    try:
+        return assign(inst, blueprint)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_m=6), st.data())
+def test_assign_senders_matches_the_sender_scan(inst, data):
+    # any pairs and messages, owned or not, and messages outside 1..m
+    m = inst.num_messages
+    pairs = st.tuples(st.integers(1, m), st.integers(1, m)).filter(
+        lambda e: e[0] < e[1])
+    trees = st.lists(pairs, max_size=3).map(
+        lambda edges: Tree(frozenset(), tuple(edges)))
+    blueprint = CodeBlueprint(
+        tuple(data.draw(st.lists(trees, max_size=2) if m > 1 else st.just([]))),
+        tuple(data.draw(st.lists(trees, max_size=2) if m > 1 else st.just([]))),
+        tuple(data.draw(st.lists(st.integers(0, m + 1), max_size=4))))
+    for case in (inst, simplify(inst)[0]):
+        assert (_assign_outcome(assign_senders, case, blueprint)
+                == _assign_outcome(_reference_assign_senders, case, blueprint))
 
 
 def test_upper_bounds(three_pairs, triangle, two_way):

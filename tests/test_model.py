@@ -1,12 +1,15 @@
 import json
+import random
 from enum import IntEnum
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from msindex import generate
 from msindex.model import (GraphPair, InstanceError, _parse_index_set,
-                           _require, build_graphs, parse_instance, simplify)
+                           _require, build_graphs, mask_of, parse_instance,
+                           simplify)
 from msindex.verify import oracle_min_linear
 
 from conftest import make_instance
@@ -197,6 +200,7 @@ def test_simplify_may_empty_a_sender():
     simple, removed = simplify(inst)
     assert removed == {1}
     assert simple.senders == (frozenset(), frozenset({2}))
+    assert simple.sender_masks == (0, 0b10) and simple.carried_mask == 0b10
     assert simple.num_senders == 2
     # codelength is unaffected by dropping the dead message
     assert oracle_min_linear(inst)[0] == oracle_min_linear(simple)[0] == 1
@@ -252,3 +256,45 @@ def test_outgoing_arc_iff_wanted(inst):
 def test_oracle_invariant_under_simplification(inst):
     simple, _ = simplify(inst)
     assert oracle_min_linear(inst)[0] == oracle_min_linear(simple)[0]
+
+
+def _assert_mask_views(inst):
+    assert inst.sender_masks == tuple(mask_of(ms) for ms in inst.senders)
+    assert inst.want_masks == tuple(mask_of(wr) for wr in inst.wants)
+    assert inst.carried_mask == mask_of(inst.carried)
+
+
+def _mask_view_cases():
+    rng = random.Random("mask-views")
+    yield make_instance(2, senders=[{1}, {2}], wants=[{2}, {}])
+    yield parse_instance(json.dumps({"num_messages": 3, "senders": [[1, 2, 3]],
+                                     "wants": [[2], [1], []]}))
+    for _ in range(3):
+        yield generate.random_instance(rng, 9)
+        yield generate.random_cycle_instance(rng, 9, sender_size=3)
+        yield generate.random_partitioned_instance(rng, 9)
+
+
+@pytest.mark.parametrize("inst", list(_mask_view_cases()))
+def test_mask_views_match_the_sets(inst):
+    # the views are read before and after simplify, which carries them
+    # over by AND with the wanted messages; the first case empties a sender
+    fresh = type(inst)(inst.num_messages, inst.senders, inst.wants)
+    _assert_mask_views(inst)
+    simple, removed = simplify(inst)
+    twice, _ = simplify(simple)
+    unread, _ = simplify(fresh)
+    for case in (simple, twice, unread, fresh):
+        _assert_mask_views(case)
+    assert simple.carried_mask == inst.carried_mask & ~mask_of(removed)
+    # the views are no fields: equality and hashing are over the sets
+    assert fresh == inst and hash(fresh) == hash(inst)
+    assert simple == twice == unread and hash(simple) == hash(twice)
+    assert "sender_masks" not in repr(simple)
+
+
+@given(instances())
+def test_mask_views_hold_after_simplify(inst):
+    simple, _ = simplify(inst)
+    for case in (inst, simple, simplify(simple)[0]):
+        _assert_mask_views(case)

@@ -11,14 +11,90 @@ from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
 from msindex.model import InstanceError, bits, build_graphs, simplify
 from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
                             DecodeCertificate, DecodeFailure, GuardError,
-                            _allowed_vectors, _candidate_rows, _extend,
-                            _reduce, _subspace_levels, _validate_supports,
-                            check_decode_closure, min_linear_length,
-                            oracle_min_linear, rank_decodable,
-                            verify_exhaustive)
+                            _allowed_vectors, _candidate_rows,
+                            _null_vectors, _sender_feasible,
+                            _subspace_levels, _unit_reductions,
+                            _validate_supports, check_decode_closure,
+                            min_linear_length, oracle_min_linear,
+                            rank_decodable, verify_exhaustive)
 
 from conftest import make_instance, simplified_graphs
 from strategies import codes_for, instance_and_code, instances
+
+
+# The reduced echelon tuple basis, the reference for the pivot-indexed
+# basis of `msindex.verify` and the key form of `_subspace_levels`.
+
+def _reduce(basis: tuple[int, ...], x: int) -> int:
+    """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
+    canonical representative of the coset ``x + span(basis)``, and 0
+    exactly when ``x`` lies in the span.  Each pivot (lowest set bit of its
+    row) occurs in no other row, so one pass in any order suffices."""
+    for b in basis:
+        if x & b & -b:
+            x ^= b
+    return x
+
+
+def _extend(basis: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The reduced echelon basis of ``span(basis) + r`` for a nonzero
+    ``r = _reduce(basis, r)``: its pivot is cleared from the other rows.
+    Rows are kept in pivot order, so equal spans have equal bases.  No
+    other row's pivot changes (r has no bit below its own pivot), so r is
+    inserted after the rows with a bit below its pivot, which come first,
+    and nothing is re-sorted."""
+    pivot = r & -r
+    below = pivot - 1
+    rows = [b ^ r if b & pivot else b for b in basis]
+    at = 0
+    for b in rows:
+        if not b & below:
+            break
+        at += 1
+    rows.insert(at, r)
+    return tuple(rows)
+
+
+def _reference_unit_reductions(rows, m):
+    """`_unit_reductions` on the tuple basis: every code row reduced
+    against the whole basis, and a unit vector reduced by the row it is
+    the pivot of."""
+    offset = max([m] + [row.coeffs.bit_length() for row in rows])
+    messages = (1 << offset) - 1
+    basis: tuple[int, ...] = ()
+    for k, row in enumerate(rows):
+        r = _reduce(basis, row.coeffs | 1 << (offset + k))
+        if r & messages:
+            basis = _extend(basis, r)
+    row_of = {b & -b: b for b in basis}.get
+    return [0] + [u ^ row_of(u, 0) for u in (1 << j for j in range(m))], offset
+
+
+def _reference_sender_feasible(basis, senders, dim_c):
+    """`_sender_feasible` on the tuple basis."""
+    spanned: tuple[int, ...] = ()
+    for owned in senders:
+        rows: tuple[int, ...] = ()
+        for b in basis:
+            r = _reduce(rows, b & owned)
+            if r:
+                rows = _extend(rows, r)
+        free = owned
+        for r in rows:
+            free &= ~(r & -r)
+        while free:
+            j = free & -free
+            free ^= j
+            x = j
+            for r in rows:
+                if r & j:
+                    x |= r & -r
+            x = _reduce(spanned, x)
+            if x:
+                spanned = _extend(spanned, x)
+                if len(spanned) == dim_c:
+                    return True
+    return len(spanned) == dim_c
 
 
 def per_sender_xor(inst):
@@ -319,6 +395,81 @@ def test_extend_keys_equal_spans_equally(vectors, rng):
     assert pivots == sorted(set(pivots))
     assert all(not b & p for b in basis for p in pivots if p != b & -b)
     assert _span_of(basis) == _span_of(vectors)
+
+
+@st.composite
+def _row_lists(draw):
+    """Code rows at m <= 8 (some reaching past m), with zero, repeated and
+    dependent rows mixed in; most random rows have three or more bits."""
+    m = draw(st.integers(1, 8))
+    width = m + draw(st.integers(0, 1))
+    masks = draw(st.lists(st.integers(1, (1 << width) - 1), max_size=m + 2))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "sum")),
+                              max_size=4)):
+        if kind == "zero":
+            new = 0
+        elif not masks:
+            continue
+        elif kind == "repeat":
+            new = draw(st.sampled_from(masks))
+        else:
+            picked = draw(st.lists(st.sampled_from(masks), min_size=2,
+                                   max_size=3))
+            new = 0
+            for x in picked:
+                new ^= x
+        masks.insert(draw(st.integers(0, len(masks))), new)
+    return m, tuple(CodeRow(1, x) for x in masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_lists())
+def test_unit_reductions_match_the_tuple_basis(case):
+    m, rows = case
+    assert _unit_reductions(rows, m) == _reference_unit_reductions(rows, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_m=6))
+def test_sender_feasible_matches_the_tuple_basis(inst):
+    for case in (inst, simplify(inst)[0]):
+        senders = [owned for owned in case.sender_masks if owned]
+        k = case.carried_mask.bit_count()
+        for d, level in enumerate(_subspace_levels(_allowed_vectors(case))):
+            for basis in level:
+                assert (_sender_feasible(basis, senders, k - d)
+                        == _reference_sender_feasible(basis, senders, k - d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(1, (1 << m) - 1), max_size=m + 1),
+    st.integers(1, (1 << m) - 1))))
+def test_null_vectors_span_the_annihilator_inside_the_sender(case):
+    vectors, owned = case
+    basis = _basis_of(vectors)
+    null = list(_null_vectors(basis, owned))
+    assert all(not x & ~owned for x in null)
+    assert all(not (x & b).bit_count() & 1 for x in null for b in basis)
+    # independent, and as many as the annihilator's dimension in V_S
+    assert len(_basis_of(null)) == len(null)
+    restricted = _basis_of(b & owned for b in basis)
+    assert len(null) == owned.bit_count() - len(restricted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda m: st.tuples(
+    st.integers(1, (1 << m) - 1),
+    st.lists(st.integers(1, (1 << m) - 1), max_size=4),
+    st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=4))))
+def test_sender_feasible_matches_the_tuple_basis_on_any_span(case):
+    # any span inside the carried coordinates K, any sender sets in K
+    carried, vectors, owned = case
+    basis = _basis_of(v & carried for v in vectors)
+    senders = [s & carried for s in owned if s & carried]
+    dim_c = carried.bit_count() - len(basis)
+    assert (_sender_feasible(basis, senders, dim_c)
+            == _reference_sender_feasible(basis, senders, dim_c))
 
 
 def _all_wants(m):
