@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Any, Mapping
@@ -40,30 +40,25 @@ class ProblemInstance:
     senders: tuple[frozenset[int], ...]
     wants: tuple[frozenset[int], ...]
     simplified: bool = False
+    # Mask views of the sets (``carried_mask`` is the mask of `carried`),
+    # filled once at construction.  They are no arguments, and equality,
+    # hashing and repr ignore them.
+    sender_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    want_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    carried_mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        senders = tuple(map(mask_of, self.senders))
+        carried = 0
+        for owned in senders:
+            carried |= owned
+        vars(self).update(sender_masks=senders,
+                          want_masks=tuple(map(mask_of, self.wants)),
+                          carried_mask=carried)
 
     @property
     def num_senders(self) -> int:
         return len(self.senders)
-
-    # Mask views of the sets, computed on first read and kept.  They are
-    # no fields, so equality and hashing ignore them; `simplify` hands its
-    # result the parent's views cut down to the wanted messages.
-
-    @cached_property
-    def sender_masks(self) -> tuple[int, ...]:
-        return tuple(map(mask_of, self.senders))
-
-    @cached_property
-    def want_masks(self) -> tuple[int, ...]:
-        return tuple(map(mask_of, self.wants))
-
-    @cached_property
-    def carried_mask(self) -> int:
-        """The mask of `carried`."""
-        out = 0
-        for owned in self.sender_masks:
-            out |= owned
-        return out
 
     @property
     def carried(self) -> frozenset[int]:
@@ -521,12 +516,14 @@ def simplify(inst: ProblemInstance) -> tuple[ProblemInstance, frozenset[int]]:
     """
     wanted = inst.wanted
     keep = mask_of(wanted)
-    simple = ProblemInstance(inst.num_messages,
-                             tuple(ms & wanted for ms in inst.senders),
-                             inst.wants, True)
+    # a copy with the sender sets and their views cut down, so the views
+    # are not built again from the sets
+    simple = object.__new__(ProblemInstance)
     vars(simple).update(
+        vars(inst), senders=tuple(ms & wanted for ms in inst.senders),
+        simplified=True,
         sender_masks=tuple(owned & keep for owned in inst.sender_masks),
-        want_masks=inst.want_masks, carried_mask=inst.carried_mask & keep)
+        carried_mask=inst.carried_mask & keep)
     return simple, frozenset(bits(inst.carried_mask & ~keep))
 
 

@@ -14,10 +14,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from . import graphs
 from .code import CodeRow, LinearIndexCode
-from .model import (InstanceError, ProblemInstance, adjacent, bits,
-                    build_graphs, mask_of, simplify)
+from .model import InstanceError, ProblemInstance, bits, mask_of
 
 EXHAUSTIVE_LIMIT = 20
 ORACLE_LIMIT = 8
@@ -246,90 +244,112 @@ def _candidate_rows(inst: ProblemInstance) -> list[CodeRow]:
             for mask in sorted(best_sender)]
 
 
-def _null_vectors(basis: tuple[int, ...], owned: int) -> Iterator[int]:
-    """A basis of the annihilator inside V_S of the ``basis`` rows, for the
-    sender set S = ``owned``.  The rows restricted to S go into an echelon
-    basis R (`_insert`), which is back-substituted once, highest pivot
-    first, so that each pivot occurs in its own row alone.  Every bit j of
-    S that is no pivot of R then gives one null vector: e_j plus the pivot
-    of each row of R that holds j (every row meets it in 0 or 2 bits), so
-    there are |S| - rank(R) of them."""
-    rows: dict[int, int] = {}
-    for b in basis:
-        _insert(rows, b & owned)
-    pivots = 0
-    for p in rows:
-        pivots |= 1 << (p - 1)
-    for p in sorted(rows, reverse=True):
-        r = rows[p]
-        for q in bits(r & (r - 1) & pivots):
-            r ^= rows[q]
-        rows[p] = r
-    free = owned & ~pivots
-    while free:
-        j = free & -free
-        free ^= j
-        x = j
-        for p, r in rows.items():
-            if r & j:
-                x |= 1 << (p - 1)
-        yield x
+def _submasks(mask: int) -> int:
+    """The bitset of the submasks of ``mask``: bit y is set for each
+    y ⊆ mask.  It is built by doubling: each bit b of the mask adds the
+    copy shifted by b, the submasks that hold b."""
+    out = 1
+    while mask:
+        low = mask & -mask
+        out |= out << low
+        mask ^= low
+    return out
 
 
-def _sender_feasible(basis: tuple[int, ...], senders: list[int],
-                     dim_c: int) -> bool:
-    """Whether C, the annihilator of ``span(basis)`` inside the carried
-    coordinates (``dim_c`` its dimension), is spanned by its vectors that
-    lie inside one sender's set.  For each sender set S, C ∩ V_S is the
-    annihilator inside V_S of the basis rows restricted to S, spanned by
-    `_null_vectors`; their sum over the senders is C exactly when its rank
-    reaches ``dim_c``."""
-    spanned: dict[int, int] = {}
-    for owned in senders:
-        for x in _null_vectors(basis, owned):
-            if _insert(spanned, x) and len(spanned) == dim_c:
-                return True
-    return len(spanned) == dim_c
-
-
-def _allowed_vectors(inst: ProblemInstance) -> set[int]:
-    """The nonzero submasks y of the carried messages whose support is
-    closed under "t in it and r wants t ⇒ r in it" (`min_linear_length`)."""
+def _allowed_set(inst: ProblemInstance) -> int:
+    """The bitset of the allowed vectors (`min_linear_length`), the
+    nonzero y ⊆ K closed under "t in y and r wants t ⇒ r in y".  For
+    each t of K, y lacks t or holds N_t = {t} ∪ wanters(t): the
+    submasks of K ∖ N_t shifted by N_t, which fall outside the submasks
+    of K, where the AND starts, unless N_t ⊆ K."""
     carried = inst.carried_mask
     wanters = [0] * (inst.num_messages + 1)
-    for r, wanted in enumerate(inst.wants, start=1):
-        for t in wanted:
-            wanters[t] |= 1 << (r - 1)
-    allowed = set()
-    y = carried
-    while y:
-        if not adjacent(wanters, y) & ~y:
-            allowed.add(y)
-        y = (y - 1) & carried
-    return allowed
+    for r, wanted in enumerate(inst.want_masks):
+        for t in bits(wanted):
+            wanters[t] |= 1 << r
+    allowed = _submasks(carried)
+    for t in bits(carried):
+        closed = 1 << (t - 1) | wanters[t]
+        allowed &= (_submasks(carried & ~(1 << (t - 1)))
+                    | _submasks(carried & ~closed) << closed)
+    return allowed & ~1
 
 
-def _subspace_levels(allowed: set[int]) -> list[dict[tuple[int, ...], frozenset[int]]]:
-    """Every subspace whose nonzero vectors all lie in ``allowed``, by
-    dimension: its reduced echelon basis mapped to ``ext``, the vectors w
-    whose coset w + span lies in ``allowed``, so that adding w keeps the
-    subspace inside.  Each subspace is built once, from its one parent,
-    the span of its rows other than the lowest-pivot row ``basis[0]``: a
-    basis grows only by a reduced v whose pivot lies below ``basis[0]``'s,
-    which puts v first and changes no other row."""
-    levels = [{(): frozenset(allowed)}]
-    while levels[-1]:
-        grown: dict[tuple[int, ...], frozenset[int]] = {}
-        for basis, ext in levels[-1].items():
-            pivots = 0
-            for b in basis:
-                pivots |= b & -b
-            below = (basis[0] & -basis[0]) - 1 if basis else -1
-            for v in ext:
-                if v & below and not v & pivots:
-                    grown[(v,) + basis] = frozenset(w for w in ext if w ^ v in ext)
-        levels.append(grown)
-    return levels
+class _Packing:
+    """The state of a subspace D of the dual search as one int: bitsets
+    over the 2^m vectors (bit y stands for vector y), packed as segments
+    of ``width`` = 2^m bits.  Segment 0 holds ext(D), and segment j the
+    lift L_S = D + V_{K∖S} = {y ⊆ K : y & S ∈ D & S} of the j-th sender
+    set S.
+
+    Growing D by v translates the whole int by v, one swap of the bits y
+    and y ^ b for each bit b of v: ``((x >> b) & keep[b]) | ((x & keep[b])
+    << b)``, where ``keep[b]`` marks the y ⊆ K without b in every
+    segment, and ``no_lower[b]`` marks the y ⊆ K with no bit below b
+    in segment 0.  A lift L grows to L + ⟨v⟩ = L ∪ (L ^ v), and ext to
+    ext ∩ (ext ^ v)."""
+
+    def __init__(self, m: int, carried: int, senders: list[int]):
+        self.width = 1 << m
+        self.ext = (1 << self.width) - 1
+        self.space = _submasks(carried)
+        self.lifts = len(senders)
+        rep = ((1 << self.width * (1 + self.lifts)) - 1) // self.ext
+        self.keep, self.no_lower = {}, {}
+        for i in bits(carried):
+            b = 1 << (i - 1)
+            self.keep[b] = _submasks(carried & ~b) * rep
+            self.no_lower[b] = _submasks(carried & -b)
+        self.root = 0
+        for j, owned in enumerate(senders, start=1):
+            self.root |= _submasks(carried & ~owned) << j * self.width
+
+    def grow(self, x: int, v: int) -> int:
+        """The packed int of D + ⟨v⟩, from the packed int ``x`` of D."""
+        t = x
+        while v:
+            b = v & -v
+            v ^= b
+            keep = self.keep[b]
+            t = ((t >> b) & keep) | ((t & keep) << b)
+        return (x | t) ^ ((x ^ t) & self.ext)
+
+    def feasible(self, x: int, dim: int) -> bool:
+        """Whether C = D^⊥ is the sum of its parts inside the sender sets,
+        for the D of dimension ``dim`` packed in ``x``: whether the lifts
+        meet in D.  They all contain D, so that holds exactly when their
+        intersection has 2^dim vectors."""
+        meet = self.space
+        for _ in range(self.lifts):
+            x >>= self.width
+            meet &= x
+        return meet.bit_count() == 1 << dim
+
+    def levels(self, allowed: int) -> list[dict[tuple[int, ...], int]]:
+        """Every subspace whose nonzero vectors all lie in the bitset
+        ``allowed``, by dimension: its reduced echelon basis mapped to its
+        packed int.  Each subspace is built once, from its one parent, the
+        span of its rows other than the lowest-pivot row ``basis[0]``: a
+        basis grows only by a reduced v whose pivot lies below
+        ``basis[0]``'s, which puts v first and changes no other row.  So
+        the children are the members of ext with no pivot bit (``keep``)
+        and a bit below ``basis[0]``'s pivot (outside ``no_lower``)."""
+        levels = [{(): allowed | self.root}]
+        while levels[-1]:
+            grown: dict[tuple[int, ...], int] = {}
+            for basis, x in levels[-1].items():
+                children = x & self.ext
+                if basis:
+                    children &= ~self.no_lower[basis[0] & -basis[0]]
+                for b in basis:
+                    children &= self.keep[b & -b]
+                while children:
+                    low = children & -children
+                    children ^= low
+                    v = low.bit_length() - 1
+                    grown[(v,) + basis] = self.grow(x, v)
+            levels.append(grown)
+        return levels
 
 
 def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
@@ -341,11 +361,12 @@ def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
             f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
     owned = set(inst.sender_masks) - {0}
     senders = [s for s in owned if not any(s != o and s & o == s for o in owned)]
-    levels = _subspace_levels(_allowed_vectors(inst))
+    packing = _Packing(inst.num_messages, inst.carried_mask, senders)
+    levels = packing.levels(_allowed_set(inst))
     k = inst.carried_mask.bit_count()
     for d in range(len(levels) - 2, 0, -1):
-        feasible = [basis for basis in levels[d]
-                    if _sender_feasible(basis, senders, k - d)]
+        feasible = [basis for basis, x in levels[d].items()
+                    if packing.feasible(x, d)]
         if feasible:
             return k - d, feasible
     return k, [()]
@@ -366,21 +387,25 @@ def min_linear_length(inst: ProblemInstance) -> int:
     is a subset of K closed under "t in it and r wants t ⇒ r in it".
 
     Feasibility.  C is the row space of rows inside single senders'
-    sets exactly when C = Σ_s (C ∩ V_{S_s}), one null space and one rank
-    step per sender (`_sender_feasible`); a sender set inside another
-    adds nothing.  Feasibility is not monotone in D, so it is tested on
+    sets exactly when C = Σ_S (C ∩ V_S) over the sender sets S; a set
+    inside another adds nothing.  The sum lies in C, and its annihilator
+    is ∩_S (D + V_{K∖S}), so C is feasible exactly when D equals the
+    intersection of its lifts L_S = D + V_{K∖S}, the y ⊆ K with
+    y & S ∈ D & S.  Feasibility is not monotone in D, so it is tested on
     each allowed subspace in turn, never inferred from a larger one.
 
-    Search.  The allowed vectors are the submasks of K that pass the
-    closure test, at most 256 under the size guard.  A subspace is keyed
-    by its reduced echelon basis and carries ``ext``, the vectors w
-    whose whole coset w + D is allowed; it grows by the members of
-    ``ext`` that its basis leaves unchanged (one per coset), and
-    ext(D + ⟨v⟩) = {w ∈ ext(D) : w ^ v ∈ ext(D)}.  The levels are built
-    by dimension, then tested from the top: the optimum is |K| minus the
-    largest dimension with a feasible subspace.  D = 0 is feasible, as
-    every message of K is owned by some sender, so the answer is at
-    most |K|.
+    Search.  Every set of vectors is a bitset over the 2^m vectors, at
+    most 256 bits under the size guard (`_Packing`).  The allowed set is
+    built by AND over the messages of K (`_allowed_set`).  A subspace is
+    keyed by its reduced echelon basis and carries one int, whose
+    segments are ``ext``, the vectors w whose whole coset w + D is
+    allowed, and each lift L_S.  It grows by the members of ``ext`` that
+    its basis leaves unchanged (one per coset); D + ⟨v⟩ costs one
+    translation T of that int by v, with ext(D + ⟨v⟩) = ext ∩ T(ext) and
+    each lift L ∪ T(L).  The levels are built by dimension, then tested
+    from the top: the optimum is |K| minus the largest dimension with a
+    feasible subspace.  D = 0 is feasible, as every message of K is owned
+    by some sender, so the answer is at most |K|.
 
     The instance is searched as given.  Simplifying it first leaves the
     optimum unchanged: deleting the coordinates of messages nobody wants
@@ -432,61 +457,8 @@ def oracle_min_linear(inst: ProblemInstance) -> tuple[int, LinearIndexCode]:
                                    tuple(candidates[k] for k in hit))
 
 
-@dataclass(frozen=True)
-class ClosureViolation:
-    rule: str
-    receiver: int | None
-    message: int
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    violations: tuple[ClosureViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> ClosureReport:
-    """Structural facts every valid code must satisfy, checked as rank facts.
-
-    predecessor: each receiver can decode every predecessor's message.
-    leaf-predecessor: predecessors of leaf vertices decode from the rows
-    alone.  disconnected-scc: messages of message-disconnected leaf SCCs
-    decode from the rows alone.
-    """
-    simple, _ = simplify(inst)
-    g = build_graphs(simple)
-    violations = []
-    red, offset = _unit_reductions(code.rows, simple.num_messages)
-    messages = (1 << offset) - 1
-
-    plain_targets: set[tuple[str, int]] = set()
-    for v in sorted(graphs.leaf_vertices(g)):
-        for j in sorted(graphs.predecessors(g, v)):
-            plain_targets.add(("leaf-predecessor", j))
-    for scc in graphs.leaf_sccs_of_class(
-            g, graphs.LeafClass.MESSAGE_DISCONNECTED):
-        for j in sorted(scc):
-            plain_targets.add(("disconnected-scc", j))
-    for rule, j in sorted(plain_targets):
-        if red[j] & messages:
-            violations.append(ClosureViolation(rule, None, j))
-
-    carried = simple.carried
-    for r in range(1, g.n + 1):
-        for j in sorted(graphs.predecessors(g, r) & carried):
-            if red[j] & messages and (r not in carried
-                                      or (red[j] ^ red[r]) & messages):
-                violations.append(ClosureViolation("predecessor", r, j))
-    return ClosureReport(tuple(violations))
-
-
 __all__ = [
     "GuardError", "CertEntry", "DecodeCertificate", "DecodeFailure",
     "rank_decodable", "verify_exhaustive", "min_linear_length",
-    "oracle_min_linear",
-    "ClosureViolation", "ClosureReport", "check_decode_closure",
-    "EXHAUSTIVE_LIMIT", "ORACLE_LIMIT",
+    "oracle_min_linear", "EXHAUSTIVE_LIMIT", "ORACLE_LIMIT",
 ]

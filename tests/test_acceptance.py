@@ -14,9 +14,10 @@ from msindex.graphs import (LeafClass, classify_all, grounded_set,
                             is_grounded_digraph, num_out_vertices,
                             scc_decompose)
 from msindex.model import build_graphs, parse_instance, simplify
-from msindex.verify import (DecodeCertificate, check_decode_closure,
-                            oracle_min_linear, rank_decodable,
-                            verify_exhaustive)
+from msindex.verify import (DecodeCertificate, oracle_min_linear,
+                            rank_decodable, verify_exhaustive)
+
+from decode_closure import check_decode_closure
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
 

@@ -1,5 +1,7 @@
 import random
+import sys
 import warnings
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -8,22 +10,26 @@ from hypothesis import given, settings
 from msindex import generate, graphs
 from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
     find_connecting_trees, mask_of, plan_code
-from msindex.model import InstanceError, bits, build_graphs, simplify
-from msindex.verify import (CertEntry, ClosureReport, ClosureViolation,
-                            DecodeCertificate, DecodeFailure, GuardError,
-                            _allowed_vectors, _candidate_rows,
-                            _null_vectors, _sender_feasible,
-                            _subspace_levels, _unit_reductions,
-                            _validate_supports, check_decode_closure,
-                            min_linear_length, oracle_min_linear,
-                            rank_decodable, verify_exhaustive)
+from msindex.model import (InstanceError, adjacent, bits, build_graphs,
+                           simplify)
+from msindex.verify import (CertEntry, DecodeCertificate, DecodeFailure,
+                            GuardError, _allowed_set, _candidate_rows,
+                            _insert, _Packing, _unit_reductions,
+                            _validate_supports, min_linear_length,
+                            oracle_min_linear, rank_decodable,
+                            verify_exhaustive)
 
 from conftest import make_instance, simplified_graphs
+from decode_closure import (ClosureReport, ClosureViolation,
+                            check_decode_closure)
 from strategies import codes_for, instance_and_code, instances
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from find_gaps import random_pairing_instance  # noqa: E402
 
 
 # The reduced echelon tuple basis, the reference for the pivot-indexed
-# basis of `msindex.verify` and the key form of `_subspace_levels`.
+# basis of `msindex.verify` and the key form of `_Packing.levels`.
 
 def _reduce(basis: tuple[int, ...], x: int) -> int:
     """``x`` with every pivot of the reduced echelon ``basis`` cleared: the
@@ -68,6 +74,50 @@ def _reference_unit_reductions(rows, m):
             basis = _extend(basis, r)
     row_of = {b & -b: b for b in basis}.get
     return [0] + [u ^ row_of(u, 0) for u in (1 << j for j in range(m))], offset
+
+
+def _null_vectors(basis, owned):
+    """A basis of the annihilator inside V_S of the ``basis`` rows, for the
+    sender set S = ``owned``.  The rows restricted to S go into an echelon
+    basis R (`_insert`), which is back-substituted once, highest pivot
+    first, so that each pivot occurs in its own row alone.  Every bit j of
+    S that is no pivot of R then gives one null vector: e_j plus the pivot
+    of each row of R that holds j (every row meets it in 0 or 2 bits), so
+    there are |S| - rank(R) of them."""
+    rows: dict[int, int] = {}
+    for b in basis:
+        _insert(rows, b & owned)
+    pivots = 0
+    for p in rows:
+        pivots |= 1 << (p - 1)
+    for p in sorted(rows, reverse=True):
+        r = rows[p]
+        for q in bits(r & (r - 1) & pivots):
+            r ^= rows[q]
+        rows[p] = r
+    free = owned & ~pivots
+    while free:
+        j = free & -free
+        free ^= j
+        x = j
+        for p, r in rows.items():
+            if r & j:
+                x |= 1 << (p - 1)
+        yield x
+
+
+def _sender_feasible(basis, senders, dim_c):
+    """Whether C, the annihilator of ``span(basis)`` inside the carried
+    coordinates (``dim_c`` its dimension), is spanned by its vectors that
+    lie inside one sender's set: whether the senders' null spaces
+    (`_null_vectors`) sum to rank ``dim_c`` on the pivot-indexed basis.
+    The reference for the closure test of `_Packing.feasible`."""
+    spanned: dict[int, int] = {}
+    for owned in senders:
+        for x in _null_vectors(basis, owned):
+            if _insert(spanned, x) and len(spanned) == dim_c:
+                return True
+    return len(spanned) == dim_c
 
 
 def _reference_sender_feasible(basis, senders, dim_c):
@@ -310,6 +360,57 @@ def test_dual_length_and_witness_match_the_primal_scan(inst):
         assert oracle_min_linear(case) == reference
 
 
+def _allowed_vectors(inst):
+    """The nonzero submasks y of the carried messages whose support is
+    closed under "t in it and r wants t ⇒ r in it", by a scan over every
+    submask: the reference for `_allowed_set`."""
+    carried = inst.carried_mask
+    wanters = [0] * (inst.num_messages + 1)
+    for r, wanted in enumerate(inst.wants, start=1):
+        for t in wanted:
+            wanters[t] |= 1 << (r - 1)
+    allowed = set()
+    y = carried
+    while y:
+        if not adjacent(wanters, y) & ~y:
+            allowed.add(y)
+        y = (y - 1) & carried
+    return allowed
+
+
+def _members(bitset):
+    """The vectors of a bitset over the vectors, in increasing order."""
+    return [y for y in range(bitset.bit_length()) if bitset >> y & 1]
+
+
+def _packing(inst):
+    """The packing of an instance over all its nonempty sender sets."""
+    return _Packing(inst.num_messages, inst.carried_mask,
+                    [owned for owned in inst.sender_masks if owned])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_m=8))
+def test_allowed_set_matches_the_submask_scan(inst):
+    for case in (inst, simplify(inst)[0]):
+        assert _members(_allowed_set(case)) == sorted(_allowed_vectors(case))
+
+
+@pytest.mark.parametrize("family", ["plain", "cycle", "partitioned", "pairing"])
+def test_allowed_set_matches_the_submask_scan_on_draws(family):
+    draw = {"plain": generate.random_instance,
+            "cycle": generate.random_cycle_instance,
+            "partitioned": generate.random_partitioned_instance,
+            "pairing": random_pairing_instance}[family]
+    rng = random.Random(f"allowed/{family}")
+    for m in range(4, 9):
+        for _ in range(10):
+            inst = draw(rng, m)
+            for case in (inst, simplify(inst)[0]):
+                assert (_members(_allowed_set(case))
+                        == sorted(_allowed_vectors(case)))
+
+
 def _reference_levels(allowed):
     """The subspace levels built from every hyperplane of each subspace:
     every basis is extended by every reduced vector of its ``ext``."""
@@ -330,9 +431,36 @@ def _reference_levels(allowed):
 @settings(max_examples=80, deadline=None)
 @given(instances(max_m=6))
 def test_subspace_levels_match_the_hyperplane_loop(inst):
+    # the same keys at every level, each with the same ext
     for case in (inst, simplify(inst)[0]):
-        allowed = _allowed_vectors(case)
-        assert _subspace_levels(allowed) == _reference_levels(allowed)
+        packing = _packing(case)
+        levels = [{basis: frozenset(_members(x & packing.ext))
+                   for basis, x in level.items()}
+                  for level in packing.levels(_allowed_set(case))]
+        assert levels == _reference_levels(_allowed_vectors(case))
+
+
+def test_pairing_m8_builds_each_subspace_once(monkeypatch):
+    # the third pairing m = 8 draw from the seed "x/pairing", the draw CI
+    # runs: its allowed vectors are the 15 unions of its four 2-cycles, so
+    # the levels are the 67 subspaces of F_2^4, each grown once
+    rng = random.Random("x/pairing")
+    inst = [random_pairing_instance(rng, 8) for _ in range(3)][2]
+    grown = []
+    grow = _Packing.grow
+
+    def counted(self, x, v):
+        grown.append(v)
+        return grow(self, x, v)
+
+    monkeypatch.setattr(_Packing, "grow", counted)
+    simple, _ = simplify(inst)
+    levels = _packing(simple).levels(_allowed_set(simple))
+    assert len(_members(_allowed_set(simple))) == 15
+    assert [len(level) for level in levels] == [1, 15, 35, 15, 1, 0]
+    assert len(grown) == 66
+    assert len({_span_of(basis) for level in levels for basis in level}) == 67
+    assert min_linear_length(simple) == 6
 
 
 def test_dual_tests_each_sender_on_its_own():
@@ -435,10 +563,12 @@ def test_sender_feasible_matches_the_tuple_basis(inst):
     for case in (inst, simplify(inst)[0]):
         senders = [owned for owned in case.sender_masks if owned]
         k = case.carried_mask.bit_count()
-        for d, level in enumerate(_subspace_levels(_allowed_vectors(case))):
-            for basis in level:
-                assert (_sender_feasible(basis, senders, k - d)
-                        == _reference_sender_feasible(basis, senders, k - d))
+        packing = _packing(case)
+        for d, level in enumerate(packing.levels(_allowed_set(case))):
+            for basis, x in level.items():
+                expected = _reference_sender_feasible(basis, senders, k - d)
+                assert packing.feasible(x, d) == expected
+                assert _sender_feasible(basis, senders, k - d) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,8 +598,13 @@ def test_sender_feasible_matches_the_tuple_basis_on_any_span(case):
     basis = _basis_of(v & carried for v in vectors)
     senders = [s & carried for s in owned if s & carried]
     dim_c = carried.bit_count() - len(basis)
-    assert (_sender_feasible(basis, senders, dim_c)
-            == _reference_sender_feasible(basis, senders, dim_c))
+    expected = _reference_sender_feasible(basis, senders, dim_c)
+    packing = _Packing(carried.bit_length(), carried, senders)
+    x = packing.root
+    for v in basis:
+        x = packing.grow(x, v)
+    assert packing.feasible(x, len(basis)) == expected
+    assert _sender_feasible(basis, senders, dim_c) == expected
 
 
 def _all_wants(m):
