@@ -3,8 +3,7 @@
 from .model import (GraphPair, InstanceError, ProblemInstance, build_graphs,
                     parse_instance, simplify)
 from .graphs import (DegeneracyWitness, LeafClass, SccReport, classify_all,
-                     classify_leaf_scc, grounded_set, is_degenerated,
-                     is_grounded_digraph, m_neighbors, predecessors,
+                     classify_leaf_scc, grounded_set, is_grounded_digraph,
                      scc_decompose, to_dot)
 from .bound import (GroundingTrace, append_dummy, break_leaf_sccs,
                     lower_bound, lower_bound_prune_all, make_message_connected,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import graphs
-from .model import GraphPair, bits, edge_key, mask_of
+from .model import GraphPair, bits, edge_key
 
 DEFAULT_STATE_BUDGET = 20_000
 
@@ -56,15 +56,16 @@ class GroundingTrace:
 
     ``graphs`` is the current state.  It is immutable and caches every
     query made on it; only the four ``_apply_*`` steps replace it, and a
-    clone shares it until one of them runs.  Each step is logged as its
-    trace document, e.g. ``{"step": "i", "scc": [1, 2], "vertex": 1,
-    "removed_arcs": [[1, 2]]}``.
+    clone shares it until one of them runs.  ``dummies`` is the mask of
+    the appended vertices.  Each step is logged as its trace document,
+    e.g. ``{"step": "i", "scc": [1, 2], "vertex": 1, "removed_arcs":
+    [[1, 2]]}``.
     """
 
     original: GraphPair
     n_real: int
     graphs: GraphPair
-    dummies: frozenset[int] = frozenset()
+    dummies: int = 0
     log: list[dict] = field(default_factory=list)
     n_connected: int = 0
     n_iv: int = 0
@@ -88,7 +89,7 @@ class GroundingTrace:
 
     @property
     def dummy_count(self) -> int:
-        return len(self.dummies)
+        return self.dummies.bit_count()
 
     def clone(self) -> "GroundingTrace":
         twin = object.__new__(GroundingTrace)
@@ -102,7 +103,7 @@ class GroundingTrace:
         message-graph masks."""
         g, n_real = self.graphs, self.n_real
         order = [d for _, d in sorted((tuple(bits(g.pred[d])), d)
-                                      for d in self.dummies)]
+                                      for d in bits(self.dummies))]
         succ = g.succ
         if order != sorted(order):
             moved = {1 << (d - 1): 1 << (n_real + k) for k, d in enumerate(order)}
@@ -119,54 +120,56 @@ class GroundingTrace:
 # ---------------------------------------------------------------------------
 # The individual mutation steps.  Public variants validate their
 # preconditions against the current state; the engine applies the same
-# internals after making its own (already validated) choices.
+# internals after making its own (already validated) choices.  Every
+# vertex set is a mask; the log holds it as a sorted list.
 
-def _apply_prune(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
+def _apply_prune(trace: GroundingTrace, scc: int, v: int) -> None:
     g = trace.graphs
-    trace.graphs = g.prune(mask_of(scc), v)
-    trace.log.append({"step": "i", "scc": sorted(scc), "vertex": v,
+    trace.graphs = g.prune(scc, v)
+    trace.log.append({"step": "i", "scc": list(bits(scc)), "vertex": v,
                       "removed_arcs": [[v, j] for j in bits(g.succ[v])]})
 
 
-def prune_scc(trace: GroundingTrace, scc: frozenset[int], v: int) -> None:
+def prune_scc(trace: GroundingTrace, scc: int, v: int) -> None:
     """Remove every outgoing arc of one chosen vertex of a leaf SCC."""
-    if v not in scc:
-        raise ValueError(f"vertex {v} not in SCC {sorted(scc)}")
+    if v not in bits(scc):
+        raise ValueError(f"vertex {v} not in SCC {list(bits(scc))}")
     if not graphs.is_leaf_scc(trace.graphs, scc):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC of the current state")
+        raise ValueError(f"{list(bits(scc))} is not a leaf SCC of the current state")
     _apply_prune(trace, scc, v)
 
 
-def _apply_dummy(trace: GroundingTrace, scc: frozenset[int], source: int) -> int:
+def _apply_dummy(trace: GroundingTrace, scc: int, source: int) -> int:
     g = trace.graphs
     dummy = g.n + 1
-    trace.graphs = g.add_dummy(mask_of(scc), source)
-    trace.dummies |= {dummy}
-    trace.log.append({"step": "ii", "scc": sorted(scc), "source": source,
+    trace.graphs = g.add_dummy(scc, source)
+    trace.dummies |= 1 << g.n
+    trace.log.append({"step": "ii", "scc": list(bits(scc)), "source": source,
                       "dummy": dummy})
     return dummy
 
 
-def append_dummy(trace: GroundingTrace, scc: frozenset[int]) -> int:
+def append_dummy(trace: GroundingTrace, scc: int) -> int:
     """Ground a message-disconnected leaf SCC by an arc to a fresh leaf.
 
     The dummy carries no message and no edges, and never counts as an
     out-vertex.  Returns the new vertex index.
     """
     if not graphs.is_leaf_scc(trace.graphs, scc):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC of the current state")
+        raise ValueError(f"{list(bits(scc))} is not a leaf SCC of the current state")
     if (graphs.classify_without_degeneracy(trace.graphs, scc)
             is not graphs.LeafClass.MESSAGE_DISCONNECTED):
-        raise ValueError(f"SCC {sorted(scc)} is not message-disconnected")
-    return _apply_dummy(trace, scc, min(scc))
+        raise ValueError(f"SCC {list(bits(scc))} is not message-disconnected")
+    return _apply_dummy(trace, scc, next(bits(scc)))
 
 
-def _apply_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
+def _apply_degenerate_arc(trace: GroundingTrace, scc: int,
                           witness: graphs.DegeneracyWitness,
                           source: int, target: int, tag: str) -> None:
-    trace.graphs = trace.graphs.add_arc(mask_of(scc), source, target)
-    trace.log.append({"step": tag, "scc": sorted(scc), "part": sorted(witness.part),
-                      "cover": sorted(witness.cover), "source": source,
+    trace.graphs = trace.graphs.add_arc(scc, source, target)
+    trace.log.append({"step": tag, "scc": list(bits(scc)),
+                      "part": list(bits(witness.part)),
+                      "cover": list(bits(witness.cover)), "source": source,
                       "target": target})
 
 
@@ -174,13 +177,13 @@ def _witness_action(g: GraphPair, witness: graphs.DegeneracyWitness
                     ) -> tuple[str, list[int]]:
     """Step tag and valid targets for a witness on state g; a witness has
     at most one non-leaf cover vertex."""
-    non_leaf = mask_of(witness.cover) & ~g.leaf_mask
+    non_leaf = witness.cover & ~g.leaf_mask
     if non_leaf:
         return "iii-a", [non_leaf.bit_length()]
-    return "iii-b", sorted(witness.cover)
+    return "iii-b", list(bits(witness.cover))
 
 
-def add_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
+def add_degenerate_arc(trace: GroundingTrace, scc: int,
                        witness: graphs.DegeneracyWitness) -> None:
     """Add the arc a degeneracy witness licenses: from the smallest vertex
     of the witness part to the single non-leaf cover vertex if there is
@@ -188,35 +191,37 @@ def add_degenerate_arc(trace: GroundingTrace, scc: frozenset[int],
     against the current state first."""
     g = trace.graphs
     if not graphs.is_leaf_scc(g, scc):
-        raise StaleWitnessError(f"{sorted(scc)} is not a leaf SCC anymore")
+        raise StaleWitnessError(f"{list(bits(scc))} is not a leaf SCC anymore")
     if graphs.classify_without_degeneracy(g, scc) is not None:
-        raise StaleWitnessError(f"SCC {sorted(scc)} is not semi anymore")
+        raise StaleWitnessError(f"SCC {list(bits(scc))} is not semi anymore")
     if not graphs.check_degeneracy_witness(g, scc, witness):
         raise StaleWitnessError("witness conditions no longer hold")
     if not witness.cover:
         raise StaleWitnessError("vacuous witness has no arc target")
     tag, targets = _witness_action(g, witness)
-    _apply_degenerate_arc(trace, scc, witness, min(witness.part), targets[0], tag)
+    _apply_degenerate_arc(trace, scc, witness, next(bits(witness.part)),
+                          targets[0], tag)
 
 
-def _apply_edges(trace: GroundingTrace, scc: frozenset[int],
+def _apply_edges(trace: GroundingTrace, scc: int,
                  new_edges: tuple[tuple[int, int], ...]) -> None:
     trace.graphs = trace.graphs.add_edges(new_edges)
-    trace.log.append({"step": "iv-b", "scc": sorted(scc),
+    trace.log.append({"step": "iv-b", "scc": list(bits(scc)),
                       "added_edges": [list(e) for e in new_edges]})
 
 
-def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]):
+def _all_edge_options(trace: GroundingTrace, scc: int):
     """Every minimal edge set connecting the message components of an SCC
     (spanning trees over components, arbitrary endpoints), lazily; first
     the deterministic chain through the components' smallest members."""
     comps = graphs.u_components(trace.graphs, scc)
-    first = tuple(edge_key(min(a), min(b)) for a, b in zip(comps, comps[1:]))
+    first = tuple(edge_key(next(bits(a)), next(bits(b)))
+                  for a, b in zip(comps, comps[1:]))
     yield first
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in bits(comp)}
     cross = sorted(edge_key(a, b)
                    for ca, cb in combinations(comps, 2)
-                   for a in ca for b in cb)
+                   for a in bits(ca) for b in bits(cb))
     for subset in combinations(cross, len(comps) - 1):
         joined = graphs.spanning_forest(
             ((comp_of[a], comp_of[b]) for a, b in subset), len(comps))
@@ -224,14 +229,14 @@ def _all_edge_options(trace: GroundingTrace, scc: frozenset[int]):
             yield subset
 
 
-def make_message_connected(trace: GroundingTrace, scc: frozenset[int]
+def make_message_connected(trace: GroundingTrace, scc: int
                            ) -> tuple[tuple[int, int], ...]:
     """Chain the message-graph components of a semi leaf SCC through their
     smallest members; adding edges only relaxes the sender constraints."""
     if not graphs.is_leaf_scc(trace.graphs, scc):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC of the current state")
+        raise ValueError(f"{list(bits(scc))} is not a leaf SCC of the current state")
     if graphs.classify_without_degeneracy(trace.graphs, scc) is not None:
-        raise ValueError(f"SCC {sorted(scc)} is not a semi leaf SCC")
+        raise ValueError(f"SCC {list(bits(scc))} is not a semi leaf SCC")
     added = next(_all_edge_options(trace, scc))
     _apply_edges(trace, scc, added)
     return added
@@ -264,14 +269,14 @@ def _choice_point(trace: GroundingTrace, once: bool, stage: int):
                 g, graphs.LeafClass.MESSAGE_CONNECTED)
             if connected:
                 sccs = connected if once else connected[:1]
-                return stage, ((scc, v) for scc in sccs for v in sorted(scc))
+                return stage, ((scc, v) for scc in sccs for v in bits(scc))
             stage = _DUMMY
         elif stage == _DUMMY:
             disconnected = graphs.leaf_sccs_of_class(
                 g, graphs.LeafClass.MESSAGE_DISCONNECTED)
             if disconnected:
                 scc = disconnected[0]
-                return stage, ((scc, s) for s in sorted(scc))
+                return stage, ((scc, s) for s in bits(scc))
             stage = _DEGENERATE
         else:
             options = _degenerated_options(trace)
@@ -299,7 +304,7 @@ def _degenerated_options(trace: GroundingTrace):
             if not witness.cover:
                 continue
             tag, targets = _witness_action(g, witness)
-            for source in sorted(witness.part):
+            for source in bits(witness.part):
                 for target in targets:
                     yield (scc, witness, source, target, tag)
 
@@ -331,11 +336,11 @@ def _openings(trace: GroundingTrace):
         yield None
         return
     for k in g.leaf_sccs:
-        scc = g.sccs[k]
+        scc = g.scc_masks[k]
         cls = graphs.classify_without_degeneracy(g, scc)
         if cls is not None:
             raise AssertionError(
-                f"unexpected {cls} leaf SCC {sorted(scc)} at iteration start")
+                f"unexpected {cls} leaf SCC {list(bits(scc))} at iteration start")
         for edges in _all_edge_options(trace, scc):
             yield scc, edges
 
@@ -348,7 +353,7 @@ def _open(trace: GroundingTrace, opening) -> bool:
         trace.log.append({"step": "iv-0"})
         return True
     scc, edges = opening
-    trace.log.append({"step": "iv-a", "scc": sorted(scc)})
+    trace.log.append({"step": "iv-a", "scc": list(bits(scc))})
     _apply_edges(trace, scc, edges)
     trace.log.append({"step": "iv-c"})
     return False
@@ -523,8 +528,7 @@ def lower_bound(trace: GroundingTrace) -> int:
         raise ValueError("trace is not a completed run")
     value = (graphs.num_out_vertices(trace.original)
              - (trace.n_connected + trace.n_iv))
-    final = graphs.num_out_vertices(trace.graphs,
-                                    exclude=frozenset(trace.dummies))
+    final = graphs.num_out_vertices(trace.graphs, exclude=trace.dummies)
     if value != final:
         raise AssertionError(
             f"counting identity violated: bound {value} != final V_out {final}")
@@ -537,7 +541,8 @@ def lower_bound_prune_all(g: GraphPair) -> int:
     a full grounding run."""
     trace = GroundingTrace.from_graphs(g)
     for k in g.leaf_sccs:
-        _apply_prune(trace, g.sccs[k], min(g.sccs[k]))
+        scc = g.scc_masks[k]
+        _apply_prune(trace, scc, next(bits(scc)))
     if trace.graphs.leaf_sccs:
         raise AssertionError("pruning every leaf SCC left a leaf SCC behind")
     return graphs.num_out_vertices(trace.graphs)

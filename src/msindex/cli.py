@@ -14,8 +14,8 @@ import sys
 
 from . import bound, code, graphs, verify
 from .analysis import Analysis, analyze
-from .model import (GraphPair, InstanceError, SCHEMA_VERSION, check_schema,
-                    parse_instance)
+from .model import (GraphPair, InstanceError, SCHEMA_VERSION, bits, check_schema,
+                    mask_of, parse_instance)
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -78,7 +78,7 @@ def _trace_to_dict(trace: bound.GroundingTrace) -> dict:
             "n_real": trace.n_real,
             "arcs": sorted([i, j] for (i, j) in g.arcs),
             "edges": sorted([i, j] for (i, j) in g.edges),
-            "dummies": sorted(trace.dummies),
+            "dummies": list(bits(trace.dummies)),
         },
     }
 
@@ -140,14 +140,14 @@ def _scc_table(g: GraphPair) -> list[dict]:
     report = graphs.classify_all(g)
     table = []
     for k, scc in enumerate(report.sccs):
-        entry = {"vertices": sorted(scc), "leaf": k in report.leaf_sccs,
+        entry = {"vertices": list(bits(scc)), "leaf": k in report.leaf_sccs,
                  "class": None}
         if k in report.leaf_sccs:
             entry["class"] = report.classes[k].value
             witness = report.witnesses.get(k)
             if witness is not None:
-                entry["witness"] = {"part": sorted(witness.part),
-                                    "cover": sorted(witness.cover),
+                entry["witness"] = {"part": list(bits(witness.part)),
+                                    "cover": list(bits(witness.cover)),
                                     "vacuous": witness.vacuous}
         table.append(entry)
     return table
@@ -296,8 +296,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _final_state(doc: dict, at: str) -> tuple[GraphPair, frozenset[int]]:
-    """The final graphs and dummies of a trace document, whose fields are
+def _final_state(doc: dict, at: str) -> tuple[GraphPair, int]:
+    """The final graphs and dummy mask of a trace document, whose fields are
     named ``at`` + field in errors.  Every field is checked here, so no
     vertex index reaches the graph kernel unchecked."""
     check_schema(doc, f"{at}schema")
@@ -337,7 +337,7 @@ def _final_state(doc: dict, at: str) -> tuple[GraphPair, frozenset[int]]:
         g = GraphPair(n=n, arcs=arcs, edges=edges)
     except (MemoryError, OverflowError) as exc:
         raise verify.GuardError(f"{where}.n: {n} vertices do not fit in memory") from exc
-    return g, frozenset(vertices(final["dummies"], f"{where}.dummies"))
+    return g, mask_of(vertices(final["dummies"], f"{where}.dummies"))
 
 
 def cmd_dot(args) -> int:

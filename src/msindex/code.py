@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_
 
 from . import graphs
-from .model import GraphPair, ProblemInstance, bits, closure, mask_of
+from .model import GraphPair, ProblemInstance, bits, closure
 
 # above this many vertices, unions of principal down-sets are not candidates
 EXACT_LIMIT = 16
@@ -23,7 +23,7 @@ EXACT_LIMIT = 16
 
 @dataclass(frozen=True)
 class Tree:
-    vertices: frozenset[int]
+    vertices: int  # a vertex mask
     edges: tuple[tuple[int, int], ...]
 
 
@@ -68,15 +68,14 @@ class LinearIndexCode:
         return len(self.rows)
 
 
-def _spanning_tree(g: GraphPair, vs: frozenset[int]) -> tuple[tuple[int, int], ...]:
-    """Kruskal over lexicographically sorted edges; input must induce a
-    connected message subgraph."""
-    inside = mask_of(vs)
+def _spanning_tree(g: GraphPair, vs: int) -> tuple[tuple[int, int], ...]:
+    """Kruskal over lexicographically sorted edges; the vertex mask must
+    induce a connected message subgraph."""
     # the edges inside vs in lexicographic order: each i with its j > i
-    edges = ((i, j) for i in sorted(vs) for j in bits(g.adj[i] & inside >> i << i))
-    chosen = graphs.spanning_forest(edges, len(vs))
-    if len(chosen) != len(vs) - 1:
-        raise ValueError(f"{sorted(vs)} does not induce a connected message subgraph")
+    edges = ((i, j) for i in bits(vs) for j in bits(g.adj[i] & vs >> i << i))
+    chosen = graphs.spanning_forest(edges, vs.bit_count())
+    if len(chosen) != vs.bit_count() - 1:
+        raise ValueError(f"{list(bits(vs))} does not induce a connected message subgraph")
     return tuple(chosen)
 
 
@@ -90,8 +89,8 @@ def _tree_candidates(g: GraphPair) -> list[int]:
     to ``EXACT_LIMIT`` vertices every union of them is a candidate, which
     is every valid set; above it only the principal down-sets are.
     """
-    blocked = g.leaf_mask | mask_of(frozenset().union(*graphs.leaf_sccs_of_class(
-        g, graphs.LeafClass.MESSAGE_CONNECTED)))
+    blocked = g.leaf_mask | sum(graphs.leaf_sccs_of_class(
+        g, graphs.LeafClass.MESSAGE_CONNECTED))
     downs = {comp | closure(g.succ, comp) for comp in g.scc_masks}
     unions = {d for d in downs if not d & blocked}
     if g.n <= EXACT_LIMIT:
@@ -161,26 +160,23 @@ def find_connecting_trees(g: GraphPair) -> list[Tree]:
         warnings.warn(
             f"instance has {g.n} > {EXACT_LIMIT} vertices; "
             "falling back to greedy connecting-tree search")
-    sets = (frozenset(bits(vs)) for vs in _max_packing(_tree_candidates(g)))
-    return [Tree(vs, _spanning_tree(g, vs)) for vs in sets]
+    return [Tree(vs, _spanning_tree(g, vs)) for vs in _max_packing(_tree_candidates(g))]
 
 
 def plan_code(g: GraphPair, trees: list[Tree]) -> CodeBlueprint:
     """Lay out the transmission plan: tree XORs, one spanning tree per
     message-connected leaf SCC, and the leftover non-leaf messages uncoded."""
     scc_trees = []
-    covered: set[int] = set()
+    covered = 0
     for t in trees:
         covered |= t.vertices
     for scc in graphs.leaf_sccs_of_class(g, graphs.LeafClass.MESSAGE_CONNECTED):
         scc_trees.append(Tree(scc, _spanning_tree(g, scc)))
         covered |= scc
-    leaves = graphs.leaf_vertices(g)
-    leftovers = [v for v in g.vertices()
-                 if v not in covered and v not in leaves]
+    leftovers = g.vertex_mask & ~covered & ~graphs.leaf_vertices(g)
     return CodeBlueprint(connecting_trees=tuple(trees),
                          scc_spanning_trees=tuple(scc_trees),
-                         uncoded=tuple(sorted(leftovers)))
+                         uncoded=tuple(bits(leftovers)))
 
 
 def assign_senders(inst: ProblemInstance, blueprint: CodeBlueprint) -> LinearIndexCode:
@@ -219,6 +215,6 @@ def upper_bound(g: GraphPair, trees: list[Tree]) -> int:
 
 
 __all__ = [
-    "Tree", "CodeBlueprint", "CodeRow", "LinearIndexCode", "mask_of",
+    "Tree", "CodeBlueprint", "CodeRow", "LinearIndexCode",
     "find_connecting_trees", "plan_code", "assign_senders", "upper_bound",
 ]

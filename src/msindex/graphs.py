@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .model import GraphPair, adjacent, bits, mask_of
+from .model import GraphPair, adjacent, bits
 
 
 class LeafClass(enum.Enum):
@@ -29,50 +29,43 @@ class DegeneracyWitness:
     ``part`` is one side of a no-edge-across bipartition of the SCC;
     ``cover`` is a vertex set outside the SCC with at most one non-leaf
     member such that every m-neighbor of ``part`` is in ``cover`` or is a
-    predecessor of some vertex in ``cover``.  ``vacuous`` flags the corner
-    case where ``part`` has no m-neighbors at all.
+    predecessor of some vertex in ``cover``.  Both are vertex masks.
+    ``vacuous`` flags the corner case where ``part`` has no m-neighbors at
+    all.
     """
 
-    part: frozenset[int]
-    cover: frozenset[int]
+    part: int
+    cover: int
     vacuous: bool = False
 
 
 @dataclass
 class SccReport:
-    sccs: list[frozenset[int]]
+    sccs: list[int]
     leaf_sccs: list[int]
     classes: dict[int, LeafClass] = field(default_factory=dict)
     witnesses: dict[int, DegeneracyWitness] = field(default_factory=dict)
 
 
 def scc_decompose(g: GraphPair) -> SccReport:
-    """SCCs sorted by smallest member, with the leaf SCCs flagged; classes
-    are left unfilled."""
-    return SccReport(sccs=list(g.sccs), leaf_sccs=list(g.leaf_sccs))
+    """SCC masks sorted by smallest member, with the leaf SCCs flagged;
+    classes are left unfilled."""
+    return SccReport(sccs=list(g.scc_masks), leaf_sccs=list(g.leaf_sccs))
 
 
-def predecessors(g: GraphPair, i: int) -> frozenset[int]:
-    """All j with a directed path j -> ... -> i of length >= 1.
-
-    Includes i itself exactly when i lies on a cycle.
-    """
-    return frozenset(bits(g.ancestors(1 << (i - 1))))
-
-
-def leaf_vertices(g: GraphPair) -> frozenset[int]:
+def leaf_vertices(g: GraphPair) -> int:
     """Vertices with no outgoing arc."""
-    return frozenset(bits(g.leaf_mask))
+    return g.leaf_mask
 
 
-def num_out_vertices(g: GraphPair, exclude: frozenset[int] = frozenset()) -> int:
+def num_out_vertices(g: GraphPair, exclude: int = 0) -> int:
     """Number of vertices with at least one outgoing arc, minus ``exclude``."""
-    return (g.vertex_mask & ~g.leaf_mask & ~mask_of(exclude)).bit_count()
+    return (g.vertex_mask & ~g.leaf_mask & ~exclude).bit_count()
 
 
-def grounded_set(g: GraphPair) -> frozenset[int]:
+def grounded_set(g: GraphPair) -> int:
     """Vertices that are a leaf or a predecessor of some leaf."""
-    return frozenset(bits(g.leaf_mask | g.ancestors(g.leaf_mask)))
+    return g.leaf_mask | g.ancestors(g.leaf_mask)
 
 
 def is_grounded_digraph(g: GraphPair) -> bool:
@@ -82,7 +75,7 @@ def is_grounded_digraph(g: GraphPair) -> bool:
     criterion (no leaf SCC with >= 2 vertices).  The two always agree; a
     mismatch means a bug.
     """
-    direct = len(grounded_set(g)) == g.n
+    direct = grounded_set(g) == g.vertex_mask
     via_condensation = len(scc_decompose(g).leaf_sccs) == 0
     if direct != via_condensation:
         raise AssertionError(
@@ -91,26 +84,14 @@ def is_grounded_digraph(g: GraphPair) -> bool:
     return direct
 
 
-def m_neighbors(g: GraphPair, vs: frozenset[int] | set[int]) -> frozenset[int]:
-    """Vertices outside ``vs`` joined to it by a message-graph edge."""
-    mask = mask_of(vs)
-    return frozenset(bits(adjacent(g.adj, mask) & ~mask))
-
-
-def u_components(g: GraphPair, within: frozenset[int] | set[int]
-                 ) -> list[frozenset[int]]:
+def u_components(g: GraphPair, within: int) -> list[int]:
     """Connected components of the message graph restricted to ``within``,
     ordered by smallest member."""
-    return [frozenset(bits(c)) for c in g.components(mask_of(within))]
+    return g.components(within)
 
 
-def u_connected_globally(g: GraphPair, a: int, b: int) -> bool:
-    """Is there a path between a and b in the whole message graph?"""
-    return a == b or bool(g.u_comp[a] >> (b - 1) & 1)
-
-
-def is_leaf_scc(g: GraphPair, scc: frozenset[int]) -> bool:
-    return any(g.sccs[k] == scc for k in g.leaf_sccs)
+def is_leaf_scc(g: GraphPair, scc: int) -> bool:
+    return any(g.scc_masks[k] == scc for k in g.leaf_sccs)
 
 
 def _covered(g: GraphPair, targets: int, cover: int) -> bool:
@@ -121,7 +102,7 @@ def _covered(g: GraphPair, targets: int, cover: int) -> bool:
     return not targets & ~reach
 
 
-def check_degeneracy_witness(g: GraphPair, scc: frozenset[int],
+def check_degeneracy_witness(g: GraphPair, scc: int,
                              witness: DegeneracyWitness) -> bool:
     """Validate a degeneracy witness against the current graphs.
 
@@ -132,19 +113,18 @@ def check_degeneracy_witness(g: GraphPair, scc: frozenset[int],
     some vertex of ``cover``.
     """
     part, cover = witness.part, witness.cover
-    if not part or not part < scc:
+    if not part or part & ~scc or part == scc:
         return False
-    part_m, scc_m, cover_m = mask_of(part), mask_of(scc), mask_of(cover)
-    touching = adjacent(g.adj, part_m)
-    if touching & scc_m & ~part_m or cover_m & scc_m or cover_m >> g.n:
+    touching = adjacent(g.adj, part)
+    if touching & scc & ~part or cover & scc or cover >> g.n:
         return False
-    non_leaf = cover_m & ~g.leaf_mask
+    non_leaf = cover & ~g.leaf_mask
     if non_leaf & (non_leaf - 1):
         return False
-    return _covered(g, touching & ~part_m, cover_m)
+    return _covered(g, touching & ~part, cover)
 
 
-def iter_degeneracy_witnesses(g: GraphPair, scc: frozenset[int]):
+def iter_degeneracy_witnesses(g: GraphPair, scc: int):
     """Yield every degeneracy witness of a leaf SCC, deterministically.
 
     ``part`` ranges over nonempty proper unions of the components of the
@@ -162,68 +142,51 @@ def iter_degeneracy_witnesses(g: GraphPair, scc: frozenset[int]):
     for every such x.  With none outside ``base`` the leaves alone and
     every w qualify.  Each cover found still passes the full check.
     """
-    scc_m = mask_of(scc)
-    comps = g.components(scc_m)
-    leaves = g.leaf_mask & ~scc_m
-    leaf_set = frozenset(bits(leaves))
+    comps = g.components(scc)
+    leaves = g.leaf_mask & ~scc
     base = leaves | g.ancestors(leaves)
-    others = g.vertex_mask & ~scc_m & ~leaves
+    others = g.vertex_mask & ~scc & ~leaves
     for r in range(1, len(comps)):
         for chosen in combinations(comps, r):
-            part_m = sum(chosen)
-            part = frozenset(bits(part_m))
-            neighbors = adjacent(g.adj, part_m) & ~part_m
+            part = sum(chosen)
+            neighbors = adjacent(g.adj, part) & ~part
             if not neighbors:
-                yield DegeneracyWitness(part, leaf_set, vacuous=True)
+                yield DegeneracyWitness(part, leaves, vacuous=True)
                 continue
             rest = neighbors & ~base
             ws = others
             for x in bits(rest):
                 ws &= 1 << (x - 1) | g.descendants(1 << (x - 1))
-            covers = [] if rest else [leaf_set]
-            for cover in chain(covers, (leaf_set | {w} for w in bits(ws))):
+            covers = [] if rest else [leaves]
+            for cover in chain(covers, (leaves | 1 << (w - 1) for w in bits(ws))):
                 witness = DegeneracyWitness(part, cover)
                 if check_degeneracy_witness(g, scc, witness):
                     yield witness
 
 
-def is_degenerated(g: GraphPair, scc: frozenset[int]
-                   ) -> tuple[bool, DegeneracyWitness | None]:
-    """Decide degeneracy of a semi leaf SCC; returns the first witness."""
-    cls, witness = classify_leaf_scc(g, scc)
-    if cls not in (LeafClass.SEMI_DEGENERATED, LeafClass.SEMI_NON_DEGENERATED):
-        raise ValueError(f"SCC {sorted(scc)} is not a semi leaf SCC")
-    return witness is not None, witness
-
-
-def classify_without_degeneracy(g: GraphPair, scc: frozenset[int]) -> LeafClass | None:
-    """Message-connected/disconnected test; None means semi."""
-    return _class_of_mask(g, mask_of(scc))
-
-
-def _class_of_mask(g: GraphPair, mask: int) -> LeafClass | None:
-    """`classify_without_degeneracy` of a vertex mask, memoized in
+def classify_without_degeneracy(g: GraphPair, scc: int) -> LeafClass | None:
+    """Message-connected/disconnected test; None means semi.  Memoized in
     ``g.leaf_classes``: it reads only the mask and the message graph."""
     memo = g.leaf_classes
-    if mask not in memo:
-        if len(g.components(mask)) <= 1:
-            memo[mask] = LeafClass.MESSAGE_CONNECTED
-        elif g.u_comp[(mask & -mask).bit_length()] & mask != mask:
-            memo[mask] = LeafClass.MESSAGE_DISCONNECTED
+    if scc not in memo:
+        if len(g.components(scc)) <= 1:
+            memo[scc] = LeafClass.MESSAGE_CONNECTED
+        elif g.u_comp[(scc & -scc).bit_length()] & scc != scc:
+            memo[scc] = LeafClass.MESSAGE_DISCONNECTED
         else:
-            memo[mask] = None
-    return memo[mask]
+            memo[scc] = None
+    return memo[scc]
 
 
-def leaf_sccs_of_class(g: GraphPair, cls: LeafClass | None) -> list[frozenset[int]]:
+def leaf_sccs_of_class(g: GraphPair, cls: LeafClass | None) -> list[int]:
     """The message-connected, the message-disconnected or (for ``None``)
     the semi leaf SCCs of g, ordered by smallest member; the degeneracy
     test never runs."""
-    return [g.sccs[k] for k in g.leaf_sccs
-            if _class_of_mask(g, g.scc_masks[k]) is cls]
+    masks = map(g.scc_masks.__getitem__, g.leaf_sccs)
+    return [scc for scc in masks if classify_without_degeneracy(g, scc) is cls]
 
 
-def classify_leaf_scc(g: GraphPair, scc: frozenset[int]
+def classify_leaf_scc(g: GraphPair, scc: int
                       ) -> tuple[LeafClass, DegeneracyWitness | None]:
     """Classify one leaf SCC of g; semi SCCs also get the degeneracy test.
 
@@ -233,7 +196,7 @@ def classify_leaf_scc(g: GraphPair, scc: frozenset[int]
     different graphs.
     """
     if not is_leaf_scc(g, scc):
-        raise ValueError(f"{sorted(scc)} is not a leaf SCC")
+        raise ValueError(f"{list(bits(scc))} is not a leaf SCC")
     cls = classify_without_degeneracy(g, scc)
     if cls is not None:
         return cls, None
@@ -278,25 +241,23 @@ def spanning_forest(pairs, size: int) -> list[tuple[int, int]]:
     return chosen
 
 
-def to_dot(g: GraphPair, dummies: frozenset[int] = frozenset()) -> str:
+def to_dot(g: GraphPair, dummies: int = 0) -> str:
     """DOT rendering: arcs black and directed, message edges red and
     undirected, leaf SCCs as clusters labeled with their class, dummy
-    vertices dashed."""
+    vertices (a mask) dashed."""
     report = classify_all(g)
     lines = ["digraph index_coding {"]
-    clustered: set[int] = set()
+    clustered = 0
     for idx, k in enumerate(report.leaf_sccs):
         scc = report.sccs[k]
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="{report.classes[k].value}";')
-        for v in sorted(scc):
+        for v in bits(scc):
             lines.append(f"    {v};")
         lines.append("  }")
         clustered |= scc
-    for v in g.vertices():
-        if v in clustered:
-            continue
-        if v in dummies:
+    for v in bits(g.vertex_mask & ~clustered):
+        if dummies >> (v - 1) & 1:
             lines.append(f"  {v} [style=dashed];")
         else:
             lines.append(f"  {v};")
@@ -310,9 +271,9 @@ def to_dot(g: GraphPair, dummies: frozenset[int] = frozenset()) -> str:
 
 __all__ = [
     "LeafClass", "DegeneracyWitness", "SccReport",
-    "scc_decompose", "predecessors", "leaf_vertices", "num_out_vertices",
-    "grounded_set", "is_grounded_digraph", "m_neighbors", "is_leaf_scc",
-    "check_degeneracy_witness", "iter_degeneracy_witnesses", "is_degenerated",
+    "scc_decompose", "leaf_vertices", "num_out_vertices",
+    "grounded_set", "is_grounded_digraph", "is_leaf_scc",
+    "check_degeneracy_witness", "iter_degeneracy_witnesses",
     "leaf_sccs_of_class", "classify_leaf_scc", "classify_all",
     "spanning_forest", "to_dot",
 ]

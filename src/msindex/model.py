@@ -251,10 +251,6 @@ class GraphPair:
         return tuple(_decompose(self.succ, self.pred, self.vertex_mask))
 
     @cached_property
-    def sccs(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(bits(comp)) for comp in self.scc_masks)
-
-    @cached_property
     def leaf_sccs(self) -> tuple[int, ...]:
         """Indices of the SCCs with two or more vertices and no arc leaving."""
         return tuple(k for k, comp in enumerate(self.scc_masks)
@@ -296,19 +292,17 @@ class GraphPair:
         status, except ``unleaf``, which loses it."""
         if "leaf_sccs" not in vars(self):
             return {}
-        masks, sets = list(self.scc_masks), list(self.sccs)
+        masks = list(self.scc_masks)
         leaf = set(map(masks.__getitem__, self.leaf_sccs))
         leaf.difference_update(gone, (unleaf,))
         for comp in gone:
-            k = masks.index(comp)
-            del masks[k], sets[k]
+            masks.remove(comp)
         for comp in parts:
             k = bisect(masks, comp & -comp, key=lambda c: c & -c)
             masks.insert(k, comp)
-            sets.insert(k, frozenset(bits(comp)))
             if _is_leaf(succ, comp):
                 leaf.add(comp)
-        return {"scc_masks": tuple(masks), "sccs": tuple(sets),
+        return {"scc_masks": tuple(masks),
                 "leaf_sccs": tuple(compress(range(len(masks)),
                                             map(leaf.__contains__, masks)))}
 
@@ -384,7 +378,7 @@ class GraphPair:
             adj[i] |= 1 << (j - 1)
             adj[j] |= 1 << (i - 1)
         # the arcs are unchanged, and so are the digraph caches
-        caches = self._kept("leaf_mask", "scc_masks", "sccs", "leaf_sccs")
+        caches = self._kept("leaf_mask", "scc_masks", "leaf_sccs")
         caches.update(_ancestors=self._ancestors, _descendants=self._descendants)
         if "u_comp" in vars(self) and all(self.u_comp[i] >> (j - 1) & 1 for i, j in edges):
             caches["u_comp"] = self.u_comp  # each edge lies in one component

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from msindex import graphs
 from msindex.code import LinearIndexCode
-from msindex.model import ProblemInstance, build_graphs, simplify
+from msindex.model import ProblemInstance, bits, build_graphs, simplify
 from msindex.verify import _unit_reductions
 
 
@@ -44,12 +44,12 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
     messages = (1 << offset) - 1
 
     plain_targets: set[tuple[str, int]] = set()
-    for v in sorted(graphs.leaf_vertices(g)):
-        for j in sorted(graphs.predecessors(g, v)):
+    for v in bits(graphs.leaf_vertices(g)):
+        for j in bits(g.ancestors(1 << (v - 1))):
             plain_targets.add(("leaf-predecessor", j))
     for scc in graphs.leaf_sccs_of_class(
             g, graphs.LeafClass.MESSAGE_DISCONNECTED):
-        for j in sorted(scc):
+        for j in bits(scc):
             plain_targets.add(("disconnected-scc", j))
     for rule, j in sorted(plain_targets):
         if red[j] & messages:
@@ -57,7 +57,7 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
 
     carried = simple.carried
     for r in range(1, g.n + 1):
-        for j in sorted(graphs.predecessors(g, r) & carried):
+        for j in bits(g.ancestors(1 << (r - 1)) & simple.carried_mask):
             if red[j] & messages and (r not in carried
                                       or (red[j] ^ red[r]) & messages):
                 violations.append(ClosureViolation("predecessor", r, j))

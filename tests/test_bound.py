@@ -12,10 +12,10 @@ from msindex.bound import (GroundingTrace, StaleWitnessError, _apply_degenerate_
                            add_degenerate_arc, break_leaf_sccs, lower_bound,
                            lower_bound_prune_all, make_message_connected,
                            prune_scc, run_grounding)
-from msindex.graphs import (LeafClass, grounded_set, is_degenerated,
+from msindex.graphs import (LeafClass, classify_leaf_scc, grounded_set,
                             is_grounded_digraph, num_out_vertices, scc_decompose)
 
-from msindex.model import GraphPair, build_graphs, edge_key, simplify
+from msindex.model import GraphPair, bits, build_graphs, edge_key, mask_of, simplify
 
 from conftest import gp, make_instance, simplified_graphs
 from strategies import graph_pairs, instances
@@ -41,15 +41,15 @@ def test_each_step_runs_post_init_once(monkeypatch, three_pairs):
     _, g = simplified_graphs(three_pairs)
     assert len(runs) == 1
     trace = GroundingTrace.from_graphs(g)
-    scc = frozenset({1, 2})
+    scc = mask_of({1, 2})
     leaf_scc_sets(g)
     steps = [lambda: _apply_edges(trace, scc, ((1, 2),)),
              lambda: _apply_dummy(trace, scc, 1),
              lambda: _apply_degenerate_arc(
-                 trace, frozenset({3, 4}),
-                 graphs.DegeneracyWitness(frozenset({3}), frozenset({1})),
+                 trace, mask_of({3, 4}),
+                 graphs.DegeneracyWitness(mask_of({3}), mask_of({1})),
                  3, 1, "iii-a"),
-             lambda: _apply_prune(trace, frozenset({5, 6}), 5)]
+             lambda: _apply_prune(trace, mask_of({5, 6}), 5)]
     for step in steps:
         before = len(runs)
         step()
@@ -60,8 +60,8 @@ def test_each_step_runs_post_init_once(monkeypatch, three_pairs):
 def test_prune_triangle_grounds_everything(triangle):
     _, g = simplified_graphs(triangle)
     trace = GroundingTrace.from_graphs(g)
-    prune_scc(trace, frozenset({1, 2, 3}), 1)
-    assert grounded_set(trace.graphs) == {1, 2, 3}
+    prune_scc(trace, mask_of({1, 2, 3}), 1)
+    assert grounded_set(trace.graphs) == mask_of({1, 2, 3})
     assert trace.log == [{"step": "i", "scc": [1, 2, 3], "vertex": 1,
                           "removed_arcs": [[1, 2]]}]
 
@@ -70,7 +70,7 @@ def test_prune_drops_leaf_scc_count(three_pairs):
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
     assert len(leaf_scc_sets(trace.graphs)) == 3
-    prune_scc(trace, frozenset({1, 2}), 1)
+    prune_scc(trace, mask_of({1, 2}), 1)
     assert len(leaf_scc_sets(trace.graphs)) == 2
 
 
@@ -78,7 +78,7 @@ def test_prune_two_cycle_removes_one_out_vertex(two_way):
     _, g = simplified_graphs(two_way)
     trace = GroundingTrace.from_graphs(g)
     before = num_out_vertices(trace.graphs)
-    prune_scc(trace, frozenset({1, 2}), 2)
+    prune_scc(trace, mask_of({1, 2}), 2)
     assert num_out_vertices(trace.graphs) == before - 1
 
 
@@ -86,23 +86,23 @@ def test_prune_rejects_vertex_outside_scc(two_way):
     _, g = simplified_graphs(two_way)
     trace = GroundingTrace.from_graphs(g)
     with pytest.raises(ValueError):
-        prune_scc(trace, frozenset({1, 2}), 7)
+        prune_scc(trace, mask_of({1, 2}), 7)
 
 
 def test_prune_rejects_non_leaf_scc():
     trace = GroundingTrace.from_graphs(gp(3, arcs=[(1, 2), (2, 1), (1, 3)]))
     with pytest.raises(ValueError):
-        prune_scc(trace, frozenset({1, 2}), 1)
+        prune_scc(trace, mask_of({1, 2}), 1)
 
 
 def test_append_dummy_two_way(two_way):
     _, g = simplified_graphs(two_way)
     trace = GroundingTrace.from_graphs(g)
-    dummy = append_dummy(trace, frozenset({1, 2}))
+    dummy = append_dummy(trace, mask_of({1, 2}))
     assert dummy == 3
     assert (1, 3) in trace.arcs
     assert leaf_scc_sets(trace.graphs) == []
-    assert trace.dummies == {3}
+    assert trace.dummies == mask_of({3})
 
 
 def test_append_dummy_twice_keeps_v_out():
@@ -110,50 +110,51 @@ def test_append_dummy_twice_keeps_v_out():
                          wants=[{2}, {1}, {4}, {3}])
     _, g = simplified_graphs(inst)
     trace = GroundingTrace.from_graphs(g)
-    append_dummy(trace, frozenset({1, 2}))
-    append_dummy(trace, frozenset({3, 4}))
+    append_dummy(trace, mask_of({1, 2}))
+    append_dummy(trace, mask_of({3, 4}))
     assert trace.dummy_count == 2
-    assert num_out_vertices(trace.graphs,
-                            exclude=frozenset(trace.dummies)) == 4
+    assert num_out_vertices(trace.graphs, exclude=trace.dummies) == 4
 
 
 def test_append_dummy_rejects_connected(triangle):
     _, g = simplified_graphs(triangle)
     trace = GroundingTrace.from_graphs(g)
     with pytest.raises(ValueError):
-        append_dummy(trace, frozenset({1, 2, 3}))
+        append_dummy(trace, mask_of({1, 2, 3}))
 
 
 def test_degenerate_arcs_merge_three_pairs(three_pairs):
     # drive the documented middle part of the run by hand
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
-    assert make_message_connected(trace, frozenset({1, 2})) == ((1, 2),)
-    prune_scc(trace, frozenset({1, 2}), 1)
+    assert make_message_connected(trace, mask_of({1, 2})) == ((1, 2),)
+    prune_scc(trace, mask_of({1, 2}), 1)
 
-    degen, witness = is_degenerated(trace.graphs, frozenset({3, 4}))
-    assert degen and witness.part == {3} and witness.cover == {1, 5}
-    add_degenerate_arc(trace, frozenset({3, 4}), witness)
+    cls, witness = classify_leaf_scc(trace.graphs, mask_of({3, 4}))
+    assert cls is LeafClass.SEMI_DEGENERATED
+    assert witness.part == mask_of({3}) and witness.cover == mask_of({1, 5})
+    add_degenerate_arc(trace, mask_of({3, 4}), witness)
     assert (3, 5) in trace.arcs
-    assert frozenset({3, 4}) not in leaf_scc_sets(trace.graphs)
+    assert mask_of({3, 4}) not in leaf_scc_sets(trace.graphs)
 
-    degen, witness = is_degenerated(trace.graphs, frozenset({5, 6}))
-    assert degen and witness.part == {5} and witness.cover == {1, 3}
-    add_degenerate_arc(trace, frozenset({5, 6}), witness)
+    cls, witness = classify_leaf_scc(trace.graphs, mask_of({5, 6}))
+    assert cls is LeafClass.SEMI_DEGENERATED
+    assert witness.part == mask_of({5}) and witness.cover == mask_of({1, 3})
+    add_degenerate_arc(trace, mask_of({5, 6}), witness)
     assert (5, 3) in trace.arcs
-    assert leaf_scc_sets(trace.graphs) == [frozenset({3, 4, 5, 6})]
+    assert leaf_scc_sets(trace.graphs) == [mask_of({3, 4, 5, 6})]
 
     # reusing the consumed witness must fail loudly
     with pytest.raises(StaleWitnessError):
-        add_degenerate_arc(trace, frozenset({5, 6}), witness)
+        add_degenerate_arc(trace, mask_of({5, 6}), witness)
 
 
 def test_degenerate_arc_to_all_leaf_cover_grounds():
     g = gp(3, arcs=[(1, 2), (2, 1)], edges=[(1, 3), (2, 3)])
     trace = GroundingTrace.from_graphs(g)
-    degen, witness = is_degenerated(g, frozenset({1, 2}))
-    assert degen and witness.cover == {3}
-    add_degenerate_arc(trace, frozenset({1, 2}), witness)
+    cls, witness = classify_leaf_scc(g, mask_of({1, 2}))
+    assert cls is LeafClass.SEMI_DEGENERATED and witness.cover == mask_of({3})
+    add_degenerate_arc(trace, mask_of({1, 2}), witness)
     assert (1, 3) in trace.arcs
     assert trace.log[-1]["step"] == "iii-b"
     assert leaf_scc_sets(trace.graphs) == []
@@ -162,9 +163,9 @@ def test_degenerate_arc_to_all_leaf_cover_grounds():
 def test_make_message_connected_two_singletons(three_pairs):
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
-    added = make_message_connected(trace, frozenset({1, 2}))
+    added = make_message_connected(trace, mask_of({1, 2}))
     assert added == ((1, 2),)
-    assert graphs.classify_without_degeneracy(trace.graphs, frozenset({1, 2})) \
+    assert graphs.classify_without_degeneracy(trace.graphs, mask_of({1, 2})) \
         is graphs.LeafClass.MESSAGE_CONNECTED
 
 
@@ -172,7 +173,7 @@ def test_make_message_connected_three_components():
     g = gp(4, arcs=[(1, 2), (2, 3), (3, 1)],
            edges=[(1, 4), (2, 4), (3, 4)])
     trace = GroundingTrace.from_graphs(g)
-    added = make_message_connected(trace, frozenset({1, 2, 3}))
+    added = make_message_connected(trace, mask_of({1, 2, 3}))
     assert added == ((1, 2), (2, 3))
 
 
@@ -180,7 +181,7 @@ def test_make_message_connected_rejects_connected(triangle):
     _, g = simplified_graphs(triangle)
     trace = GroundingTrace.from_graphs(g)
     with pytest.raises(ValueError):
-        make_message_connected(trace, frozenset({1, 2, 3}))
+        make_message_connected(trace, mask_of({1, 2, 3}))
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -318,7 +319,7 @@ def _reference_sweep(trace, prune_limit):
         if stage == _PRUNE:
             connected = graphs.leaf_sccs_of_class(g, LeafClass.MESSAGE_CONNECTED)
             if connected and (prune_limit is None or pruned < prune_limit):
-                _apply_prune(trace, connected[0], min(connected[0]))
+                _apply_prune(trace, connected[0], min(bits(connected[0])))
                 pruned += 1
                 continue
             stage = _DUMMY
@@ -326,7 +327,7 @@ def _reference_sweep(trace, prune_limit):
             disconnected = graphs.leaf_sccs_of_class(
                 g, LeafClass.MESSAGE_DISCONNECTED)
             if disconnected:
-                _apply_dummy(trace, disconnected[0], min(disconnected[0]))
+                _apply_dummy(trace, disconnected[0], min(bits(disconnected[0])))
                 acted = True
                 continue
             stage = _DEGENERATE
@@ -350,8 +351,8 @@ def _phase2_branch_options(trace):
         cls = graphs.classify_without_degeneracy(trace.graphs, scc)
         if cls is not None:
             raise AssertionError(f"unexpected {cls} leaf SCC at iteration start")
-        reps = [min(c) for c in graphs.u_components(trace.graphs, scc)]
-        options.append((tuple(sorted(scc)),
+        reps = [min(bits(c)) for c in graphs.u_components(trace.graphs, scc)]
+        options.append((tuple(bits(scc)),
                         tuple(map(edge_key, reps, reps[1:]))))
     return options
 
@@ -370,7 +371,7 @@ def reference_deterministic(g):
         else:
             scc_t, edges = _phase2_branch_options(trace)[0]
             trace.log.append({"step": "iv-a", "scc": list(scc_t)})
-            _apply_edges(trace, frozenset(scc_t), edges)
+            _apply_edges(trace, mask_of(scc_t), edges)
             trace.log.append({"step": "iv-c"})
             _reference_sweep(trace, None)
         trace.n_iv += 1

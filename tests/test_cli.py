@@ -406,15 +406,20 @@ def _ring(tmp_path, m):
     return path
 
 
-def _tree_fallback():
-    """The pattern the benchmark uses to tell the tree warning from a
-    failed report."""
+def _perfbench(script):
+    """The globals of a script of the benchmark, which is only read."""
     folder = Path(__file__).resolve().parent.parent / "perfbench"
     sys.path.insert(0, str(folder))
     try:
-        return runpy.run_path(str(folder / "run.py"))["TREE_FALLBACK"]
+        return runpy.run_path(str(folder / script))
     finally:
         sys.path.remove(str(folder))
+
+
+def _tree_fallback():
+    """The pattern the benchmark uses to tell the tree warning from a
+    failed report."""
+    return _perfbench("run.py")["TREE_FALLBACK"]
 
 
 @pytest.mark.parametrize("m, expected", [(16, 0), (17, 1)])
@@ -426,6 +431,25 @@ def test_tree_warning_matches_the_benchmark_pattern(capsys, tmp_path, m, expecte
     assert len(caught) == expected
     pattern = _tree_fallback()
     assert all(pattern.fullmatch(str(w.message)) for w in caught)
+
+
+def test_the_benchmark_reaches_every_traced_name(capsys):
+    """Reports on the bundled instances, plain, exhaustive and with the
+    oracle, call every function the benchmark traces and build a
+    GraphPair, so a changed signature that drops a call fails here and
+    not only in the traced benchmark run."""
+    tracing = _perfbench("tracer.py")
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        for path in sorted(Path("instances").glob("*.json")):
+            for flags in ((), ("--exhaustive",), ("--oracle",)):
+                assert cli.main(["report", str(path), "--json", *flags]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert [name for name in tracing["TRACED_NAMES"] if not tracer.calls[name]] == []
+    assert tracer.counters["model.GraphPair.constructions"] > 0
 
 
 # two bytes that are not UTF-8, and lists nested past the interpreter's

@@ -21,9 +21,8 @@ from msindex import generate, graphs
 from msindex.code import (EXACT_LIMIT, CodeBlueprint, CodeRow, LinearIndexCode,
                           Tree, _max_packing,
                           _tree_candidates, assign_senders,
-                          find_connecting_trees, mask_of, plan_code,
-                          upper_bound)
-from msindex.model import GraphPair, adjacent, bits, closure, simplify
+                          find_connecting_trees, plan_code, upper_bound)
+from msindex.model import GraphPair, adjacent, bits, closure, mask_of, simplify
 from msindex.verify import DecodeCertificate, rank_decodable
 
 from conftest import gp, simplified_graphs
@@ -101,8 +100,8 @@ def _greedy_trees(g: GraphPair, excluded: frozenset[int]) -> list[frozenset[int]
 # ------------------------------------------------------------------------------
 
 def _excluded(g):
-    return frozenset().union(*graphs.leaf_sccs_of_class(
-        g, graphs.LeafClass.MESSAGE_CONNECTED))
+    return frozenset(bits(sum(graphs.leaf_sccs_of_class(
+        g, graphs.LeafClass.MESSAGE_CONNECTED))))
 
 
 def _draw_graphs(family, m, count):
@@ -124,21 +123,22 @@ def _matches_the_subset_search(g) -> bool:
     when there are candidates."""
     expected = _reference_candidates(g, _excluded(g))
     assert [frozenset(bits(vs)) for vs in _tree_candidates(g)] == expected
-    assert [t.vertices for t in find_connecting_trees(g)] == _reference_packing(expected)
+    assert ([frozenset(bits(t.vertices)) for t in find_connecting_trees(g)]
+            == _reference_packing(expected))
     return bool(expected)
 
 
 def tree_family_is_valid(g, trees):
     report = graphs.classify_all(g)
-    connected_sccs = [report.sccs[k] for k in report.leaf_sccs
+    connected_sccs = [frozenset(bits(report.sccs[k])) for k in report.leaf_sccs
                       if report.classes[k] is graphs.LeafClass.MESSAGE_CONNECTED]
     taken = set()
     for t in trees:
-        vs = t.vertices
+        vs = frozenset(bits(t.vertices))
         assert len(vs) >= 2
         assert not vs & taken, "trees overlap"
         taken |= vs
-        assert not vs & graphs.leaf_vertices(g), "leaf vertex in tree"
+        assert not vs & frozenset(bits(graphs.leaf_vertices(g))), "leaf vertex in tree"
         assert all(j in vs for (i, j) in g.arcs if i in vs), "arc escapes tree"
         assert all(not vs & scc for scc in connected_sccs), \
             "tree touches a message-connected leaf SCC"
@@ -202,7 +202,7 @@ def test_plan_two_way_uncoded(two_way):
 def test_assign_senders_picks_smallest_owner(three_pairs):
     simple, g = simplified_graphs(three_pairs)
     bp = CodeBlueprint(
-        connecting_trees=(Tree(frozenset({3, 4, 5, 6}),
+        connecting_trees=(Tree(mask_of({3, 4, 5, 6}),
                                ((3, 5), (4, 5), (4, 6))),),
         scc_spanning_trees=(),
         uncoded=(1, 2))
@@ -221,7 +221,7 @@ def test_assign_senders_picks_smallest_owner(three_pairs):
 def test_assign_senders_rejects_non_edge(two_way):
     simple, g = simplified_graphs(two_way)
     bp = CodeBlueprint(
-        connecting_trees=(Tree(frozenset({1, 2}), ((1, 2),)),),
+        connecting_trees=(Tree(mask_of({1, 2}), ((1, 2),)),),
         scc_spanning_trees=(), uncoded=())
     with pytest.raises(ValueError):
         assign_senders(simple, bp)
@@ -269,7 +269,7 @@ def test_assign_senders_matches_the_sender_scan(inst, data):
     pairs = st.tuples(st.integers(1, m), st.integers(1, m)).filter(
         lambda e: e[0] < e[1])
     trees = st.lists(pairs, max_size=3).map(
-        lambda edges: Tree(frozenset(), tuple(edges)))
+        lambda edges: Tree(0, tuple(edges)))
     blueprint = CodeBlueprint(
         tuple(data.draw(st.lists(trees, max_size=2) if m > 1 else st.just([]))),
         tuple(data.draw(st.lists(trees, max_size=2) if m > 1 else st.just([]))),
@@ -342,7 +342,7 @@ BLOCKER = gp(7, arcs=[(1, 4), (1, 6), (2, 4), (3, 6), (4, 5), (5, 4), (6, 7), (7
 
 
 def test_unions_are_candidates_up_to_the_limit_only():
-    assert [t.vertices for t in find_connecting_trees(TWO_HALVES)] == [{1, 2, 3, 4}]
+    assert [t.vertices for t in find_connecting_trees(TWO_HALVES)] == [mask_of({1, 2, 3, 4})]
     with pytest.warns(UserWarning, match="greedy"):
         assert find_connecting_trees(_pad(TWO_HALVES)) == []
 
@@ -352,7 +352,7 @@ def test_packing_above_the_limit_beats_a_blocking_greedy_choice():
     assert _greedy_trees(g, _excluded(g)) == [{1, 4, 5, 6, 7}]
     with pytest.warns(UserWarning, match="greedy"):
         trees = find_connecting_trees(g)
-    assert [t.vertices for t in trees] == [{2, 4, 5}, {3, 6, 7}]
+    assert [t.vertices for t in trees] == [mask_of({2, 4, 5}), mask_of({3, 6, 7})]
 
 
 def _triples(k):

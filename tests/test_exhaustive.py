@@ -23,7 +23,7 @@ from msindex.bound import (_apply_degenerate_arc, _apply_dummy, _apply_edges,
                            _apply_prune, _all_edge_options,
                            _degenerated_options, _finish,
                            GroundingTrace, lower_bound, run_grounding)
-from msindex.model import GraphPair, build_graphs, edge_key, simplify
+from msindex.model import GraphPair, bits, build_graphs, edge_key, mask_of, simplify
 
 from strategies import graph_pairs
 
@@ -74,9 +74,9 @@ class _Budget:
 _LOOP_CAP = 1000
 
 
-def _leaf_scc_sets(trace: GroundingTrace) -> list[frozenset[int]]:
+def _leaf_scc_sets(trace: GroundingTrace) -> list[int]:
     g = trace.graphs
-    return [g.sccs[k] for k in g.leaf_sccs]
+    return [g.scc_masks[k] for k in g.leaf_sccs]
 
 
 def _phase2_branch_options(trace: GroundingTrace) -> list[tuple]:
@@ -85,9 +85,9 @@ def _phase2_branch_options(trace: GroundingTrace) -> list[tuple]:
         cls = graphs.classify_without_degeneracy(trace.graphs, scc)
         if cls is not None:
             raise AssertionError(
-                f"unexpected {cls} leaf SCC {sorted(scc)} at iteration start")
-        reps = [min(c) for c in graphs.u_components(trace.graphs, scc)]
-        options.append((tuple(sorted(scc)),
+                f"unexpected {cls} leaf SCC {list(bits(scc))} at iteration start")
+        reps = [min(bits(c)) for c in graphs.u_components(trace.graphs, scc)]
+        options.append((tuple(bits(scc)),
                         tuple(edge_key(reps[k], reps[k + 1])
                               for k in range(len(reps) - 1))))
     return options
@@ -101,13 +101,13 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
         if not connected or (prune_limit is not None and pruned >= prune_limit):
             break
         if prune_limit == 1:
-            options = [(tuple(sorted(scc)), v)
-                       for scc in connected for v in sorted(scc)]
+            options = [(tuple(bits(scc)), v)
+                       for scc in connected for v in bits(scc)]
             scc_t, v = chooser.pick(options)
-            _apply_prune(trace, frozenset(scc_t), v)
+            _apply_prune(trace, mask_of(scc_t), v)
         else:
             scc = connected[0]
-            v = chooser.pick(sorted(scc))
+            v = chooser.pick(bits(scc))
             _apply_prune(trace, scc, v)
         pruned += 1
     else:
@@ -121,7 +121,7 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
             if not disconnected:
                 break
             scc = disconnected[0]
-            source = chooser.pick(sorted(scc))
+            source = chooser.pick(bits(scc))
             _apply_dummy(trace, scc, source)
             acted = True
         else:
@@ -130,9 +130,8 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
             option = chooser.pick(_degenerated_options(trace))
             if option is None:
                 break
-            scc_t, witness, source, target, tag = option
-            _apply_degenerate_arc(trace, frozenset(scc_t), witness,
-                                  source, target, tag)
+            scc, witness, source, target, tag = option
+            _apply_degenerate_arc(trace, scc, witness, source, target, tag)
             acted = True
         else:
             raise AssertionError("degenerated loop failed to terminate")
@@ -172,7 +171,7 @@ def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
             results.setdefault(work.canonical_key(), (("iv-0", script), work))
         return list(results.values())
     for scc_t, _ in _phase2_branch_options(trace):
-        scc = frozenset(scc_t)
+        scc = mask_of(scc_t)
         for edges in _all_edge_options(trace, scc):
             staged = trace.clone()
             staged.log.append({"step": "iv-a", "scc": list(scc_t)})
@@ -229,7 +228,7 @@ def _run_exhaustive(g, budget: _Budget) -> GroundingTrace:
             else:
                 _, scc_t, edges, sweep_script = recipe
                 trace.log.append({"step": "iv-a", "scc": list(scc_t)})
-                _apply_edges(trace, frozenset(scc_t), edges)
+                _apply_edges(trace, mask_of(scc_t), edges)
                 trace.log.append({"step": "iv-c"})
                 _run_sweep(trace, None, _ScriptChooser(sweep_script))
             trace.n_iv += 1

@@ -9,9 +9,8 @@ from msindex.bound import (GroundingTrace, add_degenerate_arc, append_dummy,
                            make_message_connected, prune_scc)
 from msindex.graphs import (DegeneracyWitness, LeafClass, classify_all,
                             classify_leaf_scc, check_degeneracy_witness,
-                            grounded_set, is_degenerated, is_grounded_digraph,
-                            leaf_vertices, m_neighbors, num_out_vertices,
-                            predecessors, scc_decompose, to_dot)
+                            grounded_set, is_grounded_digraph, leaf_vertices,
+                            num_out_vertices, scc_decompose, to_dot)
 from msindex.model import (GraphPair, adjacent, bits, build_graphs, edge_key,
                            mask_of, simplify)
 
@@ -61,7 +60,7 @@ def powerset(items):
 def brute_degenerated(g, scc):
     """Exhaustive search over all bipartitions and all cover subsets."""
     reach = closure(g)
-    leaves = leaf_vertices(g)
+    leaves = frozenset(bits(leaf_vertices(g)))
     outside = sorted(set(g.vertices()) - scc)
     for part_t in powerset(sorted(scc)):
         part = frozenset(part_t)
@@ -71,7 +70,8 @@ def brute_degenerated(g, scc):
         if any((i in part and j in rest) or (j in part and i in rest)
                for i, j in g.edges):
             continue
-        nbrs = m_neighbors(g, part)
+        nbrs = {j for e in g.edges for i, j in (e, e[::-1])
+                if i in part and j not in part}
         for cover_t in powerset(outside):
             cover = frozenset(cover_t)
             if len(cover - leaves) > 1:
@@ -87,15 +87,14 @@ def brute_degenerated(g, scc):
 def test_scc_three_pairs(three_pairs):
     _, g = simplified_graphs(three_pairs)
     report = scc_decompose(g)
-    assert report.sccs == [frozenset({1, 2}), frozenset({3, 4}),
-                           frozenset({5, 6})]
+    assert report.sccs == [mask_of({1, 2}), mask_of({3, 4}), mask_of({5, 6})]
     assert report.leaf_sccs == [0, 1, 2]
 
 
 def test_scc_triangle(triangle):
     _, g = simplified_graphs(triangle)
     report = scc_decompose(g)
-    assert [report.sccs[k] for k in report.leaf_sccs] == [frozenset({1, 2, 3})]
+    assert [report.sccs[k] for k in report.leaf_sccs] == [mask_of({1, 2, 3})]
 
 
 def test_scc_path_has_no_leaf_scc():
@@ -106,7 +105,7 @@ def test_scc_path_has_no_leaf_scc():
 
 @given(graph_pairs(max_n=7))
 def test_scc_matches_brute_force(g):
-    assert scc_decompose(g).sccs == brute_sccs(g)
+    assert scc_decompose(g).sccs == list(map(mask_of, brute_sccs(g)))
 
 
 @given(graph_pairs(max_n=7))
@@ -120,39 +119,40 @@ def test_leaf_sccs_contain_no_leaf_vertex(g):
 # --- predecessors and groundedness ---------------------------------------
 
 def test_predecessors_path():
-    assert predecessors(gp(3, arcs=[(1, 2), (2, 3)]), 3) == {1, 2}
+    assert gp(3, arcs=[(1, 2), (2, 3)]).ancestors(mask_of({3})) == mask_of({1, 2})
 
 
 def test_predecessors_cycle_includes_self(three_pairs):
     _, g = simplified_graphs(three_pairs)
-    assert predecessors(g, 2) == {1, 2}
+    assert g.ancestors(mask_of({2})) == mask_of({1, 2})
 
 
 def test_predecessors_isolated():
-    assert predecessors(gp(2, arcs=[]), 1) == frozenset()
+    assert gp(2, arcs=[]).ancestors(mask_of({1})) == 0
 
 
 @given(graph_pairs(max_n=6))
 def test_predecessors_match_closure(g):
     reach = closure(g)
     for v in g.vertices():
-        assert predecessors(g, v) == {u for u in g.vertices() if v in reach[u]}
+        assert g.ancestors(mask_of({v})) == mask_of(
+            u for u in g.vertices() if v in reach[u])
 
 
 def test_grounded_path_fully():
-    assert grounded_set(gp(3, arcs=[(1, 2), (2, 3)])) == {1, 2, 3}
+    assert grounded_set(gp(3, arcs=[(1, 2), (2, 3)])) == mask_of({1, 2, 3})
 
 
 def test_grounded_three_pairs_empty(three_pairs):
     _, g = simplified_graphs(three_pairs)
-    assert grounded_set(g) == frozenset()
+    assert grounded_set(g) == 0
     assert not is_grounded_digraph(g)
 
 
 def test_grounded_after_removing_one_arc(three_pairs):
     _, g = simplified_graphs(three_pairs)
     cut = gp(6, arcs=set(g.arcs) - {(1, 2)}, edges=g.edges)
-    assert grounded_set(cut) == {1, 2}
+    assert grounded_set(cut) == mask_of({1, 2})
 
 
 def test_grounded_empty_arcs():
@@ -163,16 +163,20 @@ def test_grounded_empty_arcs():
 def test_groundedness_criteria_agree(g):
     no_leaf_scc = not scc_decompose(g).leaf_sccs
     assert is_grounded_digraph(g) == no_leaf_scc
-    assert (grounded_set(g) == frozenset(g.vertices())) == no_leaf_scc
+    assert (grounded_set(g) == mask_of(g.vertices())) == no_leaf_scc
 
 
 # --- m-neighbors ----------------------------------------------------------
 
 def test_m_neighbors_examples(three_pairs):
     _, g = simplified_graphs(three_pairs)
-    assert m_neighbors(g, {1}) == {3, 5}
-    assert m_neighbors(g, {2}) == {3, 4, 5, 6}
-    assert m_neighbors(g, set(g.vertices())) == frozenset()
+
+    def m_neighbors(vs):
+        return adjacent(g.adj, vs) & ~vs
+
+    assert m_neighbors(mask_of({1})) == mask_of({3, 5})
+    assert m_neighbors(mask_of({2})) == mask_of({3, 4, 5, 6})
+    assert m_neighbors(g.vertex_mask) == 0
 
 
 # --- classification -------------------------------------------------------
@@ -186,52 +190,51 @@ def test_classify_three_pairs_all_semi(three_pairs):
 
 def test_classify_triangle_connected(triangle):
     _, g = simplified_graphs(triangle)
-    cls, witness = classify_leaf_scc(g, frozenset({1, 2, 3}))
+    cls, witness = classify_leaf_scc(g, mask_of({1, 2, 3}))
     assert cls is LeafClass.MESSAGE_CONNECTED
     assert witness is None
 
 
 def test_classify_two_way_disconnected(two_way):
     _, g = simplified_graphs(two_way)
-    cls, _ = classify_leaf_scc(g, frozenset({1, 2}))
+    cls, _ = classify_leaf_scc(g, mask_of({1, 2}))
     assert cls is LeafClass.MESSAGE_DISCONNECTED
 
 
 def test_classify_rejects_non_leaf_scc(three_pairs):
     _, g = simplified_graphs(three_pairs)
     with pytest.raises(ValueError):
-        classify_leaf_scc(g, frozenset({1, 3}))
+        classify_leaf_scc(g, mask_of({1, 3}))
 
 
 def test_degeneracy_rejected_on_three_pairs(three_pairs):
     _, g = simplified_graphs(three_pairs)
-    degen, witness = is_degenerated(g, frozenset({1, 2}))
-    assert not degen and witness is None
+    cls, witness = classify_leaf_scc(g, mask_of({1, 2}))
+    assert cls is LeafClass.SEMI_NON_DEGENERATED and witness is None
 
 
 def test_degeneracy_after_prune(three_pairs):
     # removing vertex 1's outgoing arcs makes {3,4} degenerated
     _, g = simplified_graphs(three_pairs)
     cut = gp(6, arcs=set(g.arcs) - {(1, 2)}, edges=g.edges)
-    degen, witness = is_degenerated(cut, frozenset({3, 4}))
-    assert degen
-    assert witness.part == {3}
-    assert witness.cover == {1, 5}
+    cls, witness = classify_leaf_scc(cut, mask_of({3, 4}))
+    assert cls is LeafClass.SEMI_DEGENERATED
+    assert witness.part == mask_of({3})
+    assert witness.cover == mask_of({1, 5})
     assert not witness.vacuous
 
 
 def test_degeneracy_single_leaf_cover():
     g = gp(3, arcs=[(1, 2), (2, 1)], edges=[(1, 3), (2, 3)])
-    degen, witness = is_degenerated(g, frozenset({1, 2}))
-    assert degen
-    assert witness.part == {1}
-    assert witness.cover == {3}
+    cls, witness = classify_leaf_scc(g, mask_of({1, 2}))
+    assert cls is LeafClass.SEMI_DEGENERATED
+    assert witness.part == mask_of({1})
+    assert witness.cover == mask_of({3})
 
 
 def test_is_degenerated_rejects_connected(triangle):
     _, g = simplified_graphs(triangle)
-    with pytest.raises(ValueError):
-        is_degenerated(g, frozenset({1, 2, 3}))
+    assert classify_leaf_scc(g, mask_of({1, 2, 3})) == (LeafClass.MESSAGE_CONNECTED, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,8 +245,9 @@ def test_degeneracy_matches_brute_force(g):
         scc = report.sccs[k]
         if graphs.classify_without_degeneracy(g, scc) is not None:
             continue
-        degen, witness = is_degenerated(g, scc)
-        assert degen == brute_degenerated(g, scc)
+        cls, witness = classify_leaf_scc(g, scc)
+        degen = cls is LeafClass.SEMI_DEGENERATED
+        assert degen == brute_degenerated(g, frozenset(bits(scc)))
         if degen:
             assert witness.vacuous or check_degeneracy_witness(g, scc, witness)
 
@@ -257,11 +261,10 @@ def test_degeneracy_witness_monotone_in_leaves(g):
         scc = report.sccs[k]
         if graphs.classify_without_degeneracy(g, scc) is not None:
             continue
-        degen, witness = is_degenerated(g, scc)
-        if not degen or witness.vacuous:
+        cls, witness = classify_leaf_scc(g, scc)
+        if cls is not LeafClass.SEMI_DEGENERATED or witness.vacuous:
             continue
-        grown = DegeneracyWitness(witness.part,
-                                  witness.cover | (leaves - scc))
+        grown = DegeneracyWitness(witness.part, witness.cover | (leaves & ~scc))
         assert check_degeneracy_witness(g, scc, grown)
 
 
@@ -309,11 +312,11 @@ def kernel_queries(g):
         "is_leaf_scc": [graphs.is_leaf_scc(g, c) for c in report.sccs],
         "leaves": leaf_vertices(g),
         "v_out": num_out_vertices(g),
-        "predecessors": [predecessors(g, v) for v in g.vertices()],
+        "predecessors": [g.ancestors(1 << (v - 1)) for v in g.vertices()],
         "grounded": grounded_set(g),
-        "linked": [[graphs.u_connected_globally(g, a, b) for b in g.vertices()]
+        "linked": [[a == b or bool(g.u_comp[a] >> (b - 1) & 1) for b in g.vertices()]
                    for a in g.vertices()],
-        "m_neighbors": [m_neighbors(g, c) for c in report.sccs],
+        "m_neighbors": [adjacent(g.adj, c) & ~c for c in report.sccs],
         "u_components": [graphs.u_components(g, c) for c in report.sccs],
     }
 
@@ -333,19 +336,19 @@ def brute_queries(g):
         return sorted({frozenset({v} | inner[v]) for v in vs}, key=min)
 
     return {
-        "sccs": sccs,
-        "leaf_sccs": leaf_sccs,
+        "sccs": list(map(mask_of, sccs)),
+        "leaf_sccs": list(map(mask_of, leaf_sccs)),
         "is_leaf_scc": [c in leaf_sccs for c in sccs],
-        "leaves": leaves,
+        "leaves": mask_of(leaves),
         "v_out": g.n - len(leaves),
-        "predecessors": [frozenset(u for u in g.vertices() if v in reach[u])
+        "predecessors": [mask_of(u for u in g.vertices() if v in reach[u])
                          for v in g.vertices()],
-        "grounded": leaves | {u for u in g.vertices() if reach[u] & leaves},
+        "grounded": mask_of(leaves | {u for u in g.vertices() if reach[u] & leaves}),
         "linked": [[a == b or b in linked[a] for b in g.vertices()]
                    for a in g.vertices()],
-        "m_neighbors": [frozenset(j for (i, j) in both_ways if i in c and j not in c)
+        "m_neighbors": [mask_of(j for (i, j) in both_ways if i in c and j not in c)
                         for c in sccs],
-        "u_components": [components(c) for c in sccs],
+        "u_components": [list(map(mask_of, components(c))) for c in sccs],
     }
 
 
@@ -378,26 +381,24 @@ def _reference_witnesses(g, scc):
     for r in range(1, len(comps)):
         for chosen in combinations(comps, r):
             part_m = sum(chosen)
-            part = frozenset(bits(part_m))
             neighbors = adjacent(g.adj, part_m) & ~part_m
             if not neighbors:
-                found.append(DegeneracyWitness(part, frozenset(bits(leaves)),
-                                               vacuous=True))
+                found.append(DegeneracyWitness(part_m, leaves, vacuous=True))
                 continue
             for cover in covers:
                 if not graphs._covered(g, neighbors, cover):
                     continue
-                witness = DegeneracyWitness(part, frozenset(bits(cover)))
-                if check_degeneracy_witness(g, scc, witness):
+                witness = DegeneracyWitness(part_m, cover)
+                if check_degeneracy_witness(g, scc_m, witness):
                     found.append(witness)
     return found
 
 
 def assert_witnesses_match(g):
     for k in g.leaf_sccs:
-        scc = g.sccs[k]
+        scc = g.scc_masks[k]
         assert list(graphs.iter_degeneracy_witnesses(g, scc)) == \
-            _reference_witnesses(g, scc)
+            _reference_witnesses(g, frozenset(bits(scc)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,7 +407,7 @@ def test_cover_search_matches_the_cover_loop(g):
     assert_witnesses_match(g)
 
 
-CARRIED = ("leaf_mask", "scc_masks", "sccs", "leaf_sccs", "u_comp")
+CARRIED = ("leaf_mask", "scc_masks", "leaf_sccs", "u_comp")
 
 
 def assert_caches_fresh(state):
@@ -421,18 +422,18 @@ def assert_caches_fresh(state):
                for mask, found in state._ancestors.items())
     assert all(fresh.descendants(mask) == found
                for mask, found in state._descendants.items())
-    assert all(graphs.classify_without_degeneracy(fresh, frozenset(bits(mask))) is cls
+    assert all(graphs.classify_without_degeneracy(fresh, mask) is cls
                for mask, cls in state.leaf_classes.items())
 
 
 def _reference_key(trace):
     """The state key as a set of arcs with relabelled dummies."""
     g = trace.graphs
-    by_sources = sorted((tuple(bits(g.pred[d])), d) for d in trace.dummies)
+    by_sources = sorted((tuple(bits(g.pred[d])), d) for d in bits(trace.dummies))
     relabel = {d: trace.n_real + k + 1 for k, (_, d) in enumerate(by_sources)}
     arcs = frozenset((relabel.get(i, i), relabel.get(j, j))
                      for (i, j) in g.arcs) if relabel else g.arcs
-    return (trace.n_real, len(trace.dummies), arcs, g.edges)
+    return (trace.n_real, trace.dummies.bit_count(), arcs, g.edges)
 
 
 def assert_carried_caches_fresh(state):
@@ -484,7 +485,7 @@ def test_cached_queries_follow_grounding_steps(g, data):
         step = data.draw(st.sampled_from(steps))
         before = trace.clone()
         if step == "prune":
-            prune_scc(trace, scc, data.draw(st.sampled_from(sorted(scc))))
+            prune_scc(trace, scc, data.draw(st.sampled_from(list(bits(scc)))))
         elif step == "dummy":
             append_dummy(trace, scc)
         elif step == "edges":
@@ -519,7 +520,7 @@ def test_engine_choices_carry_fresh_caches(g, data):
             if not graphs.leaf_sccs_of_class(trace.graphs,
                                              LeafClass.MESSAGE_CONNECTED):
                 state = trace.graphs
-                scc = data.draw(st.sampled_from([state.sccs[k]
+                scc = data.draw(st.sampled_from([state.scc_masks[k]
                                                  for k in state.leaf_sccs]))
                 opening = scc, data.draw(st.sampled_from(list(
                     islice(bound._all_edge_options(trace, scc), 20))))
@@ -541,9 +542,9 @@ def _children(trace):
         children.append(twin)
 
     g = trace.graphs
-    for scc in (g.sccs[k] for k in g.leaf_sccs):
+    for scc in (g.scc_masks[k] for k in g.leaf_sccs):
         cls = graphs.classify_without_degeneracy(trace.graphs, scc)
-        for v in sorted(scc):
+        for v in bits(scc):
             child(bound._apply_prune, scc, v)
             if cls is LeafClass.MESSAGE_DISCONNECTED:
                 child(bound._apply_dummy, scc, v)
@@ -593,5 +594,5 @@ def test_dot_counts_two_way(two_way):
 
 def test_dot_marks_dummies_dashed():
     g = gp(3, arcs=[(1, 2), (1, 3)])
-    dot = to_dot(g, dummies=frozenset({3}))
+    dot = to_dot(g, dummies=mask_of({3}))
     assert "3 [style=dashed];" in dot

@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 import random
 from enum import IntEnum
 
@@ -6,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import msindex
 from msindex import generate
 from msindex.model import (GraphPair, InstanceError, _parse_index_set,
                            _require, build_graphs, mask_of, parse_instance,
@@ -298,3 +301,11 @@ def test_mask_views_hold_after_simplify(inst):
     simple, _ = simplify(inst)
     for case in (inst, simple, simplify(simple)[0]):
         _assert_mask_views(case)
+
+
+@pytest.mark.parametrize("name", sorted(
+    module.name for module in pkgutil.iter_modules(msindex.__path__)))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"msindex.{name}")
+    exported = getattr(module, "__all__", ())
+    assert [n for n in exported if not hasattr(module, n)] == []

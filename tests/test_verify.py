@@ -9,9 +9,9 @@ from hypothesis import given, settings
 
 from msindex import generate, graphs
 from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
-    find_connecting_trees, mask_of, plan_code
+    find_connecting_trees, plan_code
 from msindex.model import (InstanceError, adjacent, bits, build_graphs,
-                           simplify)
+                           mask_of, simplify)
 from msindex.verify import (CertEntry, DecodeCertificate, DecodeFailure,
                             GuardError, _allowed_set, _candidate_rows,
                             _insert, _Packing, _unit_reductions,
@@ -748,12 +748,12 @@ def _reference_check_decode_closure(code, inst):
 
     report = graphs.classify_all(g)
     plain_targets: set[tuple[str, int]] = set()
-    for v in sorted(graphs.leaf_vertices(g)):
-        for j in sorted(graphs.predecessors(g, v)):
+    for v in bits(graphs.leaf_vertices(g)):
+        for j in bits(g.ancestors(1 << (v - 1))):
             plain_targets.add(("leaf-predecessor", j))
     for k in report.leaf_sccs:
         if report.classes[k] is graphs.LeafClass.MESSAGE_DISCONNECTED:
-            for j in sorted(report.sccs[k]):
+            for j in bits(report.sccs[k]):
                 plain_targets.add(("disconnected-scc", j))
     for rule, j in sorted(plain_targets):
         if base.solve(mask_of((j,))) is None:
@@ -761,11 +761,11 @@ def _reference_check_decode_closure(code, inst):
 
     carried = simple.carried
     for r in range(1, g.n + 1):
-        preds = graphs.predecessors(g, r)
+        preds = g.ancestors(1 << (r - 1))
         if not preds:
             continue
         solver = base.extended(mask_of((r,))) if r in carried else base
-        for j in sorted(preds):
+        for j in bits(preds):
             if j not in carried:
                 continue
             if solver.solve(mask_of((j,))) is None:
