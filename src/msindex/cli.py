@@ -94,6 +94,9 @@ def _code_to_dict(c: code.LinearIndexCode) -> dict:
     }
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # coefficient bytes to binary digits
+
+
 def _code_from_dict(doc: dict, path: str) -> code.LinearIndexCode:
     for key in ("num_messages", "rows"):
         if key not in doc:
@@ -113,10 +116,13 @@ def _code_from_dict(doc: dict, path: str) -> code.LinearIndexCode:
         coeffs = raw.get("coeffs")
         if not _is_int(sender) or sender < 1:
             raise InstanceError(where, "sender must be a positive integer")
+        # plain 0/1 ints pass in two whole-list tests; the element loop
+        # judges any other list
         if (not isinstance(coeffs, list) or len(coeffs) != m
-                or any(not _is_int(c) or c not in (0, 1) for c in coeffs)):
+                or not (set(map(type, coeffs)) <= {int} and set(coeffs) <= {0, 1}
+                        or all(_is_int(c) and c in (0, 1) for c in coeffs))):
             raise InstanceError(where, f"coeffs must be a 0/1 list of length {m}")
-        mask = sum(bit << pos for pos, bit in enumerate(coeffs))
+        mask = int(bytes(reversed(coeffs)).translate(_DIGITS), 2)
         kind = raw.get("kind")
         if kind is not None and not isinstance(kind, str):
             raise InstanceError(where, "kind must be a string if present")
@@ -369,9 +375,9 @@ def _int_at_least(low: int):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first ``main`` call and reused: parsing
-    keeps no state in it."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subparser per command, built on the first
+    ``main`` call and reused: parsing keeps no state in them."""
     parser = _Parser(prog="msindex",
                      description="bounds and codes for multi-sender index coding")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,11 +419,16 @@ def _build_parser() -> _Parser:
                    help="include the full step log (implies --json)")
 
     add("dot", cmd_dot, "DOT rendering of an instance or a trace file")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's own parser reads its arguments as the top-level parser
+    # would hand them on; help, no command or an unknown one go to the top
+    if argv and argv[0] in commands:
+        parser, argv = commands[argv[0]], argv[1:]
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

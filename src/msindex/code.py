@@ -192,8 +192,9 @@ def assign_senders(inst: ProblemInstance, blueprint: CodeBlueprint) -> LinearInd
         for s in owners.get(i, ()):
             if j is None:
                 return CodeRow(s, 1 << (i - 1), kind)
-            if j in inst.senders[s - 1]:
-                return CodeRow(s, 1 << (i - 1) | 1 << (j - 1), kind)
+            pair = 1 << (i - 1) | 1 << (j - 1)
+            if inst.sender_masks[s - 1] & pair == pair:
+                return CodeRow(s, pair, kind)
         raise ValueError(f"no sender owns message {i}" if j is None
                          else f"no sender owns both messages {i} and {j}")
 

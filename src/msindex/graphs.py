@@ -91,7 +91,7 @@ def u_components(g: GraphPair, within: int) -> list[int]:
 
 
 def is_leaf_scc(g: GraphPair, scc: int) -> bool:
-    return any(g.scc_masks[k] == scc for k in g.leaf_sccs)
+    return scc in g.leaf_scc_masks
 
 
 def _covered(g: GraphPair, targets: int, cover: int) -> bool:

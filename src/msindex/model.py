@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, partial, reduce
+from itertools import chain, compress
+from operator import or_
 from typing import Any, Mapping
 
 SCHEMA_VERSION = 1
@@ -49,12 +50,17 @@ class ProblemInstance:
 
     def __post_init__(self):
         senders = tuple(map(mask_of, self.senders))
-        carried = 0
-        for owned in senders:
-            carried |= owned
         vars(self).update(sender_masks=senders,
                           want_masks=tuple(map(mask_of, self.wants)),
-                          carried_mask=carried)
+                          carried_mask=reduce(or_, senders, 0))
+
+    @classmethod
+    def _of_masks(cls, **fields) -> "ProblemInstance":
+        """An instance from every field and mask view, which the caller
+        built to agree; nothing is checked or derived again."""
+        inst = object.__new__(cls)
+        vars(inst).update(fields)
+        return inst
 
     @property
     def num_senders(self) -> int:
@@ -256,6 +262,11 @@ class GraphPair:
         return tuple(k for k, comp in enumerate(self.scc_masks)
                      if _is_leaf(self.succ, comp))
 
+    @cached_property
+    def leaf_scc_masks(self) -> frozenset[int]:
+        """The masks of the leaf SCCs, for membership tests."""
+        return frozenset(map(self.scc_masks.__getitem__, self.leaf_sccs))
+
     def components(self, within: int) -> list[int]:
         """Connected components of the message graph restricted to
         ``within``, ordered by smallest member."""
@@ -293,7 +304,7 @@ class GraphPair:
         if "leaf_sccs" not in vars(self):
             return {}
         masks = list(self.scc_masks)
-        leaf = set(map(masks.__getitem__, self.leaf_sccs))
+        leaf = set(self.leaf_scc_masks)
         leaf.difference_update(gone, (unleaf,))
         for comp in gone:
             masks.remove(comp)
@@ -304,7 +315,8 @@ class GraphPair:
                 leaf.add(comp)
         return {"scc_masks": tuple(masks),
                 "leaf_sccs": tuple(compress(range(len(masks)),
-                                            map(leaf.__contains__, masks)))}
+                                            map(leaf.__contains__, masks))),
+                "leaf_scc_masks": frozenset(leaf)}
 
     def prune(self, scc: int, v: int) -> "GraphPair":
         """Remove every outgoing arc of vertex ``v`` of the leaf SCC ``scc``."""
@@ -378,7 +390,7 @@ class GraphPair:
             adj[i] |= 1 << (j - 1)
             adj[j] |= 1 << (i - 1)
         # the arcs are unchanged, and so are the digraph caches
-        caches = self._kept("leaf_mask", "scc_masks", "leaf_sccs")
+        caches = self._kept("leaf_mask", "scc_masks", "leaf_sccs", "leaf_scc_masks")
         caches.update(_ancestors=self._ancestors, _descendants=self._descendants)
         if "u_comp" in vars(self) and all(self.u_comp[i] >> (j - 1) & 1 for i, j in edges):
             caches["u_comp"] = self.u_comp  # each edge lies in one component
@@ -425,14 +437,9 @@ def check_schema(document: Mapping[str, Any], path: str) -> None:
 
 
 def _parse_index_set(raw: Any, path: str, m: int) -> frozenset[int]:
-    """The distinct indices 1..m of a JSON list.  A list of plain ints is
-    checked whole; any other list goes through the element loop, which
-    names the first bad index."""
+    """The distinct indices 1..m of a JSON list, checked element by
+    element, so that the first bad index is named."""
     _require(isinstance(raw, list), path, f"expected a list, got {type(raw).__name__}")
-    if all(type(x) is int for x in raw):
-        found = frozenset(raw)
-        if len(found) == len(raw) and (not raw or 1 <= min(raw) and max(raw) <= m):
-            return found
     seen: set[int] = set()
     for k, x in enumerate(raw):
         _require(isinstance(x, int) and not isinstance(x, bool),
@@ -441,6 +448,39 @@ def _parse_index_set(raw: Any, path: str, m: int) -> frozenset[int]:
         _require(x not in seen, f"{path}[{k}]", f"duplicate index {x}")
         seen.add(x)
     return frozenset(seen)
+
+
+def _whole_document(m: int, raw_senders: Any, raw_wants: Any) -> ProblemInstance | None:
+    """The instance of the sender and want lists when every check holds, or
+    None.  Each check is one pass over the whole document that runs in C:
+    the entry types, the element types, the masks (an index outside 1..m
+    has no unit), the bit counts (a duplicate index carries into another
+    bit), the empty senders, the self-wants and the coverage.  The sets
+    and their mask views are built here once."""
+    if not (type(raw_senders) is list and raw_senders
+            and type(raw_wants) is list and len(raw_wants) == m):
+        return None
+    lists = raw_senders + raw_wants
+    if not (set(map(type, lists)) <= {list}
+            and set(map(type, chain.from_iterable(lists))) <= {int}):
+        return None
+    unit = dict(zip(range(1, m + 1), map((1).__lshift__, range(m))))
+    try:
+        masks = list(map(sum, map(partial(map, unit.__getitem__), lists)))
+    except KeyError:
+        return None
+    if list(map(int.bit_count, masks)) != list(map(len, lists)):
+        return None
+    s = len(raw_senders)
+    sender_masks, want_masks = tuple(masks[:s]), tuple(masks[s:])
+    carried = reduce(or_, sender_masks)
+    if (not all(sender_masks) or any(map(int.__and__, want_masks, unit.values()))
+            or carried != (1 << m) - 1):
+        return None
+    return ProblemInstance._of_masks(
+        num_messages=m, senders=tuple(map(frozenset, raw_senders)),
+        wants=tuple(map(frozenset, raw_wants)), simplified=False,
+        sender_masks=sender_masks, want_masks=want_masks, carried_mask=carried)
 
 
 def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
@@ -470,7 +510,12 @@ def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
     _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
              "num_messages", f"expected a positive integer, got {m!r}")
 
-    raw_senders = document["senders"]
+    raw_senders, raw_wants = document["senders"], document["wants"]
+    whole = _whole_document(m, raw_senders, raw_wants)
+    if whole is not None:
+        return whole
+
+    # some check failed: the checks in document order name the first fault
     _require(isinstance(raw_senders, list) and len(raw_senders) >= 1,
              "senders", "expected a non-empty list of sender message sets")
     senders = []
@@ -479,7 +524,6 @@ def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
         _require(len(ms) > 0, f"senders[{s}]", "empty sender set")
         senders.append(ms)
 
-    raw_wants = document["wants"]
     _require(isinstance(raw_wants, list), "wants", "expected a list")
     _require(len(raw_wants) == m, "wants",
              f"expected one want-set per receiver ({m}), got {len(raw_wants)}")
@@ -508,17 +552,17 @@ def simplify(inst: ProblemInstance) -> tuple[ProblemInstance, frozenset[int]]:
     code attribution.  Returns the simplified instance and the removed
     message indices.  Idempotent.
     """
-    wanted = inst.wanted
-    keep = mask_of(wanted)
-    # a copy with the sender sets and their views cut down, so the views
-    # are not built again from the sets
-    simple = object.__new__(ProblemInstance)
-    vars(simple).update(
-        vars(inst), senders=tuple(ms & wanted for ms in inst.senders),
-        simplified=True,
-        sender_masks=tuple(owned & keep for owned in inst.sender_masks),
-        carried_mask=inst.carried_mask & keep)
-    return simple, frozenset(bits(inst.carried_mask & ~keep))
+    keep = reduce(or_, inst.want_masks, 0)
+    gone = inst.carried_mask & ~keep
+    senders, sender_masks = inst.senders, inst.sender_masks
+    if gone:  # else every sender set lies inside the wanted messages
+        wanted = frozenset().union(*inst.wants)
+        senders = tuple(map(wanted.__and__, senders))
+        sender_masks = tuple(owned & keep for owned in sender_masks)
+    simple = ProblemInstance._of_masks(
+        **{**vars(inst), "senders": senders, "simplified": True,
+           "sender_masks": sender_masks, "carried_mask": inst.carried_mask & keep})
+    return simple, frozenset(bits(gone))
 
 
 def build_graphs(inst: ProblemInstance) -> GraphPair:

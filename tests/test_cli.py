@@ -3,12 +3,16 @@ import random
 import runpy
 import sys
 import warnings
+from enum import IntEnum
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from msindex import cli, generate, verify
 from msindex.cli import main
+from msindex.model import InstanceError
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
 TRIANGLE = "instances/triangle_single_sender.json"
@@ -222,6 +226,46 @@ def test_verify_rejects_rows_the_instance_forbids(capsys, tmp_path, row, message
     assert f"{code_path}:rows[1]: {message}" in err
 
 
+class _Bit(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+def _reference_coeff_mask(coeffs, m):
+    """The element loop over a row's coefficients, and its mask."""
+    if (not isinstance(coeffs, list) or len(coeffs) != m
+            or any(not cli._is_int(c) or c not in (0, 1) for c in coeffs)):
+        return f"c:rows[0]: coeffs must be a 0/1 list of length {m}"
+    return sum(bit << pos for pos, bit in enumerate(coeffs))
+
+
+@st.composite
+def _coeff_rows(draw):
+    """A 0/1 list of length m, maybe with elements swapped for other values
+    or one dropped, and now and then no list at all."""
+    m = draw(st.integers(1, 70))
+    coeffs = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, m - 1))
+        coeffs[k] = draw(st.sampled_from(
+            [True, False, 2, -1, 1.0, 0.0, "1", None, [1], _Bit.ONE, _Bit.ZERO]))
+    if draw(st.integers(0, 9)) == 0:
+        coeffs = coeffs[1:] if draw(st.booleans()) else (None if m > 1 else "0")
+    return coeffs, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff_rows())
+def test_coefficient_check_matches_the_element_loop(case):
+    coeffs, m = case
+    doc = {"num_messages": m, "rows": [{"sender": 1, "coeffs": coeffs}]}
+    try:
+        got = cli._code_from_dict(doc, "c").rows[0].coeffs
+    except InstanceError as exc:
+        got = str(exc)
+    assert got == _reference_coeff_mask(coeffs, m)
+
+
 @pytest.mark.parametrize("doc, where", [
     ({"num_messages": True, "rows": []}, "num_messages"),
     ({"num_messages": 2, "rows": [{"sender": True, "coeffs": [1, 0]}]}, "rows[0]"),
@@ -393,6 +437,45 @@ def test_reused_parser_carries_no_state(capsys):
     cli._build_parser.cache_clear()
     assert [outcome(argv) for argv in sequence] == alone
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _argv_cases(code_file):
+    return [
+        ["validate", TWO_WAY], ["validate", TWO_WAY, "--json"],
+        ["simplify", THREE_PAIRS], ["classify", TRIANGLE, "--json"],
+        ["bound", THREE_PAIRS, "--exhaustive", "--trace"], ["code", THREE_PAIRS],
+        ["verify", THREE_PAIRS, code_file], ["oracle", TRIANGLE, "--max-len", "1"],
+        ["report", THREE_PAIRS, "--oracle", "--json"], ["dot", TRIANGLE],
+        ["report", "--json", TRIANGLE], ["report", TRIANGLE, "--js"],
+        ["report", "--", TRIANGLE], ["report", TRIANGLE, "--"],
+        ["-h"], ["--help"], ["report", "-h"], ["verify", "--help"],
+        ["report", TRIANGLE, "--frobnicate"], ["report", TRIANGLE, "extra"],
+        ["oracle", TRIANGLE, "--max-len", "x"], ["oracle", TRIANGLE, "--max-len", "-1"],
+        ["report"], ["verify", TWO_WAY], ["frobnicate", TWO_WAY], ["Report", TWO_WAY],
+        [], ["--json", "report", TRIANGLE], ["-h", "report"],
+        ["report", "missing.json", "--json"]]
+
+
+def test_command_dispatch_matches_the_top_level_parser(capsys, tmp_path, monkeypatch):
+    """``main`` hands the arguments after a command name to that command's
+    parser; every exit code, output and error equals a run where the
+    top-level parser reads the whole argv."""
+    code_file = str(tmp_path / "code.json")
+    assert main(["code", THREE_PAIRS]) == 0
+    Path(code_file).write_text(capsys.readouterr().out)
+
+    def outcome(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = f"SystemExit({exc.code})"
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    dispatched = [outcome(argv) for argv in _argv_cases(code_file)]
+    parser, _ = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    assert dispatched == [outcome(argv) for argv in _argv_cases(code_file)]
 
 
 def _ring(tmp_path, m):

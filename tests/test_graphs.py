@@ -407,7 +407,18 @@ def test_cover_search_matches_the_cover_loop(g):
     assert_witnesses_match(g)
 
 
-CARRIED = ("leaf_mask", "scc_masks", "leaf_sccs", "u_comp")
+CARRIED = ("leaf_mask", "scc_masks", "leaf_sccs", "leaf_scc_masks", "u_comp")
+
+
+def assert_leaf_test_matches_the_scan(g):
+    """`is_leaf_scc` on the leaf-SCC mask set agrees with a scan of the
+    leaf SCCs, on every SCC, every single vertex, the unions of adjacent
+    SCCs, the empty mask and the whole vertex set."""
+    sccs = g.scc_masks
+    probes = [*sccs, *(1 << (v - 1) for v in g.vertices()),
+              *(a | b for a, b in zip(sccs, sccs[1:])), 0, g.vertex_mask]
+    assert [graphs.is_leaf_scc(g, mask) for mask in probes] == \
+        [any(sccs[k] == mask for k in g.leaf_sccs) for mask in probes]
 
 
 def assert_caches_fresh(state):
@@ -464,6 +475,7 @@ def test_cached_queries_follow_grounding_steps(g, data):
         state = trace.graphs
         if state is not g:
             assert_carried_caches_fresh(state)
+        assert_leaf_test_matches_the_scan(state)
         cached = kernel_queries(state)
         assert kernel_queries(GraphPair(state.n, state.arcs, state.edges)) == cached
         brute = brute_queries(state)
@@ -526,6 +538,7 @@ def test_engine_choices_carry_fresh_caches(g, data):
                     islice(bound._all_edge_options(trace, scc), 20))))
             stage, once = bound._PRUNE, bound._open(trace, opening)
         assert_carried_caches_fresh(trace.graphs)
+        assert_leaf_test_matches_the_scan(trace.graphs)
         assert_witnesses_match(trace.graphs)
         assert_key_matches(trace)
 

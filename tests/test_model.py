@@ -1,7 +1,9 @@
+import copy
 import importlib
 import json
 import pkgutil
 import random
+from collections.abc import Mapping
 from enum import IntEnum
 
 import hypothesis.strategies as st
@@ -10,9 +12,9 @@ from hypothesis import given, settings
 
 import msindex
 from msindex import generate
-from msindex.model import (GraphPair, InstanceError, _parse_index_set,
-                           _require, build_graphs, mask_of, parse_instance,
-                           simplify)
+from msindex.model import (GraphPair, InstanceError, ProblemInstance,
+                           _parse_index_set, _require, build_graphs,
+                           check_schema, mask_of, parse_instance, simplify)
 from msindex.verify import oracle_min_linear
 
 from conftest import make_instance
@@ -79,8 +81,8 @@ def test_parse_deeply_nested_text_is_an_instance_error():
 
 
 def _reference_parse_index_set(raw, path, m):
-    """The element-by-element check that the whole-list check runs
-    ahead of."""
+    """The element-by-element check of one list, which names the first
+    bad index."""
     _require(isinstance(raw, list), path, f"expected a list, got {type(raw).__name__}")
     seen: set[int] = set()
     for k, x in enumerate(raw):
@@ -138,6 +140,157 @@ def test_parse_index_set_matches_the_element_loop(case):
     expected = _outcome(_reference_parse_index_set, raw, m)
     got = _outcome(_parse_index_set, raw, m)
     assert got == expected
+
+
+def _reference_parse_instance(document):
+    """The sequential checks in document order, with the element loop for
+    every list: the path that names the first fault of a document."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise InstanceError("$", f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InstanceError("$", "invalid JSON: nested too deeply") from exc
+    _require(isinstance(document, Mapping), "$", "expected a JSON object")
+
+    allowed = {"schema", "num_messages", "senders", "wants"}
+    for key in document:
+        _require(key in allowed, str(key), "unknown field")
+    check_schema(document, "schema")
+    for key in ("num_messages", "senders", "wants"):
+        _require(key in document, key, "missing required field")
+
+    m = document["num_messages"]
+    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
+             "num_messages", f"expected a positive integer, got {m!r}")
+
+    raw_senders = document["senders"]
+    _require(isinstance(raw_senders, list) and len(raw_senders) >= 1,
+             "senders", "expected a non-empty list of sender message sets")
+    senders = []
+    for s, raw in enumerate(raw_senders):
+        ms = _reference_parse_index_set(raw, f"senders[{s}]", m)
+        _require(len(ms) > 0, f"senders[{s}]", "empty sender set")
+        senders.append(ms)
+
+    raw_wants = document["wants"]
+    _require(isinstance(raw_wants, list), "wants", "expected a list")
+    _require(len(raw_wants) == m, "wants",
+             f"expected one want-set per receiver ({m}), got {len(raw_wants)}")
+    wants = []
+    for k, raw in enumerate(raw_wants):
+        wr = _reference_parse_index_set(raw, f"wants[{k}]", m)
+        _require(k + 1 not in wr, f"wants[{k}]",
+                 f"receiver {k + 1} wants its own message")
+        wants.append(wr)
+
+    covered: set[int] = set()
+    for ms in senders:
+        covered |= ms
+    _require(covered == set(range(1, m + 1)), "senders",
+             "every message must be owned by some sender")
+
+    return ProblemInstance(num_messages=m, senders=tuple(senders),
+                           wants=tuple(wants))
+
+
+FAULTS = ("unknown key", "schema", "m", "non-list entry", "non-int element",
+          "out of range", "duplicate", "empty sender", "self-want",
+          "missing coverage", "wants length")
+
+
+def _inject(draw, doc, fault):
+    """Put one fault of the kind ``fault`` into ``doc``, in place."""
+    m = doc["num_messages"]
+    m = m if type(m) is int and m >= 1 else 3
+    entries = [lst for lst in (doc["senders"], doc["wants"])
+               if isinstance(lst, list) and lst]
+    if fault == "unknown key":
+        doc[draw(st.sampled_from(["extra", "Senders", "1"]))] = 1
+    elif fault == "schema":
+        doc["schema"] = draw(st.sampled_from([2, 0, True, 1.0, "1", None]))
+    elif fault == "m":
+        doc["num_messages"] = draw(st.sampled_from(
+            [0, -1, True, 2.0, "3", None, m - 1, m + 1]))
+    elif fault == "wants length":
+        if isinstance(doc["wants"], list):
+            if doc["wants"] and draw(st.booleans()):
+                doc["wants"].pop(draw(st.integers(0, len(doc["wants"]) - 1)))
+            else:
+                doc["wants"].append([])
+    elif fault == "missing coverage":
+        lost = draw(st.integers(1, m))
+        for raw in doc["senders"] if isinstance(doc["senders"], list) else ():
+            if isinstance(raw, list):
+                raw[:] = [x for x in raw if x != lost]
+    elif fault == "empty sender":
+        if isinstance(doc["senders"], list) and doc["senders"]:
+            doc["senders"][draw(st.integers(0, len(doc["senders"]) - 1))] = []
+    elif fault == "self-want":
+        if isinstance(doc["wants"], list) and doc["wants"]:
+            k = draw(st.integers(0, len(doc["wants"]) - 1))
+            if isinstance(doc["wants"][k], list):
+                doc["wants"][k].insert(draw(st.integers(0, len(doc["wants"][k]))), k + 1)
+    elif entries:
+        lst = draw(st.sampled_from(entries))
+        k = draw(st.integers(0, len(lst) - 1))
+        if fault == "non-list entry":
+            lst[k] = draw(st.sampled_from([None, 3, "1", {"a": 1}, (1, 2), True]))
+        elif isinstance(lst[k], list):
+            raw = lst[k]
+            if fault == "non-int element":
+                new = draw(st.sampled_from(
+                    [True, False, 1.0, 2.0, "1", None, [1], _Index.ONE]))
+            elif fault == "out of range":
+                new = draw(st.sampled_from([0, -1, m + 1, 2**70]))
+            elif raw:
+                new = draw(st.sampled_from(raw))
+            else:
+                return
+            raw.insert(draw(st.integers(0, len(raw))), new)
+
+
+@st.composite
+def _instance_documents(draw):
+    """An instance document from the generator strategy with zero to three
+    faults injected, in any order and in any of its lists."""
+    inst = draw(instances(max_m=7))
+    doc = inst.to_document()
+    if draw(st.booleans()):
+        del doc["schema"]
+    for raw in doc["senders"] + doc["wants"]:
+        raw[:] = draw(st.permutations(raw))
+    for _ in range(draw(st.integers(0, 3))):
+        _inject(draw, doc, draw(st.sampled_from(FAULTS)))
+    return doc
+
+
+def _parse_outcome(parse, document):
+    try:
+        inst = parse(document)
+    except InstanceError as exc:
+        return "error", exc.path, exc.message
+    return ("ok", inst, inst.sender_masks, inst.want_masks, inst.carried_mask,
+            inst.simplified)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_instance_documents())
+def test_whole_document_intake_matches_the_sequential_checks(doc):
+    """The same first error (path and message) on a faulty document, and an
+    equal instance with equal mask views on a valid one."""
+    expected = _parse_outcome(_reference_parse_instance, copy.deepcopy(doc))
+    assert _parse_outcome(parse_instance, doc) == expected
+
+
+def test_whole_document_intake_keeps_the_sender_fault_first():
+    doc = {"num_messages": 3, "senders": [[1, 2], [3, True]],
+           "wants": [[2], [1], [1, 1]]}
+    with pytest.raises(InstanceError) as err:
+        parse_instance(doc)
+    assert (err.value.path, err.value.message) == (
+        "senders[1][1]", "expected an integer, got True")
 
 
 def _reference_build_graphs(inst):
