@@ -96,26 +96,6 @@ class GroundingTrace:
         twin.__dict__ = {**self.__dict__, "log": list(self.log)}
         return twin
 
-    def canonical_key(self):
-        """State identity up to renaming of dummy vertices: the successor
-        masks with the dummies (vertices past ``n_real``, never with an
-        edge) relabelled in order of their sorted sources, and the
-        message-graph masks."""
-        g, n_real = self.graphs, self.n_real
-        order = [d for _, d in sorted((tuple(bits(g.pred[d])), d)
-                                      for d in bits(self.dummies))]
-        succ = g.succ
-        if order != sorted(order):
-            moved = {1 << (d - 1): 1 << (n_real + k) for k, d in enumerate(order)}
-
-            def relabel(mask: int) -> int:
-                out = mask & (1 << n_real) - 1
-                for bit in bits(mask >> n_real):
-                    out |= moved[1 << (n_real + bit - 1)]
-                return out
-            succ = tuple(map(relabel, succ[:n_real + 1] + tuple(succ[d] for d in order)))
-        return (n_real, len(order), succ, g.adj)
-
 
 # ---------------------------------------------------------------------------
 # The individual mutation steps.  Public variants validate their
@@ -365,7 +345,7 @@ def run_grounding(g: GraphPair, mode: str = "deterministic",
 
     Deterministic mode resolves every arbitrary choice by smallest index.
     Exhaustive mode searches all choices for a trace with the fewest
-    phase-2 iterations, memoizing on canonical states; past
+    phase-2 iterations, memoizing on states (their graphs); past
     ``state_budget`` explored sweep states it falls back to deterministic
     with a warning.  ``states_explored`` reports the budget spent.
     """
@@ -440,13 +420,13 @@ def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
 
 
 def _distinct(outcomes):
-    """(canonical key, trace) for the first trace seen of each state."""
+    """The first trace seen of each state, its graphs: every vertex past
+    ``n_real`` is a dummy, so the vertex count fixes the dummies."""
     seen = set()
     for work in outcomes:
-        key = work.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            yield key, work
+        if work.graphs not in seen:
+            seen.add(work.graphs)
+            yield work
 
 
 def _iteration_sweeps(trace: GroundingTrace, budget: _Budget):
@@ -463,25 +443,26 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
     choice order, phase-1 outcomes first, then each iteration's."""
     base = GroundingTrace.from_graphs(g)
     base.mode = "exhaustive"
-    memo: dict[tuple, int] = {}
-    best_step: dict[tuple, tuple[GroundingTrace, GroundingTrace]] = {}
-    visiting: set[tuple] = set()
+    memo: dict[GraphPair, int] = {}
+    best_step: dict[GraphPair, tuple[GroundingTrace, GroundingTrace]] = {}
+    visiting: set[GraphPair] = set()
 
-    def min_iv(state: GroundingTrace, key: tuple) -> int:
+    def min_iv(state: GroundingTrace) -> int:
         """Exact, memoized; records the first child that attains it.  A
         child scoring 0 ends the scan: a state with leaf SCCs left needs
         at least one iteration, so nothing later can be strictly less."""
+        key = state.graphs
         if key in memo:
             return memo[key]
         if key in visiting:
             raise AssertionError("phase-2 state revisited without progress")
-        if not state.graphs.leaf_sccs:
+        if not key.leaf_sccs:
             memo[key] = 0
             return 0
         visiting.add(key)
         best = None
-        for child_key, child in _distinct(_iteration_sweeps(state, budget)):
-            iv = 1 + min_iv(child, child_key)
+        for child in _distinct(_iteration_sweeps(state, budget)):
+            iv = 1 + min_iv(child)
             if best is None or iv < best:
                 best, best_step[key] = iv, (state, child)
                 if iv == 1:
@@ -491,29 +472,22 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
         return best
 
     trace, best = None, None
-    for key, outcome in _distinct(_enumerate_sweeps(base, False, budget)):
+    for outcome in _distinct(_enumerate_sweeps(base, False, budget)):
         _end_phase1(outcome)
-        iv = min_iv(outcome, key)
+        iv = min_iv(outcome)
         if best is None or iv < best:
             trace, best = outcome, iv
             if iv == 0:
                 break
 
-    # Follow the recorded choices.  A memo hit may have recorded them on
-    # another trace of the same state; with the same graphs and dummy
-    # labels its choices replay verbatim, otherwise take the first
-    # iteration outcome attaining the optimum, as the recording would.
+    # Follow the recorded choices: a memo hit recorded them on another
+    # trace of the same graphs, whose iteration steps replay verbatim.
     while trace.graphs.leaf_sccs:
-        key = trace.canonical_key()
-        owner, child = best_step[key]
-        if (owner.graphs, owner.dummies) == (trace.graphs, trace.dummies):
-            nxt = trace.clone()
-            nxt.graphs, nxt.dummies = child.graphs, child.dummies
-            nxt.log += child.log[len(owner.log):]
-            nxt.n_iv += 1
-        else:
-            nxt = next(c for k, c in _distinct(_iteration_sweeps(trace, budget))
-                       if min_iv(c, k) == memo[key] - 1)
+        owner, child = best_step[trace.graphs]
+        nxt = trace.clone()
+        nxt.graphs, nxt.dummies = child.graphs, child.dummies
+        nxt.log += child.log[len(owner.log):]
+        nxt.n_iv += 1
         trace = nxt
     return _finish(trace)
 

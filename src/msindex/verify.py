@@ -10,12 +10,12 @@ it meets the structural lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .code import CodeRow, LinearIndexCode
-from .model import InstanceError, ProblemInstance, bits, mask_of
+from .model import InstanceError, ProblemInstance, bits
 
 EXHAUSTIVE_LIMIT = 20
 ORACLE_LIMIT = 8
@@ -215,10 +215,10 @@ def verify_exhaustive(code: LinearIndexCode, inst: ProblemInstance) -> bool:
     want_masks = {r: inst.want_masks[r - 1] for r in receivers}
     seen: dict[int, dict[tuple, int]] = {r: {} for r in receivers}
 
-    for bits in range(1 << len(carried)):
+    for assignment in range(1 << len(carried)):
         x = 0
         for pos, msg in enumerate(carried):
-            if (bits >> pos) & 1:
+            if (assignment >> pos) & 1:
                 x |= 1 << (msg - 1)
         codeword = tuple((row.coeffs & x).bit_count() & 1 for row in code.rows)
         for r in receivers:
@@ -229,19 +229,6 @@ def verify_exhaustive(code: LinearIndexCode, inst: ProblemInstance) -> bool:
             if prev != wanted_bits:
                 return False
     return True
-
-
-def _candidate_rows(inst: ProblemInstance) -> list[CodeRow]:
-    """Every nonzero sender-feasible row, deduplicated with smallest-sender
-    attribution, sorted by coefficient mask."""
-    best_sender: dict[int, int] = {}
-    for s, ms in enumerate(inst.senders, start=1):
-        owned = sorted(ms)
-        for r in range(1, len(owned) + 1):
-            for combo in combinations(owned, r):
-                best_sender.setdefault(mask_of(combo), s)
-    return [CodeRow(best_sender[mask], mask)
-            for mask in sorted(best_sender)]
 
 
 def _submasks(mask: int) -> int:
@@ -304,14 +291,18 @@ class _Packing:
         for j, owned in enumerate(senders, start=1):
             self.root |= _submasks(carried & ~owned) << j * self.width
 
-    def grow(self, x: int, v: int) -> int:
-        """The packed int of D + ⟨v⟩, from the packed int ``x`` of D."""
-        t = x
+    def translate(self, x: int, v: int) -> int:
+        """The packed int ``x`` with each vector y moved to y ^ v, v ⊆ K."""
         while v:
             b = v & -v
             v ^= b
             keep = self.keep[b]
-            t = ((t >> b) & keep) | ((t & keep) << b)
+            x = ((x >> b) & keep) | ((x & keep) << b)
+        return x
+
+    def grow(self, x: int, v: int) -> int:
+        """The packed int of D + ⟨v⟩, from the packed int ``x`` of D."""
+        t = self.translate(x, v)
         return (x | t) ^ ((x ^ t) & self.ext)
 
     def feasible(self, x: int, dim: int) -> bool:
@@ -352,10 +343,10 @@ class _Packing:
         return levels
 
 
-def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
-    """The minimum linear length and the reduced echelon bases of every
-    feasible allowed D at that length: the one search behind
-    `min_linear_length` and `oracle_min_linear`."""
+def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]], _Packing]:
+    """The minimum linear length, the reduced echelon bases of every
+    feasible allowed D at that length, and their packing: the one search
+    behind `min_linear_length` and `oracle_min_linear`."""
     if inst.num_messages > ORACLE_LIMIT:
         raise GuardError(
             f"m={inst.num_messages} exceeds oracle limit {ORACLE_LIMIT}")
@@ -368,8 +359,8 @@ def _optimal_duals(inst: ProblemInstance) -> tuple[int, list[tuple[int, ...]]]:
         feasible = [basis for basis, x in levels[d].items()
                     if packing.feasible(x, d)]
         if feasible:
-            return k - d, feasible
-    return k, [()]
+            return k - d, feasible, packing
+    return k, [()], packing
 
 
 def min_linear_length(inst: ProblemInstance) -> int:
@@ -417,44 +408,51 @@ def min_linear_length(inst: ProblemInstance) -> int:
 
 def oracle_min_linear(inst: ProblemInstance) -> tuple[int, LinearIndexCode]:
     """Minimum-length linear code: the length and the lexicographically
-    smallest witness over the candidate rows, both from the dual search
-    of `min_linear_length`.
+    smallest witness, both from the dual search of `min_linear_length`.
 
-    Candidate rows are all distinct nonzero sender-feasible vectors in
-    mask order (`_candidate_rows`).  A code is read as the tuple of its
-    row indices.  For every feasible allowed D of the optimal dimension,
-    the witness of C = D^⊥ is its greedy basis: each candidate in C (even
-    parity with every row of D's basis) that is independent of the rows
-    taken so far.  The oracle returns the smallest of these index tuples.
+    The witness is read from the search's bitsets over the 2^m vectors.
+    The feasible rows are the nonzero submasks of the sender sets.  The
+    vectors of odd parity with a dual row y are the XOR, over the bits b
+    of y, of the vectors holding b (``space & ~keep[b]``), so the rows in
+    C = D^⊥ are the feasible rows outside the OR of these sets over D's
+    basis.  The witness of C is its greedy basis: the smallest row of C
+    outside the span of the rows taken, a bitset that each row grows by
+    one translation.  The oracle returns the smallest of these bases,
+    compared by row masks, and gives each row the smallest sender whose
+    set holds it.
 
     This is the lexicographically smallest decoding code of the optimal
     length L.  Its rows are independent, or fewer rows would decode, so
     they are a basis of their span C, and C^⊥ is one of the feasible D:
     every such code is a basis of exactly one feasible C.  Conversely a
-    feasible C is spanned by candidates, and every basis of it decodes.
-    The candidates in one C form a matroid, whose greedy basis in index
-    order is its lexicographically smallest basis (Gale).  So the
-    minimum over all feasible D is the smallest code of length L, and it
-    does not depend on the order in which the D are visited.
+    feasible C is spanned by its feasible rows, and every basis of it
+    decodes.  The feasible rows in one C form a matroid, whose greedy
+    basis in mask order is its lexicographically smallest basis (Gale).
+    So the minimum over all feasible D is the smallest code of length L,
+    and it does not depend on the order in which the D are visited.
     """
-    length, duals = _optimal_duals(inst)
-    candidates = _candidate_rows(inst)
+    length, duals, packing = _optimal_duals(inst)
+    feasible = reduce(or_, map(_submasks, inst.sender_masks), 0) & ~1
 
     def greedy(dual: tuple[int, ...]) -> tuple[int, ...]:
-        chosen: list[int] = []
-        basis: dict[int, int] = {}
-        for idx, row in enumerate(candidates):
-            if any((row.coeffs & y).bit_count() & 1 for y in dual):
-                continue
-            if _insert(basis, row.coeffs):
-                chosen.append(idx)
-                if len(chosen) == length:
-                    break
-        return tuple(chosen)
+        odd = 0
+        for y in dual:
+            parity = 0
+            for i in bits(y):
+                parity ^= packing.space & ~packing.keep[1 << (i - 1)]
+            odd |= parity
+        free, span, rows = feasible & ~odd, 1, []
+        while len(rows) < length:
+            row = (free & -free).bit_length() - 1
+            rows.append(row)
+            span |= packing.translate(span, row)
+            free &= ~span
+        return tuple(rows)
 
-    hit = min(greedy(dual) for dual in duals)
-    return length, LinearIndexCode(inst.num_messages,
-                                   tuple(candidates[k] for k in hit))
+    senders = list(enumerate(inst.sender_masks, start=1))
+    return length, LinearIndexCode(inst.num_messages, tuple(
+        CodeRow(next(s for s, owned in senders if not row & ~owned), row)
+        for row in min(map(greedy, duals))))
 
 
 __all__ = [

@@ -144,8 +144,8 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
 def _enumerate_sweeps(trace: GroundingTrace, prune_limit: int | None,
                       budget: _Budget) -> list[tuple[tuple[int, ...], GroundingTrace]]:
     """All completed-sweep outcomes by choice script, shortlex order,
-    deduplicated by canonical state."""
-    outcomes: dict[tuple, tuple[tuple[int, ...], GroundingTrace]] = {}
+    deduplicated by state graphs."""
+    outcomes: dict[GraphPair, tuple[tuple[int, ...], GroundingTrace]] = {}
     queue: deque[tuple[int, ...]] = deque([()])
     while queue:
         script = queue.popleft()
@@ -157,7 +157,7 @@ def _enumerate_sweeps(trace: GroundingTrace, prune_limit: int | None,
             for k in range(need.n_options):
                 queue.append(script + (k,))
         else:
-            outcomes.setdefault(work.canonical_key(), (script, work))
+            outcomes.setdefault(work.graphs, (script, work))
     return list(outcomes.values())
 
 
@@ -165,10 +165,10 @@ def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
                         ) -> list[tuple[tuple, GroundingTrace]]:
     """All distinct states one phase-2 iteration can reach, with the
     recipe needed to replay each."""
-    results: dict[tuple, tuple[tuple, GroundingTrace]] = {}
+    results: dict[GraphPair, tuple[tuple, GroundingTrace]] = {}
     if graphs.leaf_sccs_of_class(trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED):
         for script, work in _enumerate_sweeps(trace, 1, budget):
-            results.setdefault(work.canonical_key(), (("iv-0", script), work))
+            results.setdefault(work.graphs, (("iv-0", script), work))
         return list(results.values())
     for scc_t, _ in _phase2_branch_options(trace):
         scc = mask_of(scc_t)
@@ -179,18 +179,18 @@ def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
             staged.log.append({"step": "iv-c"})
             for script, work in _enumerate_sweeps(staged, None, budget):
                 recipe = ("iv-abc", scc_t, edges, script)
-                results.setdefault(work.canonical_key(), (recipe, work))
+                results.setdefault(work.graphs, (recipe, work))
     return list(results.values())
 
 
 def _run_exhaustive(g, budget: _Budget) -> GroundingTrace:
     base = GroundingTrace.from_graphs(g)
     base.mode = "exhaustive"
-    memo: dict[tuple, int] = {}
-    visiting: set[tuple] = set()
+    memo: dict[GraphPair, int] = {}
+    visiting: set[GraphPair] = set()
 
     def min_iv(state: GroundingTrace) -> int:
-        key = state.canonical_key()
+        key = state.graphs
         if key in memo:
             return memo[key]
         if key in visiting:

@@ -437,28 +437,10 @@ def assert_caches_fresh(state):
                for mask, cls in state.leaf_classes.items())
 
 
-def _reference_key(trace):
-    """The state key as a set of arcs with relabelled dummies."""
-    g = trace.graphs
-    by_sources = sorted((tuple(bits(g.pred[d])), d) for d in bits(trace.dummies))
-    relabel = {d: trace.n_real + k + 1 for k, (_, d) in enumerate(by_sources)}
-    arcs = frozenset((relabel.get(i, i), relabel.get(j, j))
-                     for (i, j) in g.arcs) if relabel else g.arcs
-    return (trace.n_real, trace.dummies.bit_count(), arcs, g.edges)
-
-
 def assert_carried_caches_fresh(state):
     """A step from a state with every cache filled carried them all."""
     assert set(CARRIED) <= vars(state).keys()
     assert_caches_fresh(state)
-
-
-def assert_key_matches(trace):
-    n_real, dummies, succ, adj = trace.canonical_key()
-    arcs = frozenset((i, j) for i, out in enumerate(succ) for j in bits(out))
-    edges = frozenset((i, j) for i, out in enumerate(adj)
-                      for j in bits(out) if i < j)
-    assert (n_real, dummies, arcs, edges) == _reference_key(trace)
 
 
 @settings(max_examples=150, deadline=None)
@@ -468,8 +450,8 @@ def test_cached_queries_follow_grounding_steps(g, data):
     state equals a freshly built GraphPair with every carried cache equal
     to the fresh one's, every cached query equals the same query on the
     fresh object and the brute-force oracles, the cover search matches
-    the cover loop, the state key matches the arc-set key, and a clone
-    taken before the step keeps the state it shared."""
+    the cover loop, and a clone taken before the step keeps the state it
+    shared."""
     trace = GroundingTrace.from_graphs(g)
     for _ in range(8):
         state = trace.graphs
@@ -481,7 +463,6 @@ def test_cached_queries_follow_grounding_steps(g, data):
         brute = brute_queries(state)
         assert {key: cached[key] for key in brute} == brute
         assert_witnesses_match(state)
-        assert_key_matches(trace)
         if not cached["leaf_sccs"]:
             break
         k = data.draw(st.integers(0, len(cached["leaf_sccs"]) - 1))
@@ -515,7 +496,7 @@ def test_engine_choices_carry_fresh_caches(g, data):
     sweep's choice points (so witness arcs from every source to every
     target), then a phase-2 iteration, pruning one message-connected
     leaf SCC or connecting any semi one by any edge set; after each step
-    the carried caches, the cover search and the state key are checked."""
+    the carried caches and the cover search are checked."""
     trace = GroundingTrace.from_graphs(g)
     stage, once = bound._PRUNE, False
     for _ in range(16):
@@ -540,7 +521,6 @@ def test_engine_choices_carry_fresh_caches(g, data):
         assert_carried_caches_fresh(trace.graphs)
         assert_leaf_test_matches_the_scan(trace.graphs)
         assert_witnesses_match(trace.graphs)
-        assert_key_matches(trace)
 
 
 def _children(trace):

@@ -1,20 +1,21 @@
 import random
 import sys
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from msindex import generate, graphs
+from msindex import generate, graphs, verify
 from msindex.code import CodeRow, LinearIndexCode, assign_senders, \
     find_connecting_trees, plan_code
 from msindex.model import (InstanceError, adjacent, bits, build_graphs,
                            mask_of, simplify)
 from msindex.verify import (CertEntry, DecodeCertificate, DecodeFailure,
-                            GuardError, _allowed_set, _candidate_rows,
-                            _insert, _Packing, _unit_reductions,
+                            GuardError, _allowed_set, _insert,
+                            _optimal_duals, _Packing, _unit_reductions,
                             _validate_supports, min_linear_length,
                             oracle_min_linear, rank_decodable,
                             verify_exhaustive)
@@ -266,6 +267,79 @@ def test_oracle_three_pairs_is_four(three_pairs):
 def test_oracle_triangle_and_two_way(triangle, two_way):
     assert oracle_min_linear(simplify(triangle)[0])[0] == 2
     assert oracle_min_linear(simplify(two_way)[0])[0] == 2
+
+
+def _candidate_rows(inst):
+    """Every nonzero sender-feasible row, deduplicated with smallest-sender
+    attribution, sorted by coefficient mask: the 2^|S| rows of each
+    sender set S, which the reference searches scan."""
+    best_sender: dict[int, int] = {}
+    for s, ms in enumerate(inst.senders, start=1):
+        owned = sorted(ms)
+        for r in range(1, len(owned) + 1):
+            for combo in combinations(owned, r):
+                best_sender.setdefault(mask_of(combo), s)
+    return [CodeRow(best_sender[mask], mask)
+            for mask in sorted(best_sender)]
+
+
+def _reference_witness(inst):
+    """The oracle witness as the greedy over `_candidate_rows`: for each
+    optimal dual basis, every candidate with even parity against each
+    dual row that is independent of the rows taken so far, in mask order,
+    up to the optimal length; the smallest tuple of candidate indices."""
+    length, duals, _ = _optimal_duals(inst)
+    candidates = _candidate_rows(inst)
+
+    def greedy(dual):
+        chosen, basis = [], {}
+        for idx, row in enumerate(candidates):
+            if any((row.coeffs & y).bit_count() & 1 for y in dual):
+                continue
+            if _insert(basis, row.coeffs):
+                chosen.append(idx)
+                if len(chosen) == length:
+                    break
+        return tuple(chosen)
+
+    hit = min(greedy(dual) for dual in duals)
+    return length, LinearIndexCode(inst.num_messages,
+                                   tuple(candidates[k] for k in hit))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_m=8))
+def test_bitset_witness_matches_the_candidate_greedy(inst):
+    # raw and simplified: length, sender and mask of every row
+    for case in (inst, simplify(inst)[0]):
+        length, code = oracle_min_linear(case)
+        ref_length, ref_code = _reference_witness(case)
+        assert length == ref_length == len(code.rows)
+        assert ([(row.sender, row.coeffs) for row in code.rows]
+                == [(row.sender, row.coeffs) for row in ref_code.rows])
+
+
+def test_sixteen_message_sender_witness_lists_no_candidates(monkeypatch):
+    # one sender owns all 16 messages and receiver r wants r + 1 (mod 16):
+    # the only allowed dual vector is the all-ones one, so C is the even
+    # vectors and the witness is e1 + e_j for j = 2..16; a candidate list
+    # would hold 2^16 - 1 rows
+    m = 16
+    inst = make_instance(m, senders=[set(range(1, m + 1))],
+                         wants=[{r % m + 1} for r in range(1, m + 1)])
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return CodeRow(*args)
+
+    monkeypatch.setattr(verify, "ORACLE_LIMIT", m)
+    monkeypatch.setattr(verify, "CodeRow", counted)
+    length, code = oracle_min_linear(inst)
+    assert length == len(code.rows) == 15
+    assert [row.coeffs for row in code.rows[:4]] == [3, 5, 9, 17]
+    assert code.rows == tuple(CodeRow(1, 1 | 1 << j) for j in range(1, m))
+    assert len(built) <= len(code.rows)
 
 
 def _requirements(inst) -> list[tuple[int, int | None, list[int]]]:
@@ -867,10 +941,6 @@ def test_closure_holds_for_oracle_and_planned_codes(inst):
 @given(instances(max_m=4))
 def test_oracle_matches_plain_subset_scan(inst):
     # reference search: raw lexicographic combinations, no pruning
-    from itertools import combinations
-
-    from msindex.verify import _candidate_rows
-
     simple, _ = simplify(inst)
     candidates = _candidate_rows(simple)
     reference = None
