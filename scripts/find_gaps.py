@@ -39,6 +39,16 @@ def random_pairing_instance(rng, m):
                            wants=tuple(frozenset(w) for w in wants))
 
 
+def random_family_instance(rng, m):
+    """One draw of the traffic mix: 60 % pairing, 25 % cycle, 15 % plain."""
+    roll = rng.random()
+    if roll < 0.6:
+        return random_pairing_instance(rng, m)
+    if roll < 0.85:
+        return random_cycle_instance(rng, m, sender_size=rng.randint(2, 3))
+    return random_instance(rng, m)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=_int_at_least(1), default=2000)
@@ -51,14 +61,7 @@ def main(argv=None):
     rng = random.Random(args.seed)
     printed = past_guard = 0
     for k in range(args.count):
-        m = rng.randint(4, args.max_m)
-        roll = rng.random()
-        if roll < 0.6:
-            inst = random_pairing_instance(rng, m)
-        elif roll < 0.85:
-            inst = random_cycle_instance(rng, m, sender_size=rng.randint(2, 3))
-        else:
-            inst = random_instance(rng, m)
+        inst = random_family_instance(rng, rng.randint(4, args.max_m))
         a = analyze(inst, exhaustive=True)
         lb, ub = a.lower_bound, a.upper_bound
         if lb == ub:

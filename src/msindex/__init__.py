@@ -13,7 +13,6 @@ from .code import (CodeBlueprint, CodeRow, LinearIndexCode, Tree,
                    upper_bound)
 from .analysis import Analysis, analyze
 from .verify import (DecodeCertificate, DecodeFailure, GuardError,
-                     min_linear_length, oracle_min_linear, rank_decodable,
-                     verify_exhaustive)
+                     min_linear_length, oracle_min_linear, rank_decodable)
 
 __version__ = "0.1.0"

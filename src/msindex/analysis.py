@@ -25,8 +25,10 @@ class Analysis:
 
     @cached_property
     def trace(self) -> bound.GroundingTrace:
-        return bound.run_grounding(
-            self.graphs, "exhaustive" if self.exhaustive else "deterministic")
+        """Exhaustive mode takes the rank-checked upper bound as a ceiling."""
+        if not self.exhaustive:
+            return bound.run_grounding(self.graphs)
+        return bound.run_grounding(self.graphs, "exhaustive", ceiling=self.upper_bound)
 
     @cached_property
     def lower_bound(self) -> int:

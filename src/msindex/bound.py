@@ -12,14 +12,14 @@ message-connected leaf SCC if present, otherwise pick a semi leaf SCC,
 add message edges until it is message-connected, and sweep again.  Every
 choice is generated lazily with the smallest-index option first;
 deterministic mode takes the first option everywhere, and exhaustive mode
-searches all of them for the fewest phase-2 iterations, since a smaller
-iteration count means a larger bound.
+searches all of them depth first for the fewest phase-2 iterations, since
+a smaller iteration count means a larger bound, which can never pass an
+upper bound given as a ceiling.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -38,11 +38,13 @@ class _BudgetExceeded(Exception):
 
 
 class _Budget:
-    """Counts explored sweep states; the state past ``limit`` raises."""
+    """Counts explored sweep states (the one past ``limit`` raises) and
+    the scans the ceiling ended."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.spent = 0
+        self.ceiling_stops = 0
 
     def spend(self) -> None:
         if self.spent >= self.limit:
@@ -74,6 +76,7 @@ class GroundingTrace:
     complete: bool = False
     fell_back: bool = False
     states_explored: int = 0
+    ceiling_stops: int = 0
 
     @classmethod
     def from_graphs(cls, g: GraphPair) -> "GroundingTrace":
@@ -340,21 +343,23 @@ def _open(trace: GroundingTrace, opening) -> bool:
 
 
 def run_grounding(g: GraphPair, mode: str = "deterministic",
-                  state_budget: int = DEFAULT_STATE_BUDGET) -> GroundingTrace:
+                  state_budget: int = DEFAULT_STATE_BUDGET,
+                  ceiling: int | None = None) -> GroundingTrace:
     """Run both phases to completion and return the trace.
 
     Deterministic mode resolves every arbitrary choice by smallest index.
-    Exhaustive mode searches all choices for a trace with the fewest
-    phase-2 iterations, memoizing on states (their graphs); past
+    Exhaustive mode searches all choices depth first for a trace with the
+    fewest phase-2 iterations, memoizing on states (their graphs); past
     ``state_budget`` explored sweep states it falls back to deterministic
-    with a warning.  ``states_explored`` reports the budget spent.
+    with a warning.  An upper bound as ``ceiling`` ends scans early.  The
+    trace reports ``states_explored`` and ``ceiling_stops``.
     """
     if mode not in ("deterministic", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
         budget = _Budget(state_budget)
         try:
-            trace = _run_exhaustive(g, budget)
+            trace = _run_exhaustive(g, budget, ceiling)
         except _BudgetExceeded:
             warnings.warn(
                 f"exhaustive search exceeded {state_budget} states; "
@@ -363,6 +368,7 @@ def run_grounding(g: GraphPair, mode: str = "deterministic",
             trace.mode = "exhaustive"
             trace.fell_back = True
         trace.states_explored = budget.spent
+        trace.ceiling_stops = budget.ceiling_stops
         return trace
     return _run_deterministic(g)
 
@@ -394,19 +400,18 @@ def _run_deterministic(g: GraphPair) -> GroundingTrace:
 
 
 def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
-    """Every completed sweep from ``trace``, lazily, in shortlex order of
-    the choice sequences reaching it: breadth first over choice points.
-    A queue entry is a paused state with its stage and the lazy options
-    of its choice point.  Each branch taken from the queue clones the
-    state, applies the entry's next option and spends one unit of budget;
-    an entry leaves the queue once its options run out, so an option is
-    generated only when its branch is explored."""
-    queue = deque([(trace, _PRUNE, iter((None,)))])
-    while queue:
-        parent, stage, options = queue[0]
+    """Every completed sweep from ``trace``, lazily, depth first over
+    choice points: in lexicographic order of the choice sequences, so the
+    deterministic sweep comes first.  A stack entry is a paused state with
+    its stage and the lazy options of its choice point; each branch clones
+    the top entry's state, applies its next option and spends one unit of
+    budget, so an option is generated only when its branch is explored."""
+    stack = [(trace, _PRUNE, iter((None,)))]
+    while stack:
+        parent, stage, options = stack[-1]
         option = next(options, _DONE)
         if option is _DONE:
-            queue.popleft()
+            stack.pop()
             continue
         budget.spend()
         work = parent.clone()
@@ -416,7 +421,7 @@ def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
         if point is None:
             yield work
         else:
-            queue.append((work, *point))
+            stack.append((work, *point))
 
 
 def _distinct(outcomes):
@@ -438,19 +443,29 @@ def _iteration_sweeps(trace: GroundingTrace, budget: _Budget):
         yield from _enumerate_sweeps(staged, _open(staged, opening), budget)
 
 
-def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
+def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
+                    ) -> GroundingTrace:
     """Fewest phase-2 iterations; among equal counts the first trace in
-    choice order, phase-1 outcomes first, then each iteration's."""
+    lexicographic choice order.  A scan of a state's children stops at the
+    state's floor, a true lower bound, so every score stays exact: 1 with
+    leaf SCCs left (0 in phase 1), or V_out − ceiling if larger, as no
+    trace's bound V_out − n_iv exceeds ``ceiling``."""
     base = GroundingTrace.from_graphs(g)
     base.mode = "exhaustive"
     memo: dict[GraphPair, int] = {}
     best_step: dict[GraphPair, tuple[GroundingTrace, GroundingTrace]] = {}
     visiting: set[GraphPair] = set()
 
+    def at_floor(state: GroundingTrace, iv: int, least: int) -> bool:
+        """Whether ``iv`` is the state's floor; counts ceiling stops."""
+        if ceiling is not None and iv == graphs.num_out_vertices(
+                state.graphs, exclude=state.dummies) - ceiling > least:
+            budget.ceiling_stops += 1
+            return True
+        return iv == least
+
     def min_iv(state: GroundingTrace) -> int:
-        """Exact, memoized; records the first child that attains it.  A
-        child scoring 0 ends the scan: a state with leaf SCCs left needs
-        at least one iteration, so nothing later can be strictly less."""
+        """Exact, memoized; records the first child that attains it."""
         key = state.graphs
         if key in memo:
             return memo[key]
@@ -465,7 +480,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
             iv = 1 + min_iv(child)
             if best is None or iv < best:
                 best, best_step[key] = iv, (state, child)
-                if iv == 1:
+                if at_floor(state, iv, 1):
                     break
         visiting.discard(key)
         memo[key] = best
@@ -474,10 +489,13 @@ def _run_exhaustive(g: GraphPair, budget: _Budget) -> GroundingTrace:
     trace, best = None, None
     for outcome in _distinct(_enumerate_sweeps(base, False, budget)):
         _end_phase1(outcome)
+        if outcome.n_connected != (trace or outcome).n_connected:
+            raise AssertionError(f"phase-1 outcomes prune {trace.n_connected} "
+                                 f"and {outcome.n_connected} leaf SCCs")
         iv = min_iv(outcome)
         if best is None or iv < best:
             trace, best = outcome, iv
-            if iv == 0:
+            if at_floor(outcome, iv, 0):
                 break
 
     # Follow the recorded choices: a memo hit recorded them on another

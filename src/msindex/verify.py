@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 from .code import CodeRow, LinearIndexCode
 from .model import InstanceError, ProblemInstance, bits
 
-EXHAUSTIVE_LIMIT = 20
 ORACLE_LIMIT = 8
 
 
@@ -196,39 +195,6 @@ def rank_decodable(code: LinearIndexCode, inst: ProblemInstance
         if missed:
             return DecodeFailure(receiver=r, wanted=(missed & -missed).bit_length())
     return DecodeCertificate(_certificate_entries(inst, red, offset))
-
-
-def verify_exhaustive(code: LinearIndexCode, inst: ProblemInstance) -> bool:
-    """Independent decodability check by simulating every message vector.
-
-    For each receiver, assignments are grouped by what the receiver
-    observes (all codewords plus its own bit); the code works iff the
-    receiver's wanted bits are constant on every group.
-    """
-    if inst.num_messages > EXHAUSTIVE_LIMIT:
-        raise GuardError(
-            f"m={inst.num_messages} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
-    _validate_supports(code, inst)
-    carried_set = inst.carried
-    carried = sorted(carried_set)
-    receivers = [r for r in range(1, inst.num_messages + 1) if inst.wants[r - 1]]
-    want_masks = {r: inst.want_masks[r - 1] for r in receivers}
-    seen: dict[int, dict[tuple, int]] = {r: {} for r in receivers}
-
-    for assignment in range(1 << len(carried)):
-        x = 0
-        for pos, msg in enumerate(carried):
-            if (assignment >> pos) & 1:
-                x |= 1 << (msg - 1)
-        codeword = tuple((row.coeffs & x).bit_count() & 1 for row in code.rows)
-        for r in receivers:
-            own = (x >> (r - 1)) & 1 if r in carried_set else None
-            obs = (codeword, own)
-            wanted_bits = x & want_masks[r]
-            prev = seen[r].setdefault(obs, wanted_bits)
-            if prev != wanted_bits:
-                return False
-    return True
 
 
 def _submasks(mask: int) -> int:
@@ -457,6 +423,6 @@ def oracle_min_linear(inst: ProblemInstance) -> tuple[int, LinearIndexCode]:
 
 __all__ = [
     "GuardError", "CertEntry", "DecodeCertificate", "DecodeFailure",
-    "rank_decodable", "verify_exhaustive", "min_linear_length",
-    "oracle_min_linear", "EXHAUSTIVE_LIMIT", "ORACLE_LIMIT",
+    "rank_decodable", "min_linear_length", "oracle_min_linear",
+    "ORACLE_LIMIT",
 ]

@@ -14,10 +14,9 @@ from msindex.graphs import (LeafClass, classify_all, grounded_set,
                             is_grounded_digraph, num_out_vertices,
                             scc_decompose)
 from msindex.model import build_graphs, mask_of, parse_instance, simplify
-from msindex.verify import (DecodeCertificate, oracle_min_linear,
-                            rank_decodable, verify_exhaustive)
+from msindex.verify import DecodeCertificate, oracle_min_linear, rank_decodable
 
-from decode_closure import check_decode_closure
+from decode_closure import check_decode_closure, verify_exhaustive
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
 

@@ -1,11 +1,13 @@
 """Exhaustive grounding: the lazy search against the replay search it replaced.
 
-The reference below is the replay search verbatim: each sweep is re-run
-from its base state under a script of choice indices, a missing choice is
-signalled by an exception, every phase-1 and phase-2 outcome is scored,
-and the selected trace is rebuilt by replaying scripts.  The search in
-``msindex.bound`` must select the same trace wherever the reference
-finishes within its budget.
+The reference below is the replay search: each sweep is re-run from its
+base state under a script of choice indices, a missing choice is signalled
+by an exception, every phase-1 and phase-2 outcome is scored, and the
+selected trace is rebuilt by replaying scripts.  It walks the scripts
+depth first, as the search in ``msindex.bound`` does, which must then
+select the same trace wherever the reference finishes within its budget.
+Walked breadth first, in the order the search once used, it is the
+reference for the bound the ceiling stops must not change.
 """
 
 import random
@@ -18,17 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msindex import bound, graphs
+from msindex import analyze, bound, graphs
 from msindex.bound import (_apply_degenerate_arc, _apply_dummy, _apply_edges,
                            _apply_prune, _all_edge_options,
                            _degenerated_options, _finish,
                            GroundingTrace, lower_bound, run_grounding)
 from msindex.model import GraphPair, bits, build_graphs, edge_key, mask_of, simplify
 
-from strategies import graph_pairs
+from strategies import graph_pairs, instances
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from find_gaps import random_pairing_instance  # noqa: E402
+from find_gaps import (random_family_instance,  # noqa: E402
+                       random_pairing_instance)
 
 
 # --- the replay search, kept as the reference ---------------------------------
@@ -142,32 +145,34 @@ def _run_sweep(trace: GroundingTrace, prune_limit: int | None, chooser) -> None:
 
 
 def _enumerate_sweeps(trace: GroundingTrace, prune_limit: int | None,
-                      budget: _Budget) -> list[tuple[tuple[int, ...], GroundingTrace]]:
-    """All completed-sweep outcomes by choice script, shortlex order,
-    deduplicated by state graphs."""
+                      budget: _Budget, depth_first: bool
+                      ) -> list[tuple[tuple[int, ...], GroundingTrace]]:
+    """All completed-sweep outcomes by choice script, deduplicated by state
+    graphs: in lexicographic order of the scripts when ``depth_first``,
+    else in shortlex order."""
     outcomes: dict[GraphPair, tuple[tuple[int, ...], GroundingTrace]] = {}
-    queue: deque[tuple[int, ...]] = deque([()])
-    while queue:
-        script = queue.popleft()
+    pending: deque[tuple[int, ...]] = deque([()])
+    while pending:
+        script = pending.pop() if depth_first else pending.popleft()
         budget.spend()
         work = trace.clone()
         try:
             _run_sweep(work, prune_limit, _ScriptChooser(script))
         except _NeedChoice as need:
-            for k in range(need.n_options):
-                queue.append(script + (k,))
+            children = [script + (k,) for k in range(need.n_options)]
+            pending.extend(reversed(children) if depth_first else children)
         else:
             outcomes.setdefault(work.graphs, (script, work))
     return list(outcomes.values())
 
 
-def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
-                        ) -> list[tuple[tuple, GroundingTrace]]:
+def _iteration_outcomes(trace: GroundingTrace, budget: _Budget,
+                        depth_first: bool) -> list[tuple[tuple, GroundingTrace]]:
     """All distinct states one phase-2 iteration can reach, with the
     recipe needed to replay each."""
     results: dict[GraphPair, tuple[tuple, GroundingTrace]] = {}
     if graphs.leaf_sccs_of_class(trace.graphs, graphs.LeafClass.MESSAGE_CONNECTED):
-        for script, work in _enumerate_sweeps(trace, 1, budget):
+        for script, work in _enumerate_sweeps(trace, 1, budget, depth_first):
             results.setdefault(work.graphs, (("iv-0", script), work))
         return list(results.values())
     for scc_t, _ in _phase2_branch_options(trace):
@@ -177,13 +182,14 @@ def _iteration_outcomes(trace: GroundingTrace, budget: _Budget
             staged.log.append({"step": "iv-a", "scc": list(scc_t)})
             _apply_edges(staged, scc, edges)
             staged.log.append({"step": "iv-c"})
-            for script, work in _enumerate_sweeps(staged, None, budget):
+            for script, work in _enumerate_sweeps(staged, None, budget,
+                                                  depth_first):
                 recipe = ("iv-abc", scc_t, edges, script)
                 results.setdefault(work.graphs, (recipe, work))
     return list(results.values())
 
 
-def _run_exhaustive(g, budget: _Budget) -> GroundingTrace:
+def _run_exhaustive(g, budget: _Budget, depth_first: bool) -> GroundingTrace:
     base = GroundingTrace.from_graphs(g)
     base.mode = "exhaustive"
     memo: dict[GraphPair, int] = {}
@@ -199,12 +205,13 @@ def _run_exhaustive(g, budget: _Budget) -> GroundingTrace:
             memo[key] = 0
             return 0
         visiting.add(key)
-        best = min(1 + min_iv(nxt) for _, nxt in _iteration_outcomes(state, budget))
+        best = min(1 + min_iv(nxt) for _, nxt
+                   in _iteration_outcomes(state, budget, depth_first))
         visiting.discard(key)
         memo[key] = best
         return best
 
-    phase1 = _enumerate_sweeps(base, None, budget)
+    phase1 = _enumerate_sweeps(base, None, budget, depth_first)
     best_idx, best_iv = 0, None
     for idx, (_, outcome) in enumerate(phase1):
         iv = min_iv(outcome)
@@ -219,7 +226,7 @@ def _run_exhaustive(g, budget: _Budget) -> GroundingTrace:
 
     while _leaf_scc_sets(trace):
         target = min_iv(trace) - 1
-        for recipe, outcome in _iteration_outcomes(trace, budget):
+        for recipe, outcome in _iteration_outcomes(trace, budget, depth_first):
             if min_iv(outcome) != target:
                 continue
             if recipe[0] == "iv-0":
@@ -238,11 +245,11 @@ def _run_exhaustive(g, budget: _Budget) -> GroundingTrace:
     return _finish(trace)
 
 
-def reference(g, state_budget: int):
+def reference(g, state_budget: int, depth_first: bool = True):
     """(trace, states spent); the trace is None when the budget ran out."""
     budget = _Budget(state_budget)
     try:
-        return _run_exhaustive(g, budget), budget.spent
+        return _run_exhaustive(g, budget, depth_first), budget.spent
     except _BudgetExceeded:
         return None, budget.spent
 
@@ -335,7 +342,7 @@ def test_leafless_first_outcome_ends_the_search():
     new = run_grounding(g, "exhaustive")
     assert spent == 647
     assert new.n_iv == ref.n_iv == 0
-    assert new.states_explored == 24
+    assert new.states_explored == 4
     assert run_grounding(g, "exhaustive").states_explored == new.states_explored
     assert run_grounding(g).states_explored == 0
 
@@ -357,5 +364,75 @@ def test_search_finishes_where_replay_fell_back():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = run_grounding(g, "exhaustive")
-    assert not trace.fell_back and trace.states_explored == 672
+    assert not trace.fell_back and trace.states_explored == 99
     assert lower_bound(trace) >= lower_bound(run_grounding(g)) == 6
+
+
+# --- the ceiling stops -----------------------------------------------------------
+
+@st.composite
+def small_instances(draw):
+    """The find_gaps.py traffic mix at m 4-8, or any instance at m <= 6."""
+    if draw(st.booleans()):
+        return draw(instances(max_m=6))
+    rng = random.Random(f"ceiling/{draw(st.integers(0, 10**6))}")
+    return random_family_instance(rng, draw(st.integers(4, 8)))
+
+
+def _check_ceiling(inst) -> GroundingTrace:
+    """The search with the ceiling against the search without it and the
+    breadth-first reference; returns the run with the ceiling."""
+    a = analyze(inst, exhaustive=True)
+    capped = run_grounding(a.graphs, "exhaustive", state_budget=BUDGET,
+                           ceiling=a.upper_bound)
+    free = run_grounding(a.graphs, "exhaustive", state_budget=BUDGET)
+    if capped.fell_back:
+        return capped
+    assert not free.fell_back and capped.states_explored <= free.states_explored
+    assert capped.log == free.log and capped.n_iv == free.n_iv
+    assert lower_bound(capped) == lower_bound(free) <= a.upper_bound
+    ref, _ = reference(a.graphs, BUDGET, depth_first=False)
+    if ref is not None:
+        assert (capped.n_iv, lower_bound(capped)) == (ref.n_iv, lower_bound(ref))
+    return capped
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_ceiling_stops_keep_the_selection(inst):
+    _check_ceiling(inst)
+
+
+@pytest.mark.parametrize("k", [17, 23, 125, 134, 137, 241])
+def test_ceiling_stops_keep_the_selection_where_they_fire(k):
+    rng = random.Random(f"ceiling/{k}")
+    trace = _check_ceiling(random_family_instance(rng, rng.randint(4, 8)))
+    assert trace.ceiling_stops > 0 and not trace.fell_back
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_phase1_outcomes_prune_equally_many_sccs(g):
+    # the phase-1 ceiling stop compares outcomes by n_iv alone
+    try:
+        outcomes = _enumerate_sweeps(GroundingTrace.from_graphs(g), None,
+                                     _Budget(BUDGET), depth_first=True)
+    except _BudgetExceeded:
+        return
+    assert len({sum(step["step"] == "i" for step in work.log)
+                for _, work in outcomes}) == 1
+
+
+def test_ceiling_closes_draw_67():
+    # draw 67 of find_gaps.py --max-m 10 --seed 3 spent its 20 000 states
+    # and fell back to lb 8 before the search went depth first
+    rng = random.Random(3)
+    for _ in range(68):
+        inst = random_family_instance(rng, rng.randint(4, 10))
+    a = analyze(inst, exhaustive=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = a.trace
+    assert (a.lower_bound, a.upper_bound, trace.fell_back) == (9, 9, False)
+    assert (trace.states_explored, trace.ceiling_stops) == (17964, 1)
+    assert run_grounding(a.graphs).ceiling_stops == 0

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from msindex import (DecodeCertificate, analyze, parse_instance, rank_decodable,
-                     verify_exhaustive)
+from msindex import DecodeCertificate, analyze, parse_instance, rank_decodable
+
+from decode_closure import verify_exhaustive
 
 FIXTURE = json.loads(
     (Path(__file__).resolve().parent / "gap_instances.json").read_text())

@@ -17,12 +17,11 @@ from msindex.verify import (CertEntry, DecodeCertificate, DecodeFailure,
                             GuardError, _allowed_set, _insert,
                             _optimal_duals, _Packing, _unit_reductions,
                             _validate_supports, min_linear_length,
-                            oracle_min_linear, rank_decodable,
-                            verify_exhaustive)
+                            oracle_min_linear, rank_decodable)
 
 from conftest import make_instance, simplified_graphs
 from decode_closure import (ClosureReport, ClosureViolation,
-                            check_decode_closure)
+                            check_decode_closure, verify_exhaustive)
 from strategies import codes_for, instance_and_code, instances
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
