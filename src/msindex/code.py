@@ -17,6 +17,8 @@ from operator import or_
 from . import graphs
 from .model import GraphPair, ProblemInstance, bits, closure
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to coefficient bytes
+
 # above this many vertices, unions of principal down-sets are not candidates
 EXACT_LIMIT = 16
 
@@ -55,7 +57,8 @@ class CodeRow:
         return frozenset(bits(self.coeffs))
 
     def coeff_list(self, m: int) -> list[int]:
-        return [(self.coeffs >> i) & 1 for i in range(m)]
+        # the low m binary digits, lowest first, as the bytes 0 and 1
+        return list(format(self.coeffs, f"0{m}b")[:-m - 1:-1].encode().translate(_BITS))
 
 
 @dataclass(frozen=True)

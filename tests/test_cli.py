@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import random
 import runpy
@@ -10,6 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import cli_reference
 from msindex import cli, generate, verify
 from msindex.cli import main
 from msindex.model import InstanceError
@@ -120,6 +124,13 @@ def test_count_options_below_range_are_usage_errors(capsys, argv):
     assert err.startswith("usage error: argument --")
     assert "must be at least" in err
     assert "Traceback" not in err
+
+
+def test_max_len_of_a_separator_is_a_usage_error(capsys):
+    # argparse stored "--max-len=--" as an empty list, and the oracle
+    # command then failed on it with a traceback
+    assert run(capsys, "oracle", TRIANGLE, "--max-len=--") == (
+        1, "", "usage error: argument --max-len: invalid int value: '--'\n")
 
 
 def test_oracle_max_len_zero_is_exhausted(capsys):
@@ -408,37 +419,6 @@ def test_outputs_are_byte_identical(capsys):
     assert third == fourth
 
 
-def test_reused_parser_carries_no_state(capsys):
-    # main() builds its parser once per process; every call after the
-    # first must behave as if it had a parser of its own
-    sequence = [
-        ["report", THREE_PAIRS, "--oracle", "--json"],
-        ["report", THREE_PAIRS, "--json"],
-        ["report", THREE_PAIRS, "--jobs", "2"],
-        ["oracle", THREE_PAIRS, "--max-len", "1"],
-        ["--help"],
-        ["report", THREE_PAIRS, "--exhaustive", "--trace"],
-    ]
-
-    def outcome(argv):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = f"SystemExit({exc.code})"
-        out = capsys.readouterr()
-        return rc, out.out, out.err
-
-    alone = []
-    for argv in sequence:
-        cli._build_parser.cache_clear()
-        alone.append(outcome(argv))
-    assert [rc for rc, _, _ in alone] == [0, 0, 1, 0, "SystemExit(0)", 0]
-
-    cli._build_parser.cache_clear()
-    assert [outcome(argv) for argv in sequence] == alone
-    assert cli._build_parser.cache_info().misses == 1
-
-
 def _argv_cases(code_file):
     return [
         ["validate", TWO_WAY], ["validate", TWO_WAY, "--json"],
@@ -456,26 +436,152 @@ def _argv_cases(code_file):
         ["report", "missing.json", "--json"]]
 
 
-def test_command_dispatch_matches_the_top_level_parser(capsys, tmp_path, monkeypatch):
-    """``main`` hands the arguments after a command name to that command's
-    parser; every exit code, output and error equals a run where the
-    top-level parser reads the whole argv."""
-    code_file = str(tmp_path / "code.json")
-    assert main(["code", THREE_PAIRS]) == 0
-    Path(code_file).write_text(capsys.readouterr().out)
-
-    def outcome(argv):
+def _outcome(main_fn, argv):
+    """(exit code, stdout, stderr) of one call; a help request's
+    ``SystemExit`` and the reference's crash are named as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = main(argv)
+            rc = main_fn(list(argv))
         except SystemExit as exc:
             rc = f"SystemExit({exc.code})"
-        out = capsys.readouterr()
-        return rc, out.out, out.err
+        except TypeError:
+            rc = "TypeError"
+    return rc, out.getvalue(), err.getvalue()
 
-    dispatched = [outcome(argv) for argv in _argv_cases(code_file)]
-    parser, _ = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
-    assert dispatched == [outcome(argv) for argv in _argv_cases(code_file)]
+
+def _assert_matches_reference(argv):
+    got, expected = _outcome(main, argv), _outcome(cli_reference.main, argv)
+    if expected[0] == "SystemExit(0)":
+        # the help text is the command table's own, not argparse's
+        assert got[0] == expected[0], argv
+    elif expected[0] == "TypeError":
+        # argparse strips the first "--" from each positional's tokens, so
+        # a code file named by a literal "--" after the separator reaches
+        # open() as an empty list; msindex opens a file named "--"
+        assert argv[0] == "verify" and "--" in argv[argv.index("--") + 1:], argv
+        assert got == (2, "", "error: [Errno 2] No such file or directory: '--'\n"), argv
+    else:
+        assert got == expected, argv
+
+
+def test_command_line_matches_the_argparse_reference(tmp_path):
+    code_file = str(tmp_path / "code.json")
+    rc, out, _ = _outcome(main, ["code", THREE_PAIRS])
+    assert rc == 0
+    Path(code_file).write_text(out)
+    for argv in _argv_cases(code_file):
+        _assert_matches_reference(argv)
+
+
+# every command name and one that differs in case, the help and separator
+# tokens, each option in full and as a unique prefix, explicit values, and
+# positionals; no two options share a first letter, so the one ambiguous
+# prefix is the bare "--" before an "="
+ARGV_ALPHABET = (
+    *cli_reference._build_parser()[1], "Report",
+    "-h", "--help", "--", "-", "-1", "-x",
+    "--json", "--exhaustive", "--trace", "--oracle", "--max-len",
+    "--he", "--js", "--ex", "--tr", "--or", "--max", "--=1",
+    "--max-len=3", "--max-len=-1", "--max-len=x", "--json=1",
+    TWO_WAY, "missing.json", "3", "x")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_ALPHABET), max_size=6))
+def test_drawn_command_lines_match_the_argparse_reference(argv):
+    _assert_matches_reference(argv)
+
+
+def test_main_runs_no_argparse(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a command line")
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    rc, out, _ = run(capsys, "report", TRIANGLE, "--json", "--exhaustive")
+    assert rc == 0 and json.loads(out)["lower_bound"] == 2
+    assert run(capsys, "oracle", TRIANGLE, "--max-len", "-1")[0] == 1
+
+
+def _json_values():
+    """JSON values with the cases the indented writer special-cases:
+    int lists (with a bool among them now and then), nested containers,
+    strings that need escapes or are not ASCII, big and negative ints,
+    floats with NaN and infinities, and empty containers."""
+    scalars = (st.none() | st.booleans() | st.integers()
+               | st.integers(-2**200, 2**200) | st.floats()
+               | st.text() | st.sampled_from(["\n\t\"\\", "é✓", "\x00\x1f", "\ud800"]))
+    return st.recursive(
+        scalars,
+        lambda children: (st.lists(children, max_size=5)
+                          | st.lists(st.integers() | st.booleans(), max_size=8)
+                          | st.dictionaries(st.text(max_size=5), children, max_size=5)),
+        max_leaves=30)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_json_values())
+def test_indented_writer_matches_json_dumps(value):
+    assert cli._indented(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in Path(__file__).parent.glob("golden_*.json")))
+def test_indented_writer_matches_json_dumps_on_the_goldens(capsys, name):
+    with open(Path(__file__).with_name(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    documents = [doc, *(doc.values() if isinstance(doc, dict) else doc)]
+    for document in documents:
+        cli._dump(document)
+        assert capsys.readouterr().out == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def _text_mode(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load_outcome(path):
+    try:
+        return cli._load_json(str(path))
+    except InstanceError as exc:
+        return str(exc)
+
+
+READ_CASES = {
+    "crlf": b'{"a": [1,\r\n 2]}\r\n',
+    "lone-cr": b'{"a":\r1}\r',
+    "bom": b'\xef\xbb\xbf{"a": 1}',
+    "malformed-crlf": b'{\r\n"a": 1,\r\n\r\n}\r\n',
+    "malformed-cr": b'{\r"a"\r1}',
+    "cr-in-string": b'{"a": "x\ry"}',
+    "bad-byte-late": b'{"a": 1}\r\n' * 3000 + b'\xff',
+    "truncated-utf8": b'{"a": "\xe2\x82"',
+}
+
+
+@pytest.mark.parametrize("data", READ_CASES.values(), ids=list(READ_CASES))
+def test_binary_read_matches_a_text_mode_read(tmp_path, monkeypatch, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    got = _load_outcome(path)
+    monkeypatch.setattr(cli, "_read", _text_mode)
+    assert got == _load_outcome(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"{", b"}", b"[", b"]", b'"a"', b":", b",", b"1",
+                                 b" ", b"\r", b"\n", b"\r\n", b"\xef\xbb\xbf",
+                                 b"\xc3\xa9", b"\xc3", b"\xff"]), max_size=12))
+def test_drawn_bytes_read_as_a_text_mode_read(tmp_path_factory, pieces):
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    path.write_bytes(b"".join(pieces))
+    got = _load_outcome(path)
+    original, cli._read = cli._read, _text_mode
+    try:
+        expected = _load_outcome(path)
+    finally:
+        cli._read = original
+    assert got == expected
 
 
 def _ring(tmp_path, m):

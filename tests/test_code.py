@@ -402,3 +402,15 @@ def test_packing_needs_no_interpreter_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert chosen == [0b111 << 3 * k for k in range(300)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 200).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.one_of(st.just(0), st.just((1 << m) - 1), st.just(1 << m >> 1),
+              st.integers(0, (1 << m) - 1)))))
+def test_coeff_list_matches_the_bit_loop(case):
+    """m mostly not a multiple of 8, the zero row, the all-ones row and
+    the row with only the top bit set among the drawn ones."""
+    m, coeffs = case
+    assert CodeRow(1, coeffs).coeff_list(m) == [(coeffs >> i) & 1 for i in range(m)]
