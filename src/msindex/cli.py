@@ -8,12 +8,10 @@ and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import re
 import sys
 from json.encoder import encode_basestring_ascii as _escape
-from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
 from . import bound, code, graphs, verify
 from .analysis import Analysis, analyze
@@ -398,8 +396,7 @@ def cmd_dot(args) -> int:
 
 
 def _int_at_least(low: int):
-    """An argparse type for integers of at least ``low``; ``--max-len``
-    converts with it too, and its errors read as argparse's."""
+    """An argparse type for integers of at least ``low``."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
@@ -409,213 +406,124 @@ def _int_at_least(low: int):
     return parse
 
 
-class _Option(NamedTuple):
-    type: Callable[[str], object] | None  # None: a flag, False unless given
-    help: str
-
-
-class _Command(NamedTuple):
-    run: Callable[[SimpleNamespace], int]
-    help: str
-    positionals: tuple[str, ...]
-    options: dict[str, _Option]  # -h and --help first, then as --help lists them
-
-
-_HELP = _Option(None, "show this help and exit")
-_TOP_OPTIONS = {"-h": _HELP, "--help": _HELP}
+_JSON = {"--json": "machine-readable output"}
+_TRACE = {"--trace": "include the full step log (implies --json)"}
 _POSITIONAL_HELP = {"instance": "instance JSON file", "code": "code JSON file"}
 
-
-def _command(run, help_text, *options, code_arg=False) -> _Command:
-    return _Command(run, help_text, ("instance", "code") if code_arg else ("instance",),
-                    {**_TOP_OPTIONS, "--json": _Option(None, "machine-readable output"),
-                     **dict(options)})
-
-
-_TRACE = ("--trace", _Option(None, "include the full step log (implies --json)"))
-
+# each command's handler, help, positionals, and options with their help;
+# every option is a flag except --max-len, which takes an integer
 _COMMANDS = {
-    "validate": _command(cmd_validate, "parse and validate an instance"),
-    "simplify": _command(cmd_simplified, "drop messages nobody wants"),
-    "classify": _command(cmd_classify, "SCC decomposition and leaf-SCC classes"),
-    "bound": _command(cmd_bound, "lower bound by breaking all leaf SCCs",
-                      ("--exhaustive", _Option(
-                          None, "search all arbitrary choices for the best bound")),
-                      _TRACE),
-    "code": _command(cmd_code, "construct the tree-based XOR code"),
-    "verify": _command(cmd_verify, "check a code decodes for every receiver",
-                       code_arg=True),
-    "oracle": _command(cmd_oracle, "brute-force minimum linear codelength",
-                       ("--max-len", _Option(_int_at_least(0),
-                                             "stop after this codelength"))),
-    "report": _command(cmd_report, "full pipeline report",
-                       ("--oracle", _Option(None, "include the brute-force linear optimum")),
-                       ("--exhaustive", _Option(None, "use the exhaustive bound search")),
-                       _TRACE),
-    "dot": _command(cmd_dot, "DOT rendering of an instance or a trace file"),
+    "validate": (cmd_validate, "parse and validate an instance", ("instance",), _JSON),
+    "simplify": (cmd_simplified, "drop messages nobody wants", ("instance",), _JSON),
+    "classify": (cmd_classify, "SCC decomposition and leaf-SCC classes", ("instance",),
+                 _JSON),
+    "bound": (cmd_bound, "lower bound by breaking all leaf SCCs", ("instance",),
+              {**_JSON, "--exhaustive": "search all arbitrary choices for the best bound",
+               **_TRACE}),
+    "code": (cmd_code, "construct the tree-based XOR code", ("instance",), _JSON),
+    "verify": (cmd_verify, "check a code decodes for every receiver",
+               ("instance", "code"), _JSON),
+    "oracle": (cmd_oracle, "brute-force minimum linear codelength", ("instance",),
+               {**_JSON, "--max-len": "stop after this codelength"}),
+    "report": (cmd_report, "full pipeline report", ("instance",),
+               {**_JSON, "--oracle": "include the brute-force linear optimum",
+                "--exhaustive": "use the exhaustive bound search", **_TRACE}),
+    "dot": (cmd_dot, "DOT rendering of an instance or a trace file", ("instance",), _JSON),
 }
 
 
-def _help(command: str | None) -> str:
-    """What ``--help`` prints: the commands, or one command's arguments."""
-    if command is None:
-        return ("usage: msindex <command> <instance> [options]\n\n"
-                "bounds and codes for multi-sender index coding\n\ncommands:\n"
-                + "".join(f"  {name:<10}{c.help}\n" for name, c in _COMMANDS.items())
-                + "\nmsindex <command> --help lists the options of a command.\n")
-    c = _COMMANDS[command]
-    options = [(name + (" N" if option.type else ""), option.help)
-               for name, option in c.options.items() if name not in _TOP_OPTIONS]
-    rows = ([(f"<{name}>", _POSITIONAL_HELP[name]) for name in c.positionals]
-            + [("-h, --help", _HELP.help)] + options)
-    usage = " ".join([f"<{name}>" for name in c.positionals]
-                     + [f"[{name}]" for name, _ in options])
-    return (f"usage: msindex {command} {usage}\n\n{c.help}\n\n"
-            + "".join(f"  {name:<14}{text}\n" for name, text in rows))
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
 
 
-# argparse reads a token like this as a positional when no option looks like one
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+@functools.cache
+def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subparser per command, built from ``_COMMANDS``
+    on first use and reused: parsing keeps no state in them."""
+    parser = _Parser(prog="msindex",
+                     description="bounds and codes for multi-sender index coding")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, help_text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional, help=_POSITIONAL_HELP[positional])
+        for option, option_help in options.items():
+            if option == "--max-len":
+                p.add_argument(option, type=_int_at_least(0), help=option_help)
+            else:
+                p.add_argument(option, action="store_true", help=option_help)
+        p.set_defaults(func=run)
+    return parser, sub.choices
 
 
-def _classify(token: str, options: dict[str, _Option]) -> tuple[str | None, str | None] | None:
-    """How argparse reads a token before any ``--``: None for a positional,
-    else (option name, explicit value or None), with the name None for an
-    option that ``options`` lacks.  A unique prefix of a long option names
-    it, and ``-hX`` is ``-h`` with the value X."""
-    if token in options:
-        return token, None
-    if len(token) < 2 or token[0] != "-":
+def _spelled_out(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a command line made of a command name,
+    its positionals (tokens not starting with "-") and its options spelled
+    in full, ``--max-len`` followed by its value; None for any other command
+    line.  A ``--max-len`` value that does not convert raises argparse's
+    usage error."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    prefix, eq, value = token.partition("=")
-    if eq and prefix in options:
-        return prefix, value
-    if token[1] == "-":
-        names = [name for name in options if name.startswith(prefix)]
-        value = value if eq else None
-    else:
-        names = [token[:2]] if token[:2] in options else []
-        value = token[2:]
-    if len(names) > 1:
-        raise _UsageError(f"ambiguous option: {token} could match {', '.join(names)}")
-    if names:
-        return names[0], value
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _flag(name: str, value: str | None, command: str | None) -> None:
-    """A flag given as ``name`` with an explicit value or None.  Help
-    prints and raises ``SystemExit(0)``, as argparse does."""
-    if name == "-h" and value:
-        value = value.lstrip("h") or None  # -hh is -h -h
-    if value is not None:
-        label = "-h/--help" if name in _TOP_OPTIONS else name
-        raise _UsageError(f"argument {label}: ignored explicit argument {value!r}")
-    if name in _TOP_OPTIONS:
-        print(_help(command), end="")
-        raise SystemExit(0)
-
-
-def _parse_command(command: str, tokens: list[str]) -> tuple[SimpleNamespace, list[str]]:
-    """The arguments after a command name, read as argparse reads them,
-    and the tokens left unrecognized."""
-    c = _COMMANDS[command]
-    options = c.options
-    sep = tokens.index("--") if "--" in tokens else len(tokens)
-    # every token before "--" is read before any option acts, so an
-    # ambiguous prefix fails first
-    kinds = [_classify(token, options) for token in tokens[:sep]]
-    args = {name[2:].replace("-", "_"): False if option.type is None else None
-            for name, option in options.items() if name not in _TOP_OPTIONS}
-    waiting = list(c.positionals)
-    extras: list[str] = []
-
-    def take(run: list[str], sep_at: int | None = None) -> None:
-        # each waiting positional takes one token of the run and the rest
-        # are unrecognized; the "--" at sep_at goes with a taken neighbour
-        n = min(len(waiting), len(run))
-        args.update(zip(waiting[:n], run))
-        del waiting[:n]
-        rest = run[n:]
-        if sep_at is not None and n < max(sep_at, 1):
-            rest.insert(sep_at - n, "--")
-        extras.extend(rest)
-
-    run: list[str] = []
-    i = 0
-    while i < sep:
-        token, kind = tokens[i], kinds[i]
-        i += 1
-        if kind is None:
-            run.append(token)
-            continue
-        take(run)
-        run = []
-        name, value = kind
-        if name is None:
-            extras.append(token)
-            continue
-        dest, convert = name[2:].replace("-", "_"), options[name].type
-        if convert is None:
-            _flag(name, value, command)
-            args[dest] = True
-            continue
-        if value is None:
-            if i == sep or kinds[i] is not None:
-                raise _UsageError(f"argument {name}: expected one argument")
-            value, i = tokens[i], i + 1
-        try:
-            args[dest] = convert(value)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"argument {name}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(f"argument {name}: invalid {convert.__name__} "
-                              f"value: {value!r}") from exc
-    take(run + tokens[sep + 1:], len(run) if sep < len(tokens) else None)
-    if waiting:
-        raise _UsageError("the following arguments are required: "
-                          + ", ".join(waiting))
-    return SimpleNamespace(**args), extras
-
-
-def _parse(argv: list[str]) -> tuple[_Command, SimpleNamespace]:
-    """The command and its arguments, or ``_UsageError`` with argparse's
-    message for the same argv."""
-    extras = []
-    for k, token in enumerate(argv):
-        kind = None if token == "--" else _classify(token, _TOP_OPTIONS)
-        if kind is None:
-            # the first positional names the command; a "--" with more
-            # after it is taken for one
-            if token == "--" and k + 1 == len(argv):
-                break
-            if token not in _COMMANDS:
-                raise _UsageError(f"argument command: invalid choice: {token!r} "
-                                  f"(choose from {', '.join(map(repr, _COMMANDS))})")
-            args, unknown = _parse_command(token, argv[k + 1:])
-            extras += unknown
-            if extras:
-                raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-            return _COMMANDS[token], args
-        name, value = kind
-        if name is None:
-            extras.append(token)
+    run, _, positionals, options = _COMMANDS[argv[0]]
+    values = {option[2:].replace("-", "_"): None if option == "--max-len" else False
+              for option in options}
+    given, max_lens = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+        elif token not in options:
+            return None
+        elif token != "--max-len":
+            values[token[2:]] = True
         else:
-            _flag(name, value, None)
-    raise _UsageError("the following arguments are required: command")
+            # argparse takes a negative number as the value, not an option
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not (
+                    value[1:].isdecimal() and value.isascii()):
+                return None
+            max_lens.append(value)
+    if len(given) != len(positionals):
+        return None
+    # argparse reads every token before a value converts, so a value fails
+    # only on a command line that is spelled out throughout
+    for value in max_lens:
+        try:
+            values["max_len"] = _int_at_least(0)(value)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"argument --max-len: {exc}") from exc
+        except ValueError as exc:
+            raise _UsageError(f"argument --max-len: invalid int value: {value!r}") from exc
+    return argparse.Namespace(func=run, **dict(zip(positionals, given)), **values)
+
+
+def _argparsed(argv: list[str]) -> argparse.Namespace:
+    """The namespace argparse gives ``argv``, or ``_UsageError`` with its
+    message.  The arguments after a command name go to that command's
+    parser, as the top-level parser would hand them on."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        parser, argv = commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
+    # argparse stores [] for a value that is a literal "--"
+    for dest, value in vars(args).items():
+        if value == []:
+            if dest == "max_len":
+                raise _UsageError("argument --max-len: invalid int value: '--'")
+            setattr(args, dest, "--")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        command, args = _parse(argv)
+        args = _spelled_out(argv) or _argparsed(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return command.run(args)
+        return args.func(args)
     except verify.GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -1,8 +1,11 @@
-"""The argparse front end that ``msindex.cli`` had before its command table.
+"""The argparse front end that ``msindex.cli`` had before its command table,
+kept frozen as the judge of the one that replaced it.
 
 ``_build_parser`` and ``main`` are kept as they were, over the same command
-handlers, so a differential test can hold ``msindex.cli.main`` to the same
-exit code, output and messages on any argv.
+handlers.  A differential test holds ``msindex.cli.main`` to the same exit
+code, output and messages on any argv, help text included: that judges both
+the fast path for spelled-out command lines and the parser that
+``msindex.cli`` builds from its command table.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import random
 import runpy
@@ -433,7 +434,9 @@ def _argv_cases(code_file):
         ["oracle", TRIANGLE, "--max-len", "x"], ["oracle", TRIANGLE, "--max-len", "-1"],
         ["report"], ["verify", TWO_WAY], ["frobnicate", TWO_WAY], ["Report", TWO_WAY],
         [], ["--json", "report", TRIANGLE], ["-h", "report"],
-        ["report", "missing.json", "--json"]]
+        ["report", "missing.json", "--json"],
+        ["oracle", TRIANGLE, "--max-len=--"], ["verify", TRIANGLE, "--", "--"],
+        ["report", "--", "--"]]
 
 
 def _outcome(main_fn, argv):
@@ -452,15 +455,17 @@ def _outcome(main_fn, argv):
 
 def _assert_matches_reference(argv):
     got, expected = _outcome(main, argv), _outcome(cli_reference.main, argv)
-    if expected[0] == "SystemExit(0)":
-        # the help text is the command table's own, not argparse's
-        assert got[0] == expected[0], argv
-    elif expected[0] == "TypeError":
-        # argparse strips the first "--" from each positional's tokens, so
-        # a code file named by a literal "--" after the separator reaches
-        # open() as an empty list; msindex opens a file named "--"
-        assert argv[0] == "verify" and "--" in argv[argv.index("--") + 1:], argv
-        assert got == (2, "", "error: [Errno 2] No such file or directory: '--'\n"), argv
+    if expected[0] == "TypeError":
+        # argparse strips the first "--" from each value's tokens, so a
+        # value that is a literal "--" reaches the command as an empty
+        # list: msindex reports "--max-len=--" as not an integer, and opens
+        # a code file named by a "--" after the separator as the file "--"
+        if "--max-len=--" in argv:
+            assert got == (1, "", "usage error: argument --max-len: "
+                           "invalid int value: '--'\n"), argv
+        else:
+            assert argv[0] == "verify" and "--" in argv[argv.index("--") + 1:], argv
+            assert got == (2, "", "error: [Errno 2] No such file or directory: '--'\n"), argv
     else:
         assert got == expected, argv
 
@@ -472,6 +477,7 @@ def test_command_line_matches_the_argparse_reference(tmp_path):
     Path(code_file).write_text(out)
     for argv in _argv_cases(code_file):
         _assert_matches_reference(argv)
+    assert cli._parsers.cache_info().misses == 1
 
 
 # every command name and one that differs in case, the help and separator
@@ -493,14 +499,88 @@ def test_drawn_command_lines_match_the_argparse_reference(argv):
     _assert_matches_reference(argv)
 
 
-def test_main_runs_no_argparse(capsys, monkeypatch):
+def _outcome_of(parse, argv):
+    """A parse's namespace (or None), or the message of its usage error."""
+    try:
+        return parse(argv)
+    except cli._UsageError as exc:
+        return str(exc)
+
+
+def _subparser(argv):
+    return cli._parsers()[1][argv[0]].parse_args(argv[1:])
+
+
+def _fast_path_domain():
+    """Each command with its positionals before, after and around every
+    subset of its flags in every order, and oracle's --max-len forms, given
+    once or twice."""
+    for name, (_, _, positionals, options) in cli._COMMANDS.items():
+        files = [f"{positional}.json" for positional in positionals]
+        flags = [option for option in options if option != "--max-len"]
+        for k in range(len(flags) + 1):
+            for chosen in itertools.permutations(flags, k):
+                yield [name, *files, *chosen]
+                yield [name, *chosen, *files]
+                yield [name, *files[:1], *chosen, *files[1:]]
+    for value in ("0", "3", "-1", "x"):
+        yield ["oracle", "f", "--max-len", value]
+        yield ["oracle", "--max-len", value, "f", "--json"]
+        yield ["oracle", "f", "--max-len", "3", "--max-len", value]
+        yield ["oracle", "f", "--max-len", value, "--max-len", "3"]
+    yield ["oracle", "f", "--max-len=3"]
+
+
+def test_spelled_out_reads_its_domain_as_argparse_does():
+    for argv in _fast_path_domain():
+        got = _outcome_of(cli._spelled_out, argv)
+        if "--max-len=3" in argv:
+            assert got is None
+        else:
+            assert got is not None and got == _outcome_of(_subparser, argv), argv
+
+
+def _outside_the_fast_path(argv):
+    """Whether argv holds a prefix, an "=", a "--", "-h" or an option that
+    its command lacks; a "-1" after "--max-len" is that option's value."""
+    options = cli._COMMANDS[argv[0]][3] if argv and argv[0] in cli._COMMANDS else {}
+    return any(token.startswith("-") and token not in options
+               and not (token == "-1" and argv[k - 1] == "--max-len")
+               for k, token in enumerate(argv))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_ALPHABET), max_size=6))
+def test_spelled_out_leaves_drawn_command_lines_to_argparse(argv):
+    got = _outcome_of(cli._spelled_out, argv)
+    if _outside_the_fast_path(argv):
+        assert got is None, argv
+    elif got is not None:
+        assert got == _outcome_of(_subparser, argv), argv
+
+
+def test_main_runs_no_argparse(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("argparse parsed a command line")
     for name in ("parse_args", "parse_known_args"):
         monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    monkeypatch.setattr(cli, "_parsers", refuse)
     rc, out, _ = run(capsys, "report", TRIANGLE, "--json", "--exhaustive")
     assert rc == 0 and json.loads(out)["lower_bound"] == 2
     assert run(capsys, "oracle", TRIANGLE, "--max-len", "-1")[0] == 1
+    # the spelled-out forms that the benchmark and the CI steps send
+    code_file = tmp_path / "code.json"
+    rc, out, _ = run(capsys, "code", TRIANGLE)
+    assert rc == 0
+    code_file.write_text(out)
+    for flag in ("--exhaustive", "--oracle", "--trace"):
+        for flags in (("--json", flag), (flag, "--json")):
+            rc, out, _ = run(capsys, "report", TRIANGLE, *flags)
+            assert rc == 0 and json.loads(out)["lower_bound"] == 2, flags
+    for argv in (["verify", TRIANGLE, str(code_file)], ["dot", TRIANGLE],
+                 ["oracle", TRIANGLE, "--json"], ["oracle", TRIANGLE, "--max-len", "3"],
+                 ["bound", TRIANGLE, "--exhaustive", "--trace"]):
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def _json_values():
