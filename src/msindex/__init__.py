@@ -5,9 +5,8 @@ from .model import (GraphPair, InstanceError, ProblemInstance, build_graphs,
 from .graphs import (DegeneracyWitness, LeafClass, SccReport, classify_all,
                      classify_leaf_scc, grounded_set, is_grounded_digraph,
                      scc_decompose, to_dot)
-from .bound import (GroundingTrace, append_dummy, break_leaf_sccs,
-                    lower_bound, lower_bound_prune_all, make_message_connected,
-                    prune_scc, run_grounding)
+from .bound import (GroundingTrace, break_leaf_sccs, lower_bound,
+                    lower_bound_prune_all, run_grounding)
 from .code import (CodeBlueprint, CodeRow, LinearIndexCode, Tree,
                    assign_senders, find_connecting_trees, plan_code,
                    upper_bound)

@@ -29,10 +29,6 @@ from .model import GraphPair, bits, edge_key
 DEFAULT_STATE_BUDGET = 20_000
 
 
-class StaleWitnessError(ValueError):
-    """The supplied degeneracy witness no longer holds on the current state."""
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -65,7 +61,6 @@ class GroundingTrace:
     """
 
     original: GraphPair
-    n_real: int
     graphs: GraphPair
     dummies: int = 0
     log: list[dict] = field(default_factory=list)
@@ -80,15 +75,7 @@ class GroundingTrace:
 
     @classmethod
     def from_graphs(cls, g: GraphPair) -> "GroundingTrace":
-        return cls(original=g, n_real=g.n, graphs=g)
-
-    @property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        return self.graphs.arcs
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self.graphs.edges
+        return cls(original=g, graphs=g)
 
     @property
     def dummy_count(self) -> int:
@@ -101,25 +88,15 @@ class GroundingTrace:
 
 
 # ---------------------------------------------------------------------------
-# The individual mutation steps.  Public variants validate their
-# preconditions against the current state; the engine applies the same
-# internals after making its own (already validated) choices.  Every
-# vertex set is a mask; the log holds it as a sorted list.
+# The individual mutation steps, applied to choices the engine has
+# already validated.  Every vertex set is a mask; the log holds it as a
+# sorted list.
 
 def _apply_prune(trace: GroundingTrace, scc: int, v: int) -> None:
     g = trace.graphs
     trace.graphs = g.prune(scc, v)
     trace.log.append({"step": "i", "scc": list(bits(scc)), "vertex": v,
                       "removed_arcs": [[v, j] for j in bits(g.succ[v])]})
-
-
-def prune_scc(trace: GroundingTrace, scc: int, v: int) -> None:
-    """Remove every outgoing arc of one chosen vertex of a leaf SCC."""
-    if v not in bits(scc):
-        raise ValueError(f"vertex {v} not in SCC {list(bits(scc))}")
-    if not graphs.is_leaf_scc(trace.graphs, scc):
-        raise ValueError(f"{list(bits(scc))} is not a leaf SCC of the current state")
-    _apply_prune(trace, scc, v)
 
 
 def _apply_dummy(trace: GroundingTrace, scc: int, source: int) -> int:
@@ -130,20 +107,6 @@ def _apply_dummy(trace: GroundingTrace, scc: int, source: int) -> int:
     trace.log.append({"step": "ii", "scc": list(bits(scc)), "source": source,
                       "dummy": dummy})
     return dummy
-
-
-def append_dummy(trace: GroundingTrace, scc: int) -> int:
-    """Ground a message-disconnected leaf SCC by an arc to a fresh leaf.
-
-    The dummy carries no message and no edges, and never counts as an
-    out-vertex.  Returns the new vertex index.
-    """
-    if not graphs.is_leaf_scc(trace.graphs, scc):
-        raise ValueError(f"{list(bits(scc))} is not a leaf SCC of the current state")
-    if (graphs.classify_without_degeneracy(trace.graphs, scc)
-            is not graphs.LeafClass.MESSAGE_DISCONNECTED):
-        raise ValueError(f"SCC {list(bits(scc))} is not message-disconnected")
-    return _apply_dummy(trace, scc, next(bits(scc)))
 
 
 def _apply_degenerate_arc(trace: GroundingTrace, scc: int,
@@ -164,26 +127,6 @@ def _witness_action(g: GraphPair, witness: graphs.DegeneracyWitness
     if non_leaf:
         return "iii-a", [non_leaf.bit_length()]
     return "iii-b", list(bits(witness.cover))
-
-
-def add_degenerate_arc(trace: GroundingTrace, scc: int,
-                       witness: graphs.DegeneracyWitness) -> None:
-    """Add the arc a degeneracy witness licenses: from the smallest vertex
-    of the witness part to the single non-leaf cover vertex if there is
-    one, else to the smallest cover vertex.  The witness is re-verified
-    against the current state first."""
-    g = trace.graphs
-    if not graphs.is_leaf_scc(g, scc):
-        raise StaleWitnessError(f"{list(bits(scc))} is not a leaf SCC anymore")
-    if graphs.classify_without_degeneracy(g, scc) is not None:
-        raise StaleWitnessError(f"SCC {list(bits(scc))} is not semi anymore")
-    if not graphs.check_degeneracy_witness(g, scc, witness):
-        raise StaleWitnessError("witness conditions no longer hold")
-    if not witness.cover:
-        raise StaleWitnessError("vacuous witness has no arc target")
-    tag, targets = _witness_action(g, witness)
-    _apply_degenerate_arc(trace, scc, witness, next(bits(witness.part)),
-                          targets[0], tag)
 
 
 def _apply_edges(trace: GroundingTrace, scc: int,
@@ -210,19 +153,6 @@ def _all_edge_options(trace: GroundingTrace, scc: int):
             ((comp_of[a], comp_of[b]) for a, b in subset), len(comps))
         if len(joined) == len(comps) - 1 and subset != first:
             yield subset
-
-
-def make_message_connected(trace: GroundingTrace, scc: int
-                           ) -> tuple[tuple[int, int], ...]:
-    """Chain the message-graph components of a semi leaf SCC through their
-    smallest members; adding edges only relaxes the sender constraints."""
-    if not graphs.is_leaf_scc(trace.graphs, scc):
-        raise ValueError(f"{list(bits(scc))} is not a leaf SCC of the current state")
-    if graphs.classify_without_degeneracy(trace.graphs, scc) is not None:
-        raise ValueError(f"SCC {list(bits(scc))} is not a semi leaf SCC")
-    added = next(_all_edge_options(trace, scc))
-    _apply_edges(trace, scc, added)
-    return added
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +356,7 @@ def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
 
 def _distinct(outcomes):
     """The first trace seen of each state, its graphs: every vertex past
-    ``n_real`` is a dummy, so the vertex count fixes the dummies."""
+    the original's ``n`` is a dummy, so the vertex count fixes the dummies."""
     seen = set()
     for work in outcomes:
         if work.graphs not in seen:
@@ -464,8 +394,10 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
             return True
         return iv == least
 
-    def min_iv(state: GroundingTrace) -> int:
-        """Exact, memoized; records the first child that attains it."""
+    def min_iv(state: GroundingTrace):
+        """Exact, memoized; records the first child that attains it.  A
+        generator: it yields each child and is sent the child's score, so
+        `score` runs the recursion on a stack of its own."""
         key = state.graphs
         if key in memo:
             return memo[key]
@@ -477,7 +409,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
         visiting.add(key)
         best = None
         for child in _distinct(_iteration_sweeps(state, budget)):
-            iv = 1 + min_iv(child)
+            iv = 1 + (yield child)
             if best is None or iv < best:
                 best, best_step[key] = iv, (state, child)
                 if at_floor(state, iv, 1):
@@ -486,13 +418,25 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
         memo[key] = best
         return best
 
+    def score(state: GroundingTrace) -> int:
+        """``min_iv(state)``, one phase-2 iteration per stack entry."""
+        stack, value = [min_iv(state)], None
+        while stack:
+            try:
+                stack.append(min_iv(stack[-1].send(value)))
+                value = None
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+        return value
+
     trace, best = None, None
     for outcome in _distinct(_enumerate_sweeps(base, False, budget)):
         _end_phase1(outcome)
         if outcome.n_connected != (trace or outcome).n_connected:
             raise AssertionError(f"phase-1 outcomes prune {trace.n_connected} "
                                  f"and {outcome.n_connected} leaf SCCs")
-        iv = min_iv(outcome)
+        iv = score(outcome)
         if best is None or iv < best:
             trace, best = outcome, iv
             if at_floor(outcome, iv, 0):
@@ -541,8 +485,6 @@ def lower_bound_prune_all(g: GraphPair) -> int:
 
 
 __all__ = [
-    "GroundingTrace", "StaleWitnessError", "prune_scc", "append_dummy",
-    "add_degenerate_arc", "make_message_connected", "break_leaf_sccs",
-    "run_grounding", "lower_bound", "lower_bound_prune_all",
-    "DEFAULT_STATE_BUDGET",
+    "GroundingTrace", "break_leaf_sccs", "run_grounding", "lower_bound",
+    "lower_bound_prune_all", "DEFAULT_STATE_BUDGET",
 ]

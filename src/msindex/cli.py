@@ -107,7 +107,7 @@ def _trace_to_dict(trace: bound.GroundingTrace) -> dict:
         "dummy_count": trace.dummy_count,
         "final": {
             "n": g.n,
-            "n_real": trace.n_real,
+            "n_real": trace.original.n,
             "arcs": sorted([i, j] for (i, j) in g.arcs),
             "edges": sorted([i, j] for (i, j) in g.edges),
             "dummies": list(bits(trace.dummies)),

@@ -41,7 +41,7 @@ class ProblemInstance:
     senders: tuple[frozenset[int], ...]
     wants: tuple[frozenset[int], ...]
     simplified: bool = False
-    # Mask views of the sets (``carried_mask`` is the mask of `carried`),
+    # Mask views of the sets (``carried_mask`` is the union of ``sender_masks``),
     # filled once at construction.  They are no arguments, and equality,
     # hashing and repr ignore them.
     sender_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -65,22 +65,6 @@ class ProblemInstance:
     @property
     def num_senders(self) -> int:
         return len(self.senders)
-
-    @property
-    def carried(self) -> frozenset[int]:
-        """Messages owned by at least one sender (the ones that exist)."""
-        out: set[int] = set()
-        for ms in self.senders:
-            out |= ms
-        return frozenset(out)
-
-    @property
-    def wanted(self) -> frozenset[int]:
-        """Messages required by at least one receiver."""
-        out: set[int] = set()
-        for wr in self.wants:
-            out |= wr
-        return frozenset(out)
 
     def to_document(self) -> dict[str, Any]:
         return {

@@ -46,12 +46,6 @@ class DecodeCertificate:
     def entries(self) -> tuple[CertEntry, ...]:
         return tuple(self._source)
 
-    def entry(self, receiver: int, wanted: int) -> CertEntry:
-        for e in self.entries:
-            if e.receiver == receiver and e.wanted == wanted:
-                return e
-        raise KeyError((receiver, wanted))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DecodeCertificate):
             return NotImplemented

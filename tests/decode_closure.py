@@ -62,7 +62,7 @@ def check_decode_closure(code: LinearIndexCode, inst: ProblemInstance) -> Closur
         if red[j] & messages:
             violations.append(ClosureViolation(rule, None, j))
 
-    carried = simple.carried
+    carried = frozenset().union(*simple.senders)
     for r in range(1, g.n + 1):
         for j in bits(g.ancestors(1 << (r - 1)) & simple.carried_mask):
             if red[j] & messages and (r not in carried
@@ -82,7 +82,7 @@ def verify_exhaustive(code: LinearIndexCode, inst: ProblemInstance) -> bool:
         raise GuardError(
             f"m={inst.num_messages} exceeds exhaustive limit {EXHAUSTIVE_LIMIT}")
     _validate_supports(code, inst)
-    carried_set = inst.carried
+    carried_set = frozenset().union(*inst.senders)
     carried = sorted(carried_set)
     receivers = [r for r in range(1, inst.num_messages + 1) if inst.wants[r - 1]]
     want_masks = {r: inst.want_masks[r - 1] for r in receivers}

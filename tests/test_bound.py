@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from msindex import graphs
-from msindex.bound import (GroundingTrace, StaleWitnessError, _apply_degenerate_arc,
-                           _apply_dummy, _apply_edges, _apply_prune,
-                           _degenerated_options, append_dummy,
-                           add_degenerate_arc, break_leaf_sccs, lower_bound,
-                           lower_bound_prune_all, make_message_connected,
-                           prune_scc, run_grounding)
+from msindex.bound import (GroundingTrace, _all_edge_options,
+                           _apply_degenerate_arc, _apply_dummy, _apply_edges,
+                           _apply_prune, _degenerated_options, _witness_action,
+                           break_leaf_sccs, lower_bound, lower_bound_prune_all,
+                           run_grounding)
 from msindex.graphs import (LeafClass, classify_leaf_scc, grounded_set,
                             is_grounded_digraph, num_out_vertices, scc_decompose)
 
@@ -27,6 +26,21 @@ from find_gaps import random_pairing_instance  # noqa: E402
 def leaf_scc_sets(g):
     report = scc_decompose(g)
     return [report.sccs[k] for k in report.leaf_sccs]
+
+
+def witness_arc(trace, scc, witness):
+    """The engine's first arc for a witness: from the smallest part
+    vertex to the first target `_witness_action` names."""
+    tag, targets = _witness_action(trace.graphs, witness)
+    _apply_degenerate_arc(trace, scc, witness, next(bits(witness.part)),
+                          targets[0], tag)
+
+
+def chain_edges(trace, scc):
+    """The engine's first edge set connecting a semi leaf SCC, applied."""
+    edges = next(_all_edge_options(trace, scc))
+    _apply_edges(trace, scc, edges)
+    return edges
 
 
 # --- individual steps ------------------------------------------------------
@@ -60,7 +74,7 @@ def test_each_step_runs_post_init_once(monkeypatch, three_pairs):
 def test_prune_triangle_grounds_everything(triangle):
     _, g = simplified_graphs(triangle)
     trace = GroundingTrace.from_graphs(g)
-    prune_scc(trace, mask_of({1, 2, 3}), 1)
+    _apply_prune(trace, mask_of({1, 2, 3}), 1)
     assert grounded_set(trace.graphs) == mask_of({1, 2, 3})
     assert trace.log == [{"step": "i", "scc": [1, 2, 3], "vertex": 1,
                           "removed_arcs": [[1, 2]]}]
@@ -70,7 +84,7 @@ def test_prune_drops_leaf_scc_count(three_pairs):
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
     assert len(leaf_scc_sets(trace.graphs)) == 3
-    prune_scc(trace, mask_of({1, 2}), 1)
+    _apply_prune(trace, mask_of({1, 2}), 1)
     assert len(leaf_scc_sets(trace.graphs)) == 2
 
 
@@ -78,29 +92,16 @@ def test_prune_two_cycle_removes_one_out_vertex(two_way):
     _, g = simplified_graphs(two_way)
     trace = GroundingTrace.from_graphs(g)
     before = num_out_vertices(trace.graphs)
-    prune_scc(trace, mask_of({1, 2}), 2)
+    _apply_prune(trace, mask_of({1, 2}), 2)
     assert num_out_vertices(trace.graphs) == before - 1
-
-
-def test_prune_rejects_vertex_outside_scc(two_way):
-    _, g = simplified_graphs(two_way)
-    trace = GroundingTrace.from_graphs(g)
-    with pytest.raises(ValueError):
-        prune_scc(trace, mask_of({1, 2}), 7)
-
-
-def test_prune_rejects_non_leaf_scc():
-    trace = GroundingTrace.from_graphs(gp(3, arcs=[(1, 2), (2, 1), (1, 3)]))
-    with pytest.raises(ValueError):
-        prune_scc(trace, mask_of({1, 2}), 1)
 
 
 def test_append_dummy_two_way(two_way):
     _, g = simplified_graphs(two_way)
     trace = GroundingTrace.from_graphs(g)
-    dummy = append_dummy(trace, mask_of({1, 2}))
+    dummy = _apply_dummy(trace, mask_of({1, 2}), 1)
     assert dummy == 3
-    assert (1, 3) in trace.arcs
+    assert (1, 3) in trace.graphs.arcs
     assert leaf_scc_sets(trace.graphs) == []
     assert trace.dummies == mask_of({3})
 
@@ -110,43 +111,32 @@ def test_append_dummy_twice_keeps_v_out():
                          wants=[{2}, {1}, {4}, {3}])
     _, g = simplified_graphs(inst)
     trace = GroundingTrace.from_graphs(g)
-    append_dummy(trace, mask_of({1, 2}))
-    append_dummy(trace, mask_of({3, 4}))
+    _apply_dummy(trace, mask_of({1, 2}), 1)
+    _apply_dummy(trace, mask_of({3, 4}), 3)
     assert trace.dummy_count == 2
     assert num_out_vertices(trace.graphs, exclude=trace.dummies) == 4
-
-
-def test_append_dummy_rejects_connected(triangle):
-    _, g = simplified_graphs(triangle)
-    trace = GroundingTrace.from_graphs(g)
-    with pytest.raises(ValueError):
-        append_dummy(trace, mask_of({1, 2, 3}))
 
 
 def test_degenerate_arcs_merge_three_pairs(three_pairs):
     # drive the documented middle part of the run by hand
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
-    assert make_message_connected(trace, mask_of({1, 2})) == ((1, 2),)
-    prune_scc(trace, mask_of({1, 2}), 1)
+    assert chain_edges(trace, mask_of({1, 2})) == ((1, 2),)
+    _apply_prune(trace, mask_of({1, 2}), 1)
 
     cls, witness = classify_leaf_scc(trace.graphs, mask_of({3, 4}))
     assert cls is LeafClass.SEMI_DEGENERATED
     assert witness.part == mask_of({3}) and witness.cover == mask_of({1, 5})
-    add_degenerate_arc(trace, mask_of({3, 4}), witness)
-    assert (3, 5) in trace.arcs
+    witness_arc(trace, mask_of({3, 4}), witness)
+    assert (3, 5) in trace.graphs.arcs
     assert mask_of({3, 4}) not in leaf_scc_sets(trace.graphs)
 
     cls, witness = classify_leaf_scc(trace.graphs, mask_of({5, 6}))
     assert cls is LeafClass.SEMI_DEGENERATED
     assert witness.part == mask_of({5}) and witness.cover == mask_of({1, 3})
-    add_degenerate_arc(trace, mask_of({5, 6}), witness)
-    assert (5, 3) in trace.arcs
+    witness_arc(trace, mask_of({5, 6}), witness)
+    assert (5, 3) in trace.graphs.arcs
     assert leaf_scc_sets(trace.graphs) == [mask_of({3, 4, 5, 6})]
-
-    # reusing the consumed witness must fail loudly
-    with pytest.raises(StaleWitnessError):
-        add_degenerate_arc(trace, mask_of({5, 6}), witness)
 
 
 def test_degenerate_arc_to_all_leaf_cover_grounds():
@@ -154,8 +144,8 @@ def test_degenerate_arc_to_all_leaf_cover_grounds():
     trace = GroundingTrace.from_graphs(g)
     cls, witness = classify_leaf_scc(g, mask_of({1, 2}))
     assert cls is LeafClass.SEMI_DEGENERATED and witness.cover == mask_of({3})
-    add_degenerate_arc(trace, mask_of({1, 2}), witness)
-    assert (1, 3) in trace.arcs
+    witness_arc(trace, mask_of({1, 2}), witness)
+    assert (1, 3) in trace.graphs.arcs
     assert trace.log[-1]["step"] == "iii-b"
     assert leaf_scc_sets(trace.graphs) == []
 
@@ -163,7 +153,7 @@ def test_degenerate_arc_to_all_leaf_cover_grounds():
 def test_make_message_connected_two_singletons(three_pairs):
     _, g = simplified_graphs(three_pairs)
     trace = GroundingTrace.from_graphs(g)
-    added = make_message_connected(trace, mask_of({1, 2}))
+    added = chain_edges(trace, mask_of({1, 2}))
     assert added == ((1, 2),)
     assert graphs.classify_without_degeneracy(trace.graphs, mask_of({1, 2})) \
         is graphs.LeafClass.MESSAGE_CONNECTED
@@ -173,15 +163,8 @@ def test_make_message_connected_three_components():
     g = gp(4, arcs=[(1, 2), (2, 3), (3, 1)],
            edges=[(1, 4), (2, 4), (3, 4)])
     trace = GroundingTrace.from_graphs(g)
-    added = make_message_connected(trace, mask_of({1, 2, 3}))
+    added = chain_edges(trace, mask_of({1, 2, 3}))
     assert added == ((1, 2), (2, 3))
-
-
-def test_make_message_connected_rejects_connected(triangle):
-    _, g = simplified_graphs(triangle)
-    trace = GroundingTrace.from_graphs(g)
-    with pytest.raises(ValueError):
-        make_message_connected(trace, mask_of({1, 2, 3}))
 
 
 # --- sweeps ----------------------------------------------------------------

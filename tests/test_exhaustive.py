@@ -10,7 +10,10 @@ Walked breadth first, in the order the search once used, it is the
 reference for the bound the ceiling stops must not change.
 """
 
+import json
+import os
 import random
+import subprocess
 import sys
 import warnings
 from collections import deque
@@ -304,7 +307,8 @@ def _same_selection(g) -> bool:
     assert new.log == ref.log
     assert ((new.n_iv, new.n_connected, new.n_remaining)
             == (ref.n_iv, ref.n_connected, ref.n_remaining))
-    assert (new.arcs, new.edges, new.dummies) == (ref.arcs, ref.edges, ref.dummies)
+    assert ((new.graphs.arcs, new.graphs.edges, new.dummies)
+            == (ref.graphs.arcs, ref.graphs.edges, ref.dummies))
     assert lower_bound(new) == lower_bound(ref)
     return True
 
@@ -436,3 +440,29 @@ def test_ceiling_closes_draw_67():
     assert (a.lower_bound, a.upper_bound, trace.fell_back) == (9, 9, False)
     assert (trace.states_explored, trace.ceiling_stops) == (17964, 1)
     assert run_grounding(a.graphs).ceiling_stops == 0
+
+
+def test_exhaustive_report_holds_no_frame_per_iteration(tmp_path):
+    # 150 disjoint gadgets (messages a, b, c; b wants a and c; c wants b;
+    # senders {a, b} and {a, c}) take 150 phase-2 iterations; with a
+    # Python frame per iteration the report raised RecursionError at a
+    # recursion limit of 100, which the deterministic report passes
+    k = 150
+    inst = tmp_path / "gadgets.json"
+    inst.write_text(json.dumps({
+        "num_messages": 3 * k,
+        "senders": [s for a in range(1, 3 * k, 3)
+                    for s in ([a, a + 1], [a, a + 2])],
+        "wants": [w for a in range(1, 3 * k, 3)
+                  for w in ([], [a, a + 2], [a + 1])]}))
+    script = ("import sys\nfrom msindex import cli\nsys.setrecursionlimit(100)\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "report", str(inst), "--json",
+         "--exhaustive"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert (doc["lower_bound"], doc["upper_bound"]) == (300, 300)

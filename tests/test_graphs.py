@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from msindex import bound, graphs
-from msindex.bound import (GroundingTrace, add_degenerate_arc, append_dummy,
-                           make_message_connected, prune_scc)
+from msindex.bound import GroundingTrace
 from msindex.graphs import (DegeneracyWitness, LeafClass, classify_all,
                             classify_leaf_scc, check_degeneracy_witness,
                             grounded_set, is_grounded_digraph, leaf_vertices,
@@ -478,13 +477,17 @@ def test_cached_queries_follow_grounding_steps(g, data):
         step = data.draw(st.sampled_from(steps))
         before = trace.clone()
         if step == "prune":
-            prune_scc(trace, scc, data.draw(st.sampled_from(list(bits(scc)))))
+            bound._apply_prune(trace, scc,
+                               data.draw(st.sampled_from(list(bits(scc)))))
         elif step == "dummy":
-            append_dummy(trace, scc)
+            bound._apply_dummy(trace, scc, next(bits(scc)))
         elif step == "edges":
-            make_message_connected(trace, scc)
+            bound._apply_edges(trace, scc,
+                               next(bound._all_edge_options(trace, scc)))
         else:
-            add_degenerate_arc(trace, scc, witness)
+            tag, targets = bound._witness_action(state, witness)
+            bound._apply_degenerate_arc(trace, scc, witness,
+                                        next(bits(witness.part)), targets[0], tag)
         assert trace.graphs != state
         assert before.graphs is state and kernel_queries(state) == cached
 
@@ -542,7 +545,8 @@ def _children(trace):
             if cls is LeafClass.MESSAGE_DISCONNECTED:
                 child(bound._apply_dummy, scc, v)
         if cls is None:
-            child(make_message_connected, scc)
+            child(bound._apply_edges, scc,
+                  next(bound._all_edge_options(trace, scc)))
     for option in islice(bound._degenerated_options(trace), 20):
         child(bound._apply_degenerate_arc, *option)
     return children

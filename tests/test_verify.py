@@ -198,7 +198,7 @@ def test_prior_usage_is_recorded(triangle):
     cert = rank_decodable(code, simple)
     assert isinstance(cert, DecodeCertificate)
     # receiver 1 reaches x3 only through both rows and its own x1
-    entry = cert.entry(1, 3)
+    [entry] = [e for e in cert.entries if (e.receiver, e.wanted) == (1, 3)]
     assert entry.uses_prior
     assert entry.row_indices == (0, 1)
 
@@ -344,7 +344,7 @@ def test_sixteen_message_sender_witness_lists_no_candidates(monkeypatch):
 def _requirements(inst) -> list[tuple[int, int | None, list[int]]]:
     """Per receiver with nonempty wants: (receiver, prior mask or None,
     wanted masks in increasing order)."""
-    carried = inst.carried
+    carried = frozenset().union(*inst.senders)
     reqs = []
     for r in range(1, inst.num_messages + 1):
         wants = sorted(inst.wants[r - 1])
@@ -415,7 +415,7 @@ def _reference_oracle(inst):
     candidates = _candidate_rows(inst)
     masks = [row.coeffs for row in candidates]
     reqs = _requirements(inst)
-    for length in range(len(inst.carried) + 1):
+    for length in range(inst.carried_mask.bit_count() + 1):
         hit = _reference_search_at_length(masks, length, reqs)
         if hit is not None:
             rows = tuple(candidates[k] for k in hit)
@@ -793,7 +793,7 @@ def _reference_rank_decodable(code, inst):
     """The rank check on the incremental solver with a basis copy per
     receiver, the implementation the tagged echelon basis replaced."""
     _validate_supports(code, inst)
-    carried = inst.carried
+    carried = frozenset().union(*inst.senders)
     base = _Gf2Solver(row.coeffs for row in code.rows)
     prior_bit = 1 << base.count
     entries = []
@@ -832,7 +832,7 @@ def _reference_check_decode_closure(code, inst):
         if base.solve(mask_of((j,))) is None:
             violations.append(ClosureViolation(rule, None, j))
 
-    carried = simple.carried
+    carried = frozenset().union(*simple.senders)
     for r in range(1, g.n + 1):
         preds = g.ancestors(1 << (r - 1))
         if not preds:
@@ -943,7 +943,7 @@ def test_oracle_matches_plain_subset_scan(inst):
     simple, _ = simplify(inst)
     candidates = _candidate_rows(simple)
     reference = None
-    for length in range(len(simple.carried) + 1):
+    for length in range(simple.carried_mask.bit_count() + 1):
         for chosen in combinations(range(len(candidates)), length):
             code = LinearIndexCode(simple.num_messages,
                                    tuple(candidates[k] for k in chosen))
