@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import graphs
-from .model import GraphPair, bits, edge_key
+from .model import (SCHEMA_VERSION, GraphPair, GuardError, InstanceError, bits,
+                    check_schema, edge_key, is_int, mask_of)
 
 DEFAULT_STATE_BUDGET = 20_000
 
@@ -85,6 +86,62 @@ class GroundingTrace:
         twin = object.__new__(GroundingTrace)
         twin.__dict__ = {**self.__dict__, "log": list(self.log)}
         return twin
+
+    def to_document(self) -> dict:
+        """The step log, the counts and the final state (`final_state`)."""
+        g = self.graphs
+        return {"schema": SCHEMA_VERSION, "mode": self.mode, "fell_back": self.fell_back,
+                "steps": self.log, "n_connected": self.n_connected,
+                "n_remaining": self.n_remaining, "n_iv": self.n_iv,
+                "dummy_count": self.dummy_count,
+                "final": {"n": g.n, "n_real": self.original.n,
+                          "arcs": sorted([i, j] for (i, j) in g.arcs),
+                          "edges": sorted([i, j] for (i, j) in g.edges),
+                          "dummies": list(bits(self.dummies))}}
+
+
+def final_state(doc: dict, at: str) -> tuple[GraphPair, int]:
+    """The final graphs and dummy mask of a trace document, whose fields are
+    named ``at`` + field in errors.  Every field is checked here, so no
+    vertex index reaches the graph kernel unchecked."""
+    check_schema(doc, f"{at}schema")
+    where = f"{at}final"
+    final = doc.get("final")
+    if not isinstance(final, dict):
+        raise InstanceError(where, "missing final state")
+    for key in ("n", "arcs", "edges", "dummies"):
+        if key not in final:
+            raise InstanceError(f"{where}.{key}", "missing required field")
+    n = final["n"]
+    if not is_int(n) or n < 1:
+        raise InstanceError(f"{where}.n", "expected a positive integer")
+
+    def vertices(raw, at: str, pair: bool = False) -> tuple[int, ...]:
+        if (not isinstance(raw, list) or (pair and len(raw) != 2)
+                or not all(is_int(v) and 1 <= v <= n for v in raw)):
+            what = "a pair" if pair else "a list"
+            raise InstanceError(at, f"expected {what} of vertices in 1..{n}")
+        return tuple(raw)
+
+    def pairs(key: str, ordered: bool) -> frozenset[tuple[int, int]]:
+        if not isinstance(final[key], list):
+            raise InstanceError(f"{where}.{key}", "expected a list")
+        out = set()
+        for k, raw in enumerate(final[key]):
+            at = f"{where}.{key}[{k}]"
+            i, j = vertices(raw, at, pair=True)
+            if i == j or (not ordered and i > j):
+                raise InstanceError(at, "expected two distinct vertices"
+                                    + ("" if ordered else " in increasing order"))
+            out.add((i, j))
+        return frozenset(out)
+
+    arcs, edges = pairs("arcs", True), pairs("edges", False)
+    try:
+        g = GraphPair(n=n, arcs=arcs, edges=edges)
+    except (MemoryError, OverflowError) as exc:
+        raise GuardError(f"{where}.n: {n} vertices do not fit in memory") from exc
+    return g, mask_of(vertices(final["dummies"], f"{where}.dummies"))
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +542,6 @@ def lower_bound_prune_all(g: GraphPair) -> int:
 
 
 __all__ = [
-    "GroundingTrace", "break_leaf_sccs", "run_grounding", "lower_bound",
-    "lower_bound_prune_all", "DEFAULT_STATE_BUDGET",
+    "GroundingTrace", "final_state", "break_leaf_sccs", "run_grounding",
+    "lower_bound", "lower_bound_prune_all", "DEFAULT_STATE_BUDGET",
 ]

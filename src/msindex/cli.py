@@ -1,8 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: it reads the files, writes the documents that
+their types build, and parses the command line.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 size-guard violation.  All outputs are deterministic for fixed inputs
-and flags.
+3 size-guard violation; a reader that closes the output early, as
+``head`` does, ends the command quietly with 0.  All outputs are
+deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
-from . import bound, code, graphs, verify
+from . import bound, graphs, verify
 from .analysis import Analysis, analyze
-from .model import (GraphPair, InstanceError, SCHEMA_VERSION, bits, check_schema,
-                    mask_of, parse_instance)
+from .code import LinearIndexCode
+from .model import GuardError, InstanceError, SCHEMA_VERSION, parse_instance
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -51,10 +54,6 @@ def _load_json(path: str) -> dict:
 
 def _analyze(path: str, exhaustive: bool = False) -> Analysis:
     return analyze(parse_instance(_load_json(path)), exhaustive)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _indented(obj, pad: str) -> str:
@@ -94,108 +93,10 @@ def _dump(obj) -> None:
     print(_indented(obj, ""))
 
 
-def _trace_to_dict(trace: bound.GroundingTrace) -> dict:
-    g = trace.graphs
-    return {
-        "schema": SCHEMA_VERSION,
-        "mode": trace.mode,
-        "fell_back": trace.fell_back,
-        "steps": trace.log,
-        "n_connected": trace.n_connected,
-        "n_remaining": trace.n_remaining,
-        "n_iv": trace.n_iv,
-        "dummy_count": trace.dummy_count,
-        "final": {
-            "n": g.n,
-            "n_real": trace.original.n,
-            "arcs": sorted([i, j] for (i, j) in g.arcs),
-            "edges": sorted([i, j] for (i, j) in g.edges),
-            "dummies": list(bits(trace.dummies)),
-        },
-    }
-
-
-def _code_to_dict(c: code.LinearIndexCode) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "num_messages": c.num_messages,
-        "rows": [{"sender": row.sender,
-                  "coeffs": row.coeff_list(c.num_messages),
-                  "kind": row.kind}
-                 for row in c.rows],
-    }
-
-
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # coefficient bytes to binary digits
-
-
-def _code_from_dict(doc: dict, path: str) -> code.LinearIndexCode:
-    for key in ("num_messages", "rows"):
-        if key not in doc:
-            raise InstanceError(f"{path}:{key}", "missing required field")
-    check_schema(doc, f"{path}:schema")
-    m = doc["num_messages"]
-    if not _is_int(m) or m < 1:
-        raise InstanceError(f"{path}:num_messages", "expected a positive integer")
-    rows = []
-    if not isinstance(doc["rows"], list):
-        raise InstanceError(f"{path}:rows", "expected a list")
-    for k, raw in enumerate(doc["rows"]):
-        where = f"{path}:rows[{k}]"
-        if not isinstance(raw, dict):
-            raise InstanceError(where, "expected an object")
-        sender = raw.get("sender")
-        coeffs = raw.get("coeffs")
-        if not _is_int(sender) or sender < 1:
-            raise InstanceError(where, "sender must be a positive integer")
-        # plain 0/1 ints pass in two whole-list tests; the element loop
-        # judges any other list
-        if (not isinstance(coeffs, list) or len(coeffs) != m
-                or not (set(map(type, coeffs)) <= {int} and set(coeffs) <= {0, 1}
-                        or all(_is_int(c) and c in (0, 1) for c in coeffs))):
-            raise InstanceError(where, f"coeffs must be a 0/1 list of length {m}")
-        mask = int(bytes(reversed(coeffs)).translate(_DIGITS), 2)
-        kind = raw.get("kind")
-        if kind is not None and not isinstance(kind, str):
-            raise InstanceError(where, "kind must be a string if present")
-        rows.append(code.CodeRow(sender, mask, kind))
-    return code.LinearIndexCode(m, tuple(rows))
-
-
-def _certificate_to_dict(result) -> dict:
-    if isinstance(result, verify.DecodeFailure):
-        return {"schema": SCHEMA_VERSION, "ok": False,
-                "failure": {"receiver": result.receiver,
-                            "wanted": result.wanted}}
-    return {"schema": SCHEMA_VERSION, "ok": True,
-            "entries": [{"receiver": e.receiver, "wanted": e.wanted,
-                         "rows": list(e.row_indices),
-                         "uses_prior": e.uses_prior}
-                        for e in result.entries]}
-
-
-def _scc_table(g: GraphPair) -> list[dict]:
-    report = graphs.classify_all(g)
-    table = []
-    for k, scc in enumerate(report.sccs):
-        entry = {"vertices": list(bits(scc)), "leaf": k in report.leaf_sccs,
-                 "class": None}
-        if k in report.leaf_sccs:
-            entry["class"] = report.classes[k].value
-            witness = report.witnesses.get(k)
-            if witness is not None:
-                entry["witness"] = {"part": list(bits(witness.part)),
-                                    "cover": list(bits(witness.cover)),
-                                    "vacuous": witness.vacuous}
-        table.append(entry)
-    return table
-
-
 def cmd_validate(args) -> int:
     inst = parse_instance(_load_json(args.instance))
     out = {"schema": SCHEMA_VERSION, "ok": True,
-           "num_messages": inst.num_messages,
-           "num_senders": inst.num_senders}
+           "num_messages": inst.num_messages, "num_senders": inst.num_senders}
     if args.json:
         _dump(out)
     else:
@@ -211,7 +112,7 @@ def cmd_simplified(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    table = _scc_table(_analyze(args.instance).graphs)
+    table = graphs.scc_table(_analyze(args.instance).graphs)
     if args.json:
         _dump({"schema": SCHEMA_VERSION, "sccs": table})
         return 0
@@ -231,7 +132,7 @@ def cmd_bound(args) -> int:
            "n_iv": trace.n_iv, "dummy_count": trace.dummy_count,
            "lower_bound": lb}
     if args.trace:
-        out["trace"] = _trace_to_dict(trace)
+        out["trace"] = trace.to_document()
     if args.json or args.trace:
         _dump(out)
     else:
@@ -244,13 +145,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_code(args) -> int:
-    _dump(_code_to_dict(_analyze(args.instance).planned))
+    _dump(_analyze(args.instance).planned.to_document())
     return 0
 
 
 def cmd_verify(args) -> int:
     simple = _analyze(args.instance).simple
-    c = _code_from_dict(_load_json(args.code), args.code)
+    c = LinearIndexCode.from_document(_load_json(args.code), args.code)
     if c.num_messages != simple.num_messages:
         raise InstanceError(f"{args.code}:num_messages",
                             f"code is for {c.num_messages} messages, "
@@ -259,7 +160,7 @@ def cmd_verify(args) -> int:
         result = verify.rank_decodable(c, simple)
     except InstanceError as exc:
         raise InstanceError(f"{args.code}:{exc.path}", exc.message) from exc
-    _dump(_certificate_to_dict(result))
+    _dump(result.to_document())
     return 0
 
 
@@ -277,7 +178,7 @@ def cmd_oracle(args) -> int:
     lb = a.lower_bound
     out = {"schema": SCHEMA_VERSION, "linear_optimal_length": length,
            "lower_bound": lb, "certified": length == lb,
-           "code": _code_to_dict(best)}
+           "code": best.to_document()}
     if args.json:
         _dump(out)
     else:
@@ -290,26 +191,18 @@ def cmd_oracle(args) -> int:
 def cmd_report(args) -> int:
     a = _analyze(args.instance, args.exhaustive)
     trace, lb, ub, inst = a.trace, a.lower_bound, a.upper_bound, a.instance
-    report = {
-        "schema": SCHEMA_VERSION,
-        "instance": {"num_messages": inst.num_messages,
-                     "num_senders": inst.num_senders,
-                     "removed": sorted(a.removed)},
-        "v_out": graphs.num_out_vertices(a.graphs),
-        "sccs": _scc_table(a.graphs),
-        "n_connected": trace.n_connected,
-        "n_remaining": trace.n_remaining,
-        "n_iv": trace.n_iv,
-        "lower_bound": lb,
-        "n_tree": len(a.trees),
-        "upper_bound": ub,
-        "certified": lb == ub,
-    }
+    report = {"schema": SCHEMA_VERSION,
+              "instance": {"num_messages": inst.num_messages,
+                           "num_senders": inst.num_senders, "removed": sorted(a.removed)},
+              "v_out": graphs.num_out_vertices(a.graphs),
+              "sccs": graphs.scc_table(a.graphs), "n_connected": trace.n_connected,
+              "n_remaining": trace.n_remaining, "n_iv": trace.n_iv, "lower_bound": lb,
+              "n_tree": len(a.trees), "upper_bound": ub, "certified": lb == ub}
     if args.oracle:
         report["oracle"] = a.oracle[0]
         report["certified"] = report["certified"] or a.oracle[0] == lb
     if args.trace:
-        report["trace"] = _trace_to_dict(trace)
+        report["trace"] = trace.to_document()
     if args.json or args.trace:
         _dump(report)
         return 0
@@ -334,50 +227,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _final_state(doc: dict, at: str) -> tuple[GraphPair, int]:
-    """The final graphs and dummy mask of a trace document, whose fields are
-    named ``at`` + field in errors.  Every field is checked here, so no
-    vertex index reaches the graph kernel unchecked."""
-    check_schema(doc, f"{at}schema")
-    where = f"{at}final"
-    final = doc.get("final")
-    if not isinstance(final, dict):
-        raise InstanceError(where, "missing final state")
-    for key in ("n", "arcs", "edges", "dummies"):
-        if key not in final:
-            raise InstanceError(f"{where}.{key}", "missing required field")
-    n = final["n"]
-    if not _is_int(n) or n < 1:
-        raise InstanceError(f"{where}.n", "expected a positive integer")
-
-    def vertices(raw, at: str, pair: bool = False) -> tuple[int, ...]:
-        if (not isinstance(raw, list) or (pair and len(raw) != 2)
-                or not all(_is_int(v) and 1 <= v <= n for v in raw)):
-            what = "a pair" if pair else "a list"
-            raise InstanceError(at, f"expected {what} of vertices in 1..{n}")
-        return tuple(raw)
-
-    def pairs(key: str, ordered: bool) -> frozenset[tuple[int, int]]:
-        if not isinstance(final[key], list):
-            raise InstanceError(f"{where}.{key}", "expected a list")
-        out = set()
-        for k, raw in enumerate(final[key]):
-            at = f"{where}.{key}[{k}]"
-            i, j = vertices(raw, at, pair=True)
-            if i == j or (not ordered and i > j):
-                raise InstanceError(at, "expected two distinct vertices"
-                                    + ("" if ordered else " in increasing order"))
-            out.add((i, j))
-        return frozenset(out)
-
-    arcs, edges = pairs("arcs", True), pairs("edges", False)
-    try:
-        g = GraphPair(n=n, arcs=arcs, edges=edges)
-    except (MemoryError, OverflowError) as exc:
-        raise verify.GuardError(f"{where}.n: {n} vertices do not fit in memory") from exc
-    return g, mask_of(vertices(final["dummies"], f"{where}.dummies"))
-
-
 def cmd_dot(args) -> int:
     doc = _load_json(args.instance)
     at = f"{args.instance}:"
@@ -388,7 +237,7 @@ def cmd_dot(args) -> int:
             raise InstanceError(f"{args.instance}:trace",
                                 "expected a JSON object")
     if "steps" in doc:
-        g, dummies = _final_state(doc, at)
+        g, dummies = bound.final_state(doc, at)
         print(graphs.to_dot(g, dummies=dummies), end="")
         return 0
     print(graphs.to_dot(analyze(parse_instance(doc)).graphs), end="")
@@ -524,16 +373,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except verify.GuardError as exc:
+    except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except BrokenPipeError:
+        return 0  # the reader stopped early, as `head` does
     except (InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest goes nowhere, so the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

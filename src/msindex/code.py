@@ -15,9 +15,11 @@ from functools import reduce
 from operator import or_
 
 from . import graphs
-from .model import GraphPair, ProblemInstance, bits, closure
+from .model import (SCHEMA_VERSION, GraphPair, InstanceError, ProblemInstance, bits,
+                    check_schema, closure, is_int)
 
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to coefficient bytes
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # coefficient bytes to binary digits
 
 # above this many vertices, unions of principal down-sets are not candidates
 EXACT_LIMIT = 16
@@ -56,10 +58,6 @@ class CodeRow:
     def support(self) -> frozenset[int]:
         return frozenset(bits(self.coeffs))
 
-    def coeff_list(self, m: int) -> list[int]:
-        # the low m binary digits, lowest first, as the bytes 0 and 1
-        return list(format(self.coeffs, f"0{m}b")[:-m - 1:-1].encode().translate(_BITS))
-
 
 @dataclass(frozen=True)
 class LinearIndexCode:
@@ -69,6 +67,52 @@ class LinearIndexCode:
     @property
     def length(self) -> int:
         return len(self.rows)
+
+    def to_document(self) -> dict:
+        """The code document: each row's ``coeffs`` is its low m binary
+        digits, lowest first, as a 0/1 list."""
+        m = self.num_messages
+        return {"schema": SCHEMA_VERSION, "num_messages": m,
+                "rows": [{"sender": row.sender,
+                          "coeffs": list(format(row.coeffs, f"0{m}b")[:-m - 1:-1]
+                                         .encode().translate(_BITS)),
+                          "kind": row.kind}
+                         for row in self.rows]}
+
+    @classmethod
+    def from_document(cls, doc: dict, path: str) -> "LinearIndexCode":
+        """The code of a code document, whose fields are named ``path`` +
+        ":" + field in errors; the rank check judges the row supports."""
+        for key in ("num_messages", "rows"):
+            if key not in doc:
+                raise InstanceError(f"{path}:{key}", "missing required field")
+        check_schema(doc, f"{path}:schema")
+        m = doc["num_messages"]
+        if not is_int(m) or m < 1:
+            raise InstanceError(f"{path}:num_messages", "expected a positive integer")
+        if not isinstance(doc["rows"], list):
+            raise InstanceError(f"{path}:rows", "expected a list")
+        rows = []
+        for k, raw in enumerate(doc["rows"]):
+            where = f"{path}:rows[{k}]"
+            if not isinstance(raw, dict):
+                raise InstanceError(where, "expected an object")
+            sender = raw.get("sender")
+            coeffs = raw.get("coeffs")
+            if not is_int(sender) or sender < 1:
+                raise InstanceError(where, "sender must be a positive integer")
+            # plain 0/1 ints pass in two whole-list tests; the element loop
+            # judges any other list
+            if (not isinstance(coeffs, list) or len(coeffs) != m
+                    or not (set(map(type, coeffs)) <= {int} and set(coeffs) <= {0, 1}
+                            or all(is_int(c) and c in (0, 1) for c in coeffs))):
+                raise InstanceError(where, f"coeffs must be a 0/1 list of length {m}")
+            mask = int(bytes(reversed(coeffs)).translate(_DIGITS), 2)
+            kind = raw.get("kind")
+            if kind is not None and not isinstance(kind, str):
+                raise InstanceError(where, "kind must be a string if present")
+            rows.append(CodeRow(sender, mask, kind))
+        return cls(m, tuple(rows))
 
 
 def _spanning_tree(g: GraphPair, vs: int) -> tuple[tuple[int, int], ...]:

@@ -217,6 +217,25 @@ def classify_all(g: GraphPair) -> SccReport:
     return report
 
 
+def scc_table(g: GraphPair) -> list[dict]:
+    """The ``sccs`` table of the classify and report documents: per SCC,
+    its vertices, and if it is a leaf SCC its class and any witness."""
+    report = classify_all(g)
+    table = []
+    for k, scc in enumerate(report.sccs):
+        entry = {"vertices": list(bits(scc)), "leaf": k in report.leaf_sccs,
+                 "class": None}
+        if k in report.leaf_sccs:
+            entry["class"] = report.classes[k].value
+            witness = report.witnesses.get(k)
+            if witness is not None:
+                entry["witness"] = {"part": list(bits(witness.part)),
+                                    "cover": list(bits(witness.cover)),
+                                    "vacuous": witness.vacuous}
+        table.append(entry)
+    return table
+
+
 def spanning_forest(pairs, size: int) -> list[tuple[int, int]]:
     """Kruskal's choice over ``size`` nodes: the pairs, in the given order,
     that join two different components of the pairs chosen before them,
@@ -274,6 +293,6 @@ __all__ = [
     "scc_decompose", "leaf_vertices", "num_out_vertices",
     "grounded_set", "is_grounded_digraph", "is_leaf_scc",
     "check_degeneracy_witness", "iter_degeneracy_witnesses",
-    "leaf_sccs_of_class", "classify_leaf_scc", "classify_all",
+    "leaf_sccs_of_class", "classify_leaf_scc", "classify_all", "scc_table",
     "spanning_forest", "to_dot",
 ]

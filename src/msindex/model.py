@@ -29,6 +29,15 @@ class InstanceError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+class GuardError(ValueError):
+    """An instance exceeds a hard size guard."""
+
+
+def is_int(x) -> bool:
+    """``x`` is an integer and not a boolean, as JSON tells them apart."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A multi-sender uniprior multicast problem.
@@ -426,8 +435,7 @@ def _parse_index_set(raw: Any, path: str, m: int) -> frozenset[int]:
     _require(isinstance(raw, list), path, f"expected a list, got {type(raw).__name__}")
     seen: set[int] = set()
     for k, x in enumerate(raw):
-        _require(isinstance(x, int) and not isinstance(x, bool),
-                 f"{path}[{k}]", f"expected an integer, got {x!r}")
+        _require(is_int(x), f"{path}[{k}]", f"expected an integer, got {x!r}")
         _require(1 <= x <= m, f"{path}[{k}]", f"index {x} out of range 1..{m}")
         _require(x not in seen, f"{path}[{k}]", f"duplicate index {x}")
         seen.add(x)
@@ -491,7 +499,7 @@ def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
         _require(key in document, key, "missing required field")
 
     m = document["num_messages"]
-    _require(isinstance(m, int) and not isinstance(m, bool) and m >= 1,
+    _require(is_int(m) and m >= 1,
              "num_messages", f"expected a positive integer, got {m!r}")
 
     raw_senders, raw_wants = document["senders"], document["wants"]

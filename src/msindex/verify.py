@@ -15,13 +15,9 @@ from operator import or_
 from typing import Iterable, Iterator
 
 from .code import CodeRow, LinearIndexCode
-from .model import InstanceError, ProblemInstance, bits
+from .model import SCHEMA_VERSION, GuardError, InstanceError, ProblemInstance, bits
 
 ORACLE_LIMIT = 8
-
-
-class GuardError(ValueError):
-    """An instance exceeds a hard size guard."""
 
 
 @dataclass(frozen=True)
@@ -57,11 +53,21 @@ class DecodeCertificate:
     def __repr__(self) -> str:
         return f"DecodeCertificate(entries={self.entries!r})"
 
+    def to_document(self) -> dict:
+        return {"schema": SCHEMA_VERSION, "ok": True,
+                "entries": [{"receiver": e.receiver, "wanted": e.wanted,
+                             "rows": list(e.row_indices), "uses_prior": e.uses_prior}
+                            for e in self.entries]}
+
 
 @dataclass(frozen=True)
 class DecodeFailure:
     receiver: int
     wanted: int
+
+    def to_document(self) -> dict:
+        return {"schema": SCHEMA_VERSION, "ok": False,
+                "failure": {"receiver": self.receiver, "wanted": self.wanted}}
 
 
 def _validate_supports(code: LinearIndexCode, inst: ProblemInstance) -> None:

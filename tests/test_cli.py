@@ -3,8 +3,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
 import runpy
+import subprocess
 import sys
 import warnings
 from enum import IntEnum
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 import cli_reference
 from msindex import cli, generate, verify
 from msindex.cli import main
-from msindex.model import InstanceError
+from msindex.code import LinearIndexCode
+from msindex.model import InstanceError, is_int
 
 THREE_PAIRS = "instances/three_pairs_overlapping_senders.json"
 TRIANGLE = "instances/triangle_single_sender.json"
@@ -246,7 +249,7 @@ class _Bit(IntEnum):
 def _reference_coeff_mask(coeffs, m):
     """The element loop over a row's coefficients, and its mask."""
     if (not isinstance(coeffs, list) or len(coeffs) != m
-            or any(not cli._is_int(c) or c not in (0, 1) for c in coeffs)):
+            or any(not is_int(c) or c not in (0, 1) for c in coeffs)):
         return f"c:rows[0]: coeffs must be a 0/1 list of length {m}"
     return sum(bit << pos for pos, bit in enumerate(coeffs))
 
@@ -272,7 +275,7 @@ def test_coefficient_check_matches_the_element_loop(case):
     coeffs, m = case
     doc = {"num_messages": m, "rows": [{"sender": 1, "coeffs": coeffs}]}
     try:
-        got = cli._code_from_dict(doc, "c").rows[0].coeffs
+        got = LinearIndexCode.from_document(doc, "c").rows[0].coeffs
     except InstanceError as exc:
         got = str(exc)
     assert got == _reference_coeff_mask(coeffs, m)
@@ -761,3 +764,45 @@ def test_report_builds_no_certificate_entries(capsys, tmp_path, monkeypatch):
     assert rc == 0 and json.loads(out)["instance"]["num_messages"] == 64
     assert sum(map(len, inst.wants)) > 1000
     assert built == []
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_output_ends_the_command_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["report", THREE_PAIRS, "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["code", "verify"])
+@pytest.mark.parametrize("k", [1, 100])
+@pytest.mark.parametrize("buffered", [True, False])
+def test_writing_to_a_closed_pipe_exits_0(tmp_path, command, k, buffered):
+    # k disjoint gadgets (messages a, b, c; b wants a and c; c wants b;
+    # senders {a, b} and {a, c}); buffered at k = 1, only the flush at
+    # exit writes the output, and otherwise a write in the command fails
+    inst = tmp_path / "gadgets.json"
+    inst.write_text(json.dumps({
+        "num_messages": 3 * k,
+        "senders": [s for a in range(1, 3 * k, 3) for s in ([a, a + 1], [a, a + 2])],
+        "wants": [w for a in range(1, 3 * k, 3) for w in ([], [a, a + 2], [a + 1])]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "PYTHONUNBUFFERED": "" if buffered else "1"}
+    argv = [sys.executable, "-m", "msindex.cli", "code", str(inst)]
+    if command == "verify":
+        code = tmp_path / "code.json"
+        code.write_bytes(subprocess.run(argv, capture_output=True, env=env).stdout)
+        argv = [*argv[:3], "verify", str(inst), str(code)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0, done.stderr
+    for text in ("error:", "Traceback", "Exception ignored"):
+        assert text not in done.stderr

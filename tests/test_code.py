@@ -8,6 +8,7 @@ valid and never smaller than the greedy one.
 """
 
 import inspect
+import json
 import random
 import sys
 from itertools import combinations
@@ -17,7 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from msindex import generate, graphs
+from msindex import analyze, generate, graphs
 from msindex.code import (EXACT_LIMIT, CodeBlueprint, CodeRow, LinearIndexCode,
                           Tree, _max_packing,
                           _tree_candidates, assign_senders,
@@ -26,7 +27,7 @@ from msindex.model import GraphPair, adjacent, bits, closure, mask_of, simplify
 from msindex.verify import DecodeCertificate, rank_decodable
 
 from conftest import gp, simplified_graphs
-from strategies import graph_pairs, instances
+from strategies import codes_for, graph_pairs, instances
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from find_gaps import random_pairing_instance  # noqa: E402
@@ -409,8 +410,20 @@ def test_packing_needs_no_interpreter_recursion():
     st.just(m),
     st.one_of(st.just(0), st.just((1 << m) - 1), st.just(1 << m >> 1),
               st.integers(0, (1 << m) - 1)))))
-def test_coeff_list_matches_the_bit_loop(case):
+def test_code_document_coeffs_match_the_bit_loop(case):
     """m mostly not a multiple of 8, the zero row, the all-ones row and
     the row with only the top bit set among the drawn ones."""
     m, coeffs = case
-    assert CodeRow(1, coeffs).coeff_list(m) == [(coeffs >> i) & 1 for i in range(m)]
+    [row] = LinearIndexCode(m, (CodeRow(1, coeffs),)).to_document()["rows"]
+    assert row["coeffs"] == [(coeffs >> i) & 1 for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_m=6).flatmap(lambda inst: st.tuples(st.just(inst), codes_for(inst))))
+def test_code_document_reads_back(case):
+    """A drawn code, and the planned code with its row kinds, read back
+    from their documents as JSON text."""
+    inst, drawn = case
+    for c in (drawn, analyze(inst).planned):
+        doc = json.loads(json.dumps(c.to_document()))
+        assert LinearIndexCode.from_document(doc, "c") == c

@@ -20,7 +20,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msindex import analyze, bound, graphs
@@ -28,7 +28,8 @@ from msindex.bound import (_apply_degenerate_arc, _apply_dummy, _apply_edges,
                            _apply_prune, _all_edge_options,
                            _degenerated_options, _finish,
                            GroundingTrace, lower_bound, run_grounding)
-from msindex.model import GraphPair, bits, build_graphs, edge_key, mask_of, simplify
+from msindex.model import (GraphPair, bits, build_graphs, edge_key, mask_of,
+                           parse_instance, simplify)
 
 from strategies import graph_pairs, instances
 
@@ -389,9 +390,16 @@ def _check_ceiling(inst) -> GroundingTrace:
     a = analyze(inst, exhaustive=True)
     capped = run_grounding(a.graphs, "exhaustive", state_budget=BUDGET,
                            ceiling=a.upper_bound)
-    free = run_grounding(a.graphs, "exhaustive", state_budget=BUDGET)
     if capped.fell_back:
         return capped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fallback here is run again below
+        free = run_grounding(a.graphs, "exhaustive", state_budget=BUDGET)
+    if free.fell_back:
+        # the ceiling saves states, so the run without it may need more
+        # than the budget the capped run finished in
+        free = run_grounding(a.graphs, "exhaustive",
+                             state_budget=bound.DEFAULT_STATE_BUDGET)
     assert not free.fell_back and capped.states_explored <= free.states_explored
     assert capped.log == free.log and capped.n_iv == free.n_iv
     assert lower_bound(capped) == lower_bound(free) <= a.upper_bound
@@ -403,6 +411,12 @@ def _check_ceiling(inst) -> GroundingTrace:
 
 @settings(max_examples=100, deadline=None)
 @given(small_instances())
+# with the ceiling (ub 6) the search finishes in 7 states; without it, it
+# needs 3 563, past BUDGET
+@example(parse_instance({
+    "num_messages": 8,
+    "senders": [[2, 4], [5, 7], [3, 4], [6, 8], [2, 4, 5], [1, 4, 7, 8]],
+    "wants": [[5], [7], [6], [8], [1], [3], [2], [4]]}))
 def test_ceiling_stops_keep_the_selection(inst):
     _check_ceiling(inst)
 
@@ -425,6 +439,18 @@ def test_phase1_outcomes_prune_equally_many_sccs(g):
         return
     assert len({sum(step["step"] == "i" for step in work.log)
                 for _, work in outcomes}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_m=6))
+def test_trace_document_reads_back(inst):
+    g = build_graphs(simplify(inst)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fallback is a trace too
+        traces = [run_grounding(g), run_grounding(g, "exhaustive", state_budget=BUDGET)]
+    for trace in traces:
+        doc = json.loads(json.dumps(trace.to_document()))
+        assert bound.final_state(doc, "") == (trace.graphs, trace.dummies)
 
 
 def test_ceiling_closes_draw_67():
