@@ -6,22 +6,19 @@ others: a failed check raises ``AssertionError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import bound, code, verify
 from .model import GraphPair, ProblemInstance, build_graphs, simplify
 
 
-@dataclass
 class Analysis:
     """An instance, its simplified form and graphs, and its lazy stages."""
 
-    instance: ProblemInstance
-    simple: ProblemInstance
-    removed: frozenset[int]
-    graphs: GraphPair
-    exhaustive: bool
+    def __init__(self, instance: ProblemInstance, simple: ProblemInstance,
+                 removed: frozenset[int], graphs: GraphPair, exhaustive: bool):
+        self.instance, self.simple, self.removed = instance, simple, removed
+        self.graphs, self.exhaustive = graphs, exhaustive
 
     @cached_property
     def trace(self) -> bound.GroundingTrace:

@@ -20,7 +20,6 @@ upper bound given as a ceiling.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 from . import graphs
@@ -49,7 +48,6 @@ class _Budget:
         self.spent += 1
 
 
-@dataclass
 class GroundingTrace:
     """Working state of one grounding run plus its step log.
 
@@ -61,22 +59,18 @@ class GroundingTrace:
     [[1, 2]]}``.
     """
 
-    original: GraphPair
-    graphs: GraphPair
-    dummies: int = 0
-    log: list[dict] = field(default_factory=list)
-    n_connected: int = 0
-    n_iv: int = 0
-    n_remaining: int = 0
-    mode: str = "deterministic"
-    complete: bool = False
-    fell_back: bool = False
-    states_explored: int = 0
-    ceiling_stops: int = 0
+    def __init__(self, original: GraphPair, graphs: GraphPair):
+        self.original, self.graphs = original, graphs
+        self.dummies = 0
+        self.log: list[dict] = []
+        self.n_connected = self.n_iv = self.n_remaining = 0
+        self.mode = "deterministic"
+        self.complete = self.fell_back = False
+        self.states_explored = self.ceiling_stops = 0
 
     @classmethod
     def from_graphs(cls, g: GraphPair) -> "GroundingTrace":
-        return cls(original=g, graphs=g)
+        return cls(g, g)
 
     @property
     def dummy_count(self) -> int:

@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import bound, graphs, verify
@@ -384,6 +385,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """``main`` as a command: a warning shows as one line, ``warning: <message>``."""
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     status = main()
     try:
         sys.stdout.flush()

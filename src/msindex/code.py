@@ -10,9 +10,9 @@ and (c) avoids message-connected leaf SCCs and other connecting trees.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from . import graphs
 from .model import (SCHEMA_VERSION, GraphPair, InstanceError, ProblemInstance, bits,
@@ -25,14 +25,12 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # coefficient bytes to binary digits
 EXACT_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple):
     vertices: int  # a vertex mask
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class CodeBlueprint:
+class CodeBlueprint(NamedTuple):
     connecting_trees: tuple[Tree, ...]
     scc_spanning_trees: tuple[Tree, ...]
     uncoded: tuple[int, ...]
@@ -44,8 +42,7 @@ class CodeBlueprint:
                 + len(self.uncoded))
 
 
-@dataclass(frozen=True)
-class CodeRow:
+class CodeRow(NamedTuple):
     """One transmitted bit: a GF(2) combination of one sender's messages.
 
     ``coeffs`` is a bitmask; bit (i-1) set means message i participates.
@@ -59,8 +56,7 @@ class CodeRow:
         return frozenset(bits(self.coeffs))
 
 
-@dataclass(frozen=True)
-class LinearIndexCode:
+class LinearIndexCode(NamedTuple):
     num_messages: int
     rows: tuple[CodeRow, ...]
 

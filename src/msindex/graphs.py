@@ -9,8 +9,8 @@ message-connected, message-disconnected, or semi (degenerated or not).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import chain, combinations
+from typing import NamedTuple
 
 from .model import GraphPair, adjacent, bits
 
@@ -22,8 +22,7 @@ class LeafClass(enum.Enum):
     SEMI_NON_DEGENERATED = "SemiNonDegenerated"
 
 
-@dataclass(frozen=True)
-class DegeneracyWitness:
+class DegeneracyWitness(NamedTuple):
     """Certificate that a semi leaf SCC is degenerated.
 
     ``part`` is one side of a no-edge-across bipartition of the SCC;
@@ -39,12 +38,13 @@ class DegeneracyWitness:
     vacuous: bool = False
 
 
-@dataclass
 class SccReport:
-    sccs: list[int]
-    leaf_sccs: list[int]
-    classes: dict[int, LeafClass] = field(default_factory=dict)
-    witnesses: dict[int, DegeneracyWitness] = field(default_factory=dict)
+    """SCC masks and the indices of the leaf SCCs among them; ``classes``
+    and ``witnesses`` are keyed by those indices and start empty."""
+
+    def __init__(self, sccs: list[int], leaf_sccs: list[int]):
+        self.sccs, self.leaf_sccs = sccs, leaf_sccs
+        self.classes, self.witnesses = {}, {}
 
 
 def scc_decompose(g: GraphPair) -> SccReport:

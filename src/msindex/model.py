@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import chain, compress
 from operator import or_
@@ -38,30 +37,43 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
 class ProblemInstance:
     """A multi-sender uniprior multicast problem.
 
     Receiver indices, message indices, and vertex indices share the space
     1..num_messages.  Receiver r's prior is always {r} and is not stored.
+    An instance is immutable.  Its mask views of the sets (``carried_mask``
+    is the union of ``sender_masks``) are filled once at construction; they
+    are no arguments, and equality, hashing and repr ignore them.
     """
 
-    num_messages: int
-    senders: tuple[frozenset[int], ...]
-    wants: tuple[frozenset[int], ...]
-    simplified: bool = False
-    # Mask views of the sets (``carried_mask`` is the union of ``sender_masks``),
-    # filled once at construction.  They are no arguments, and equality,
-    # hashing and repr ignore them.
-    sender_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    want_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    carried_mask: int = field(init=False, repr=False, compare=False)
+    def __init__(self, num_messages: int, senders: tuple[frozenset[int], ...],
+                 wants: tuple[frozenset[int], ...], simplified: bool = False):
+        sender_masks = tuple(map(mask_of, senders))
+        vars(self).update(num_messages=num_messages, senders=senders, wants=wants,
+                          simplified=simplified, sender_masks=sender_masks,
+                          want_masks=tuple(map(mask_of, wants)),
+                          carried_mask=reduce(or_, sender_masks, 0))
 
-    def __post_init__(self):
-        senders = tuple(map(mask_of, self.senders))
-        vars(self).update(sender_masks=senders,
-                          want_masks=tuple(map(mask_of, self.wants)),
-                          carried_mask=reduce(or_, senders, 0))
+    def _key(self) -> tuple:
+        return self.num_messages, self.senders, self.wants, self.simplified
+
+    def __eq__(self, other):
+        if not isinstance(other, ProblemInstance):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("ProblemInstance(num_messages={!r}, senders={!r}, wants={!r}, "
+                "simplified={!r})".format(*self._key()))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ProblemInstance is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _of_masks(cls, **fields) -> "ProblemInstance":

@@ -9,10 +9,9 @@ it meets the structural lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .code import CodeRow, LinearIndexCode
 from .model import SCHEMA_VERSION, GuardError, InstanceError, ProblemInstance, bits
@@ -20,8 +19,7 @@ from .model import SCHEMA_VERSION, GuardError, InstanceError, ProblemInstance, b
 ORACLE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class CertEntry:
+class CertEntry(NamedTuple):
     receiver: int
     wanted: int
     row_indices: tuple[int, ...]
@@ -60,8 +58,7 @@ class DecodeCertificate:
                             for e in self.entries]}
 
 
-@dataclass(frozen=True)
-class DecodeFailure:
+class DecodeFailure(NamedTuple):
     receiver: int
     wanted: int
 

@@ -418,6 +418,9 @@ def test_n_connected_matches_original_classes(g):
         1 for k in report.leaf_sccs
         if report.classes[k] is graphs.LeafClass.MESSAGE_CONNECTED)
     assert trace.n_connected == n_connected
+    # each report has dicts of its own
+    fresh = scc_decompose(g)
+    assert (fresh.classes, fresh.witnesses) == ({}, {})
 
 
 @settings(max_examples=40, deadline=None)

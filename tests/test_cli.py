@@ -705,6 +705,20 @@ def test_tree_warning_matches_the_benchmark_pattern(capsys, tmp_path, m, expecte
     assert all(pattern.fullmatch(str(w.message)) for w in caught)
 
 
+@pytest.mark.parametrize("m, expected", [(16, ""), (17, (
+    "warning: instance has 17 > 16 vertices; "
+    "falling back to greedy connecting-tree search\n"))], ids=["exact", "greedy"])
+def test_the_command_writes_a_warning_as_one_line(tmp_path, m, expected):
+    """The command shows each warning as one line, without Python's source
+    location."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "msindex.cli", "report", str(_ring(tmp_path, m)), "--json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, expected)
+    assert json.loads(done.stdout)["instance"]["num_messages"] == m
+
+
 def test_the_benchmark_reaches_every_traced_name(capsys):
     """Reports on the bundled instances, plain, exhaustive and with the
     oracle, call every function the benchmark traces and build a
@@ -752,12 +766,12 @@ def test_report_builds_no_certificate_entries(capsys, tmp_path, monkeypatch):
     path = tmp_path / "plain64.json"
     path.write_text(json.dumps(inst.to_document()), encoding="utf-8")
     built = []
-    original = verify.CertEntry.__init__
+    original = verify.CertEntry.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         built.append(args)
-        original(self, *args, **kwargs)
-    monkeypatch.setattr(verify.CertEntry, "__init__", counted)
+        return original(cls, *args, **kwargs)
+    monkeypatch.setattr(verify.CertEntry, "__new__", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the tree search warns above 16 vertices
         rc, out, _ = run(capsys, "report", str(path), "--json")

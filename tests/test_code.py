@@ -426,4 +426,7 @@ def test_code_document_reads_back(case):
     inst, drawn = case
     for c in (drawn, analyze(inst).planned):
         doc = json.loads(json.dumps(c.to_document()))
-        assert LinearIndexCode.from_document(doc, "c") == c
+        back = LinearIndexCode.from_document(doc, "c")
+        assert back == c and hash(back) == hash(c)
+    with pytest.raises(AttributeError):
+        back.rows = ()

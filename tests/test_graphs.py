@@ -450,7 +450,7 @@ def test_cached_queries_follow_grounding_steps(g, data):
     to the fresh one's, every cached query equals the same query on the
     fresh object and the brute-force oracles, the cover search matches
     the cover loop, and a clone taken before the step keeps the state it
-    shared."""
+    shared and a log of its own."""
     trace = GroundingTrace.from_graphs(g)
     for _ in range(8):
         state = trace.graphs
@@ -488,7 +488,7 @@ def test_cached_queries_follow_grounding_steps(g, data):
             tag, targets = bound._witness_action(state, witness)
             bound._apply_degenerate_arc(trace, scc, witness,
                                         next(bits(witness.part)), targets[0], tag)
-        assert trace.graphs != state
+        assert trace.graphs != state and before.log == trace.log[:-1]
         assert before.graphs is state and kernel_queries(state) == cached
 
 

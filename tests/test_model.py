@@ -1,10 +1,14 @@
 import copy
 import importlib
 import json
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 from collections.abc import Mapping
 from enum import IntEnum
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -447,6 +451,12 @@ def test_mask_views_match_the_sets(inst):
     assert fresh == inst and hash(fresh) == hash(inst)
     assert simple == twice == unread and hash(simple) == hash(twice)
     assert "sender_masks" not in repr(simple)
+    # an instance is immutable, mask views included
+    for name in ("num_messages", "sender_masks"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(inst, name)
 
 
 @given(instances())
@@ -462,3 +472,16 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"msindex.{name}")
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_import_loads_no_code_generator():
+    """A fresh interpreter imports the package, its command line and a
+    script with ``dataclasses`` blocked, so no class is generated."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "scripts")])}
+    done = subprocess.run(
+        [sys.executable, "-c", 'import sys; sys.modules["dataclasses"] = None; '
+         "import msindex, msindex.cli, find_gaps"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
