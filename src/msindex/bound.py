@@ -27,6 +27,7 @@ from .model import (SCHEMA_VERSION, GraphPair, GuardError, InstanceError, bits,
                     check_schema, edge_key, is_int, mask_of)
 
 DEFAULT_STATE_BUDGET = 20_000
+TRACE_VERTEX_LIMIT = 20_000  # a final state's graphs grow as n² / 16 bytes
 
 
 class _BudgetExceeded(Exception):
@@ -109,6 +110,8 @@ def final_state(doc: dict, at: str) -> tuple[GraphPair, int]:
     n = final["n"]
     if not is_int(n) or n < 1:
         raise InstanceError(f"{where}.n", "expected a positive integer")
+    if n > TRACE_VERTEX_LIMIT:
+        raise GuardError(f"{where}.n: {n} vertices exceed the limit {TRACE_VERTEX_LIMIT}")
 
     def vertices(raw, at: str, pair: bool = False) -> tuple[int, ...]:
         if (not isinstance(raw, list) or (pair and len(raw) != 2)
@@ -130,12 +133,8 @@ def final_state(doc: dict, at: str) -> tuple[GraphPair, int]:
             out.add((i, j))
         return frozenset(out)
 
-    arcs, edges = pairs("arcs", True), pairs("edges", False)
-    try:
-        g = GraphPair(n=n, arcs=arcs, edges=edges)
-    except (MemoryError, OverflowError) as exc:
-        raise GuardError(f"{where}.n: {n} vertices do not fit in memory") from exc
-    return g, mask_of(vertices(final["dummies"], f"{where}.dummies"))
+    return (GraphPair(n=n, arcs=pairs("arcs", True), edges=pairs("edges", False)),
+            mask_of(vertices(final["dummies"], f"{where}.dummies")))
 
 
 # ---------------------------------------------------------------------------
@@ -209,30 +208,34 @@ def _all_edge_options(trace: GroundingTrace, scc: int):
 # ---------------------------------------------------------------------------
 # The sweep procedure shared by phase 1 and phase 2.
 #
-# A sweep prunes message-connected leaf SCCs (just one when ``once``), then
-# alternates appending dummies to message-disconnected leaf SCCs and adding
-# witness arcs for degenerated ones until neither kind is left.  Every step
-# is a choice among options.  The sweep is a small machine so a search can
+# A sweep prunes message-connected leaf SCCs (all of them at ``_PRUNE``,
+# just one at ``_PRUNE_ONE``), then alternates appending dummies to
+# message-disconnected leaf SCCs and adding witness arcs for degenerated
+# ones until neither kind is left.  A phase-2 iteration opens at ``_OPEN``
+# and sweeps on from the stage its opening returns.  Every step is a
+# choice among options.  The sweep is a small machine so a search can
 # branch at a choice point without replaying the steps before it: its
 # control point is its stage, and a paused sweep is a state plus a stage.
 
-_PRUNE, _DUMMY, _DEGENERATE = range(3)
-_APPLY = (_apply_prune, _apply_dummy, _apply_degenerate_arc)
+_PRUNE, _PRUNE_ONE, _DUMMY, _DEGENERATE, _OPEN = range(5)
+_APPLY = (_apply_prune, _apply_prune, _apply_dummy, _apply_degenerate_arc)
 _STEP_CAP = 100_000
 _DONE = object()
 
 
-def _choice_point(trace: GroundingTrace, once: bool, stage: int):
-    """Advance from ``stage`` to the sweep's next choice point and return
-    its stage with its nonempty options in deterministic order, lazily,
-    or None once the sweep is done."""
+def _choice_point(trace: GroundingTrace, stage: int):
+    """Advance from ``stage`` to the next choice point and return its
+    stage with its nonempty options in deterministic order, lazily, or
+    None once the sweep is done (at ``_OPEN``: once no leaf SCC is left)."""
     g = trace.graphs
     while True:
-        if stage == _PRUNE:
+        if stage == _OPEN:
+            return (stage, _openings(trace)) if g.leaf_sccs else None
+        if stage in (_PRUNE, _PRUNE_ONE):
             connected = graphs.leaf_sccs_of_class(
                 g, graphs.LeafClass.MESSAGE_CONNECTED)
             if connected:
-                sccs = connected if once else connected[:1]
+                sccs = connected if stage == _PRUNE_ONE else connected[:1]
                 return stage, ((scc, v) for scc in sccs for v in bits(scc))
             stage = _DUMMY
         elif stage == _DUMMY:
@@ -253,10 +256,12 @@ def _choice_point(trace: GroundingTrace, once: bool, stage: int):
             stage = _DUMMY
 
 
-def _take(trace: GroundingTrace, once: bool, stage: int, option) -> int:
+def _take(trace: GroundingTrace, stage: int, option: tuple) -> int:
     """Apply one option at a choice point; return the stage to resume at."""
+    if stage == _OPEN:
+        return _open(trace, *option)
     _APPLY[stage](trace, *option)
-    return _DUMMY if once and stage == _PRUNE else stage
+    return _DUMMY if stage == _PRUNE_ONE else stage
 
 
 def _degenerated_options(trace: GroundingTrace):
@@ -273,17 +278,16 @@ def _degenerated_options(trace: GroundingTrace):
                     yield (scc, witness, source, target, tag)
 
 
-def break_leaf_sccs(trace: GroundingTrace, once: bool = False) -> None:
+def break_leaf_sccs(trace: GroundingTrace, _stage: int = _PRUNE) -> None:
     """Deterministic sweep, the first option at every choice point: prune
-    message-connected leaf SCCs (all of them, or just one when ``once``),
-    then break every message-disconnected and degenerated leaf SCC."""
-    stage = _PRUNE
+    every message-connected leaf SCC, then break every message-disconnected
+    and degenerated leaf SCC.  From ``_OPEN`` it opens a phase-2 iteration
+    first."""
     for _ in range(_STEP_CAP):
-        point = _choice_point(trace, once, stage)
+        point = _choice_point(trace, _stage)
         if point is None:
             return
-        stage, options = point
-        stage = _take(trace, once, stage, next(options))
+        _stage = _take(trace, point[0], next(point[1]))
     raise AssertionError("sweep failed to terminate")
 
 
@@ -291,13 +295,13 @@ def break_leaf_sccs(trace: GroundingTrace, once: bool = False) -> None:
 # Phase-2 openings and full runs.
 
 def _openings(trace: GroundingTrace):
-    """The ways to open a phase-2 iteration, lazily and deterministic
-    first: ``None`` (step iv-0, then a sweep pruning once) while a
+    """The ways to open a phase-2 iteration, the options at ``_OPEN``,
+    lazily and deterministic first: ``()`` (step iv-0) while a
     message-connected leaf SCC exists, else each semi leaf SCC with each
     edge set connecting it, the chain first."""
     g = trace.graphs
     if graphs.leaf_sccs_of_class(g, graphs.LeafClass.MESSAGE_CONNECTED):
-        yield None
+        yield ()
         return
     for k in g.leaf_sccs:
         scc = g.scc_masks[k]
@@ -309,18 +313,17 @@ def _openings(trace: GroundingTrace):
             yield scc, edges
 
 
-def _open(trace: GroundingTrace, opening) -> bool:
-    """Apply an opening from `_openings`; return whether the iteration's
-    sweep prunes once."""
+def _open(trace: GroundingTrace, scc: int | None = None, edges: tuple = ()) -> int:
+    """Apply an opening from `_openings`; return the stage its sweep
+    starts at."""
     trace.n_iv += 1
-    if opening is None:
+    if scc is None:
         trace.log.append({"step": "iv-0"})
-        return True
-    scc, edges = opening
+        return _PRUNE_ONE
     trace.log.append({"step": "iv-a", "scc": list(bits(scc))})
     _apply_edges(trace, scc, edges)
     trace.log.append({"step": "iv-c"})
-    return False
+    return _PRUNE
 
 
 def run_grounding(g: GraphPair, mode: str = "deterministic",
@@ -376,18 +379,19 @@ def _run_deterministic(g: GraphPair) -> GroundingTrace:
     for _ in range(_STEP_CAP):
         if not trace.graphs.leaf_sccs:
             return _finish(trace)
-        break_leaf_sccs(trace, _open(trace, next(_openings(trace))))
+        break_leaf_sccs(trace, _OPEN)
     raise AssertionError("phase 2 failed to terminate")
 
 
-def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
-    """Every completed sweep from ``trace``, lazily, depth first over
-    choice points: in lexicographic order of the choice sequences, so the
-    deterministic sweep comes first.  A stack entry is a paused state with
-    its stage and the lazy options of its choice point; each branch clones
-    the top entry's state, applies its next option and spends one unit of
-    budget, so an option is generated only when its branch is explored."""
-    stack = [(trace, _PRUNE, iter((None,)))]
+def _enumerate_sweeps(trace: GroundingTrace, point, budget: _Budget):
+    """Every completed sweep from a choice ``point`` of ``trace``, lazily,
+    depth first over choice points: in lexicographic order of the choice
+    sequences, so the deterministic sweep comes first.  A stack entry is a
+    paused state with its stage and the lazy options of its choice point;
+    each branch clones the top entry's state, applies its next option (the
+    option None applies nothing) and spends one unit of budget, so an
+    option is generated only when its branch is explored."""
+    stack = [(trace, *point)]
     while stack:
         parent, stage, options = stack[-1]
         option = next(options, _DONE)
@@ -397,31 +401,12 @@ def _enumerate_sweeps(trace: GroundingTrace, once: bool, budget: _Budget):
         budget.spend()
         work = parent.clone()
         if option is not None:
-            stage = _take(work, once, stage, option)
-        point = _choice_point(work, once, stage)
+            stage = _take(work, stage, option)
+        point = _choice_point(work, stage)
         if point is None:
             yield work
         else:
             stack.append((work, *point))
-
-
-def _distinct(outcomes):
-    """The first trace seen of each state, its graphs: every vertex past
-    the original's ``n`` is a dummy, so the vertex count fixes the dummies."""
-    seen = set()
-    for work in outcomes:
-        if work.graphs not in seen:
-            seen.add(work.graphs)
-            yield work
-
-
-def _iteration_sweeps(trace: GroundingTrace, budget: _Budget):
-    """Every state one phase-2 iteration reaches, each a trace carrying
-    the iteration's steps, lazily and in the deterministic choice order:
-    each opening applied to a clone, then each of its sweeps."""
-    for opening in _openings(trace):
-        staged = trace.clone()
-        yield from _enumerate_sweeps(staged, _open(staged, opening), budget)
 
 
 def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
@@ -433,8 +418,9 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
     trace's bound V_out − n_iv exceeds ``ceiling``."""
     base = GroundingTrace.from_graphs(g)
     base.mode = "exhaustive"
-    memo: dict[GraphPair, int] = {}
-    best_step: dict[GraphPair, tuple[GroundingTrace, GroundingTrace]] = {}
+    # A state is its graphs (vertices past the original's are dummies); an
+    # entry is its score, the state and the first child that attains it.
+    memo: dict[GraphPair, tuple[int, GroundingTrace, GroundingTrace]] = {}
     visiting: set[GraphPair] = set()
 
     def at_floor(state: GroundingTrace, iv: int, least: int) -> bool:
@@ -446,28 +432,28 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
         return iv == least
 
     def min_iv(state: GroundingTrace):
-        """Exact, memoized; records the first child that attains it.  A
-        generator: it yields each child and is sent the child's score, so
-        `score` runs the recursion on a stack of its own."""
+        """Exact, memoized with the first child that attains it; a repeated
+        child is leafless or a memo hit, so it can only tie.  A generator:
+        it yields each child and is sent the child's score, so `score`
+        runs the recursion on a stack of its own."""
         key = state.graphs
+        if not key.leaf_sccs:
+            return 0
         if key in memo:
-            return memo[key]
+            return memo[key][0]
         if key in visiting:
             raise AssertionError("phase-2 state revisited without progress")
-        if not key.leaf_sccs:
-            memo[key] = 0
-            return 0
         visiting.add(key)
         best = None
-        for child in _distinct(_iteration_sweeps(state, budget)):
+        for child in _enumerate_sweeps(state, _choice_point(state, _OPEN), budget):
             iv = 1 + (yield child)
-            if best is None or iv < best:
-                best, best_step[key] = iv, (state, child)
+            if best is None or iv < best[0]:
+                best = (iv, state, child)
                 if at_floor(state, iv, 1):
                     break
         visiting.discard(key)
         memo[key] = best
-        return best
+        return best[0]
 
     def score(state: GroundingTrace) -> int:
         """``min_iv(state)``, one phase-2 iteration per stack entry."""
@@ -482,7 +468,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
         return value
 
     trace, best = None, None
-    for outcome in _distinct(_enumerate_sweeps(base, False, budget)):
+    for outcome in _enumerate_sweeps(base, (_PRUNE, iter((None,))), budget):
         _end_phase1(outcome)
         if outcome.n_connected != (trace or outcome).n_connected:
             raise AssertionError(f"phase-1 outcomes prune {trace.n_connected} "
@@ -496,7 +482,7 @@ def _run_exhaustive(g: GraphPair, budget: _Budget, ceiling: int | None
     # Follow the recorded choices: a memo hit recorded them on another
     # trace of the same graphs, whose iteration steps replay verbatim.
     while trace.graphs.leaf_sccs:
-        owner, child = best_step[trace.graphs]
+        _, owner, child = memo[trace.graphs]
         nxt = trace.clone()
         nxt.graphs, nxt.dummies = child.graphs, child.dummies
         nxt.log += child.log[len(owner.log):]
@@ -538,4 +524,5 @@ def lower_bound_prune_all(g: GraphPair) -> int:
 __all__ = [
     "GroundingTrace", "final_state", "break_leaf_sccs", "run_grounding",
     "lower_bound", "lower_bound_prune_all", "DEFAULT_STATE_BUDGET",
+    "TRACE_VERTEX_LIMIT",
 ]

@@ -340,7 +340,8 @@ def test_leafless_first_outcome_ends_the_search():
     # the first phase-1 outcome already has no leaf SCC, so n_iv = 0 and
     # no other outcome can beat it; the replay search scored all of them
     g = _pairing_graphs("leafless/0", 6)
-    first = next(bound._enumerate_sweeps(GroundingTrace.from_graphs(g), False,
+    first = next(bound._enumerate_sweeps(GroundingTrace.from_graphs(g),
+                                         (bound._PRUNE, iter((None,))),
                                          bound._Budget(BUDGET)))
     assert not _leaf_scc_sets(first)
     ref, spent = reference(g, BUDGET)
@@ -350,6 +351,24 @@ def test_leafless_first_outcome_ends_the_search():
     assert new.states_explored == 4
     assert run_grounding(g, "exhaustive").states_explored == new.states_explored
     assert run_grounding(g).states_explored == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graph_pairs(max_n=7), st.builds(
+    _pairing_graphs, st.integers(0, 10**6).map("first/{}".format),
+    st.integers(4, 10))))
+def test_deterministic_run_is_the_first_path_of_the_search(g):
+    # the first outcome from the phase-1 root, then from each state's
+    # opening point, is the deterministic run step for step
+    budget = bound._Budget(bound.DEFAULT_STATE_BUDGET)
+    trace = next(bound._enumerate_sweeps(GroundingTrace.from_graphs(g),
+                                         (bound._PRUNE, iter((None,))), budget))
+    while trace.graphs.leaf_sccs:
+        trace = next(bound._enumerate_sweeps(
+            trace, bound._choice_point(trace, bound._OPEN), budget))
+    det = bound._run_deterministic(g)
+    assert trace.log == det.log and trace.n_iv == det.n_iv
+    assert (trace.graphs, trace.dummies) == (det.graphs, det.dummies)
 
 
 def test_budget_fallback_reports_budget_spent(three_pairs):

@@ -497,30 +497,26 @@ def test_cached_queries_follow_grounding_steps(g, data):
 def test_engine_choices_carry_fresh_caches(g, data):
     """Random choices of the grounding engine itself: any option at a
     sweep's choice points (so witness arcs from every source to every
-    target), then a phase-2 iteration, pruning one message-connected
-    leaf SCC or connecting any semi one by any edge set; after each step
-    the carried caches and the cover search are checked."""
+    target), and at each phase-2 opening point iv-0 or, for any semi leaf
+    SCC, any of its first 20 connecting edge sets; after each step the
+    carried caches and the cover search are checked."""
     trace = GroundingTrace.from_graphs(g)
-    stage, once = bound._PRUNE, False
+    stage = bound._PRUNE
     for _ in range(16):
         kernel_queries(trace.graphs)
-        point = bound._choice_point(trace, once, stage)
-        if point is not None:
-            stage, options = point
-            stage = bound._take(trace, once, stage,
-                                data.draw(st.sampled_from(list(islice(options, 40)))))
-        elif not trace.graphs.leaf_sccs:
+        point = (bound._choice_point(trace, stage)
+                 or bound._choice_point(trace, bound._OPEN))
+        if point is None:
             break
-        else:
-            opening = None
-            if not graphs.leaf_sccs_of_class(trace.graphs,
-                                             LeafClass.MESSAGE_CONNECTED):
-                state = trace.graphs
-                scc = data.draw(st.sampled_from([state.scc_masks[k]
-                                                 for k in state.leaf_sccs]))
-                opening = scc, data.draw(st.sampled_from(list(
-                    islice(bound._all_edge_options(trace, scc), 20))))
-            stage, once = bound._PRUNE, bound._open(trace, opening)
+        stage, options = point
+        if stage == bound._OPEN:
+            state = trace.graphs
+            scc = data.draw(st.sampled_from([state.scc_masks[k]
+                                             for k in state.leaf_sccs]))
+            options = (opening for opening in options
+                       if not opening or opening[0] == scc)
+        options = list(islice(options, 20 if stage == bound._OPEN else 40))
+        stage = bound._take(trace, stage, data.draw(st.sampled_from(options)))
         assert_carried_caches_fresh(trace.graphs)
         assert_leaf_test_matches_the_scan(trace.graphs)
         assert_witnesses_match(trace.graphs)
