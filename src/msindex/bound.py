@@ -303,8 +303,7 @@ def _openings(trace: GroundingTrace):
     if graphs.leaf_sccs_of_class(g, graphs.LeafClass.MESSAGE_CONNECTED):
         yield ()
         return
-    for k in g.leaf_sccs:
-        scc = g.scc_masks[k]
+    for scc in g.leaf_sccs:
         cls = graphs.classify_without_degeneracy(g, scc)
         if cls is not None:
             raise AssertionError(
@@ -513,8 +512,7 @@ def lower_bound_prune_all(g: GraphPair) -> int:
     vertex and count surviving out-vertices.  Never exceeds the bound from
     a full grounding run."""
     trace = GroundingTrace.from_graphs(g)
-    for k in g.leaf_sccs:
-        scc = g.scc_masks[k]
+    for scc in g.leaf_sccs:
         _apply_prune(trace, scc, next(bits(scc)))
     if trace.graphs.leaf_sccs:
         raise AssertionError("pruning every leaf SCC left a leaf SCC behind")

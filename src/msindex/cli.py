@@ -237,11 +237,11 @@ def cmd_dot(args) -> int:
         if not isinstance(doc, dict):
             raise InstanceError(f"{args.instance}:trace",
                                 "expected a JSON object")
-    if "steps" in doc:
-        g, dummies = bound.final_state(doc, at)
-        print(graphs.to_dot(g, dummies=dummies), end="")
+    elif "steps" not in doc:
+        print(graphs.to_dot(analyze(parse_instance(doc)).graphs), end="")
         return 0
-    print(graphs.to_dot(analyze(parse_instance(doc)).graphs), end="")
+    g, dummies = bound.final_state(doc, at)
+    print(graphs.to_dot(g, dummies=dummies), end="")
     return 0
 
 
@@ -309,42 +309,24 @@ def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _spelled_out(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives a command line made of a command name,
-    its positionals (tokens not starting with "-") and its options spelled
-    in full, ``--max-len`` followed by its value; None for any other command
-    line.  A ``--max-len`` value that does not convert raises argparse's
-    usage error."""
+    its positionals (tokens not starting with "-") and its flags spelled
+    in full; None for any other command line, and for any that holds
+    ``--max-len``, whose value argparse converts."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     run, _, positionals, options = _COMMANDS[argv[0]]
     values = {option[2:].replace("-", "_"): None if option == "--max-len" else False
               for option in options}
-    given, max_lens = [], []
-    tokens = iter(argv[1:])
-    for token in tokens:
+    given = []
+    for token in argv[1:]:
         if token[:1] != "-":
             given.append(token)
-        elif token not in options:
+        elif token not in options or token == "--max-len":
             return None
-        elif token != "--max-len":
-            values[token[2:]] = True
         else:
-            # argparse takes a negative number as the value, not an option
-            value = next(tokens, None)
-            if value is None or value[:1] == "-" and not (
-                    value[1:].isdecimal() and value.isascii()):
-                return None
-            max_lens.append(value)
+            values[token[2:]] = True
     if len(given) != len(positionals):
         return None
-    # argparse reads every token before a value converts, so a value fails
-    # only on a command line that is spelled out throughout
-    for value in max_lens:
-        try:
-            values["max_len"] = _int_at_least(0)(value)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"argument --max-len: {exc}") from exc
-        except ValueError as exc:
-            raise _UsageError(f"argument --max-len: invalid int value: {value!r}") from exc
     return argparse.Namespace(func=run, **dict(zip(positionals, given)), **values)
 
 

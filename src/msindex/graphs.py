@@ -39,8 +39,8 @@ class DegeneracyWitness(NamedTuple):
 
 
 class SccReport:
-    """SCC masks and the indices of the leaf SCCs among them; ``classes``
-    and ``witnesses`` are keyed by those indices and start empty."""
+    """SCC masks and the leaf SCCs among them; ``classes`` and
+    ``witnesses`` are keyed by leaf-SCC mask and start empty."""
 
     def __init__(self, sccs: list[int], leaf_sccs: list[int]):
         self.sccs, self.leaf_sccs = sccs, leaf_sccs
@@ -182,8 +182,7 @@ def leaf_sccs_of_class(g: GraphPair, cls: LeafClass | None) -> list[int]:
     """The message-connected, the message-disconnected or (for ``None``)
     the semi leaf SCCs of g, ordered by smallest member; the degeneracy
     test never runs."""
-    masks = map(g.scc_masks.__getitem__, g.leaf_sccs)
-    return [scc for scc in masks if classify_without_degeneracy(g, scc) is cls]
+    return [scc for scc in g.leaf_sccs if classify_without_degeneracy(g, scc) is cls]
 
 
 def classify_leaf_scc(g: GraphPair, scc: int
@@ -209,11 +208,11 @@ def classify_leaf_scc(g: GraphPair, scc: int
 def classify_all(g: GraphPair) -> SccReport:
     """SCC decomposition with every leaf SCC classified."""
     report = scc_decompose(g)
-    for k in report.leaf_sccs:
-        cls, witness = classify_leaf_scc(g, report.sccs[k])
-        report.classes[k] = cls
+    for scc in report.leaf_sccs:
+        cls, witness = classify_leaf_scc(g, scc)
+        report.classes[scc] = cls
         if witness is not None:
-            report.witnesses[k] = witness
+            report.witnesses[scc] = witness
     return report
 
 
@@ -222,16 +221,15 @@ def scc_table(g: GraphPair) -> list[dict]:
     its vertices, and if it is a leaf SCC its class and any witness."""
     report = classify_all(g)
     table = []
-    for k, scc in enumerate(report.sccs):
-        entry = {"vertices": list(bits(scc)), "leaf": k in report.leaf_sccs,
-                 "class": None}
-        if k in report.leaf_sccs:
-            entry["class"] = report.classes[k].value
-            witness = report.witnesses.get(k)
-            if witness is not None:
-                entry["witness"] = {"part": list(bits(witness.part)),
-                                    "cover": list(bits(witness.cover)),
-                                    "vacuous": witness.vacuous}
+    for scc in report.sccs:
+        cls = report.classes.get(scc)
+        entry = {"vertices": list(bits(scc)), "leaf": cls is not None,
+                 "class": None if cls is None else cls.value}
+        witness = report.witnesses.get(scc)
+        if witness is not None:
+            entry["witness"] = {"part": list(bits(witness.part)),
+                                "cover": list(bits(witness.cover)),
+                                "vacuous": witness.vacuous}
         table.append(entry)
     return table
 
@@ -267,10 +265,9 @@ def to_dot(g: GraphPair, dummies: int = 0) -> str:
     report = classify_all(g)
     lines = ["digraph index_coding {"]
     clustered = 0
-    for idx, k in enumerate(report.leaf_sccs):
-        scc = report.sccs[k]
+    for idx, scc in enumerate(report.leaf_sccs):
         lines.append(f"  subgraph cluster_{idx} {{")
-        lines.append(f'    label="{report.classes[k].value}";')
+        lines.append(f'    label="{report.classes[scc].value}";')
         for v in bits(scc):
             lines.append(f"    {v};")
         lines.append("  }")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from bisect import bisect
 from functools import cached_property, partial, reduce
-from itertools import chain, compress
+from itertools import chain
 from operator import or_
 from typing import Any, Mapping
 
@@ -263,14 +263,14 @@ class GraphPair:
 
     @cached_property
     def leaf_sccs(self) -> tuple[int, ...]:
-        """Indices of the SCCs with two or more vertices and no arc leaving."""
-        return tuple(k for k, comp in enumerate(self.scc_masks)
-                     if _is_leaf(self.succ, comp))
+        """The SCCs with two or more vertices and no arc leaving, ordered
+        by smallest member."""
+        return tuple(comp for comp in self.scc_masks if _is_leaf(self.succ, comp))
 
     @cached_property
     def leaf_scc_masks(self) -> frozenset[int]:
-        """The masks of the leaf SCCs, for membership tests."""
-        return frozenset(map(self.scc_masks.__getitem__, self.leaf_sccs))
+        """The leaf SCCs as a set, for membership tests."""
+        return frozenset(self.leaf_sccs)
 
     def components(self, within: int) -> list[int]:
         """Connected components of the message graph restricted to
@@ -319,8 +319,7 @@ class GraphPair:
             if _is_leaf(succ, comp):
                 leaf.add(comp)
         return {"scc_masks": tuple(masks),
-                "leaf_sccs": tuple(compress(range(len(masks)),
-                                            map(leaf.__contains__, masks))),
+                "leaf_sccs": tuple(filter(leaf.__contains__, masks)),
                 "leaf_scc_masks": frozenset(leaf)}
 
     def prune(self, scc: int, v: int) -> "GraphPair":

@@ -118,9 +118,9 @@ def test_criterion_4_partitioned_senders():
         inst = random_partitioned_instance(rng, rng.randint(1, 5))
         simple, g = _prepare(inst)
         report = classify_all(g)
-        for k in report.leaf_sccs:
-            assert report.classes[k] in (LeafClass.MESSAGE_CONNECTED,
-                                         LeafClass.MESSAGE_DISCONNECTED)
+        for scc in report.leaf_sccs:
+            assert report.classes[scc] in (LeafClass.MESSAGE_CONNECTED,
+                                           LeafClass.MESSAGE_DISCONNECTED)
         trace = run_grounding(g, "exhaustive")
         assert trace.n_remaining == 0
         assert all(step["step"] in ("i", "ii") for step in trace.log)

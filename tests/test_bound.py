@@ -24,8 +24,7 @@ from find_gaps import random_pairing_instance  # noqa: E402
 
 
 def leaf_scc_sets(g):
-    report = scc_decompose(g)
-    return [report.sccs[k] for k in report.leaf_sccs]
+    return scc_decompose(g).leaf_sccs
 
 
 def witness_arc(trace, scc, witness):
@@ -415,8 +414,8 @@ def test_n_connected_matches_original_classes(g):
     trace = run_grounding(g)
     report = graphs.classify_all(g)
     n_connected = sum(
-        1 for k in report.leaf_sccs
-        if report.classes[k] is graphs.LeafClass.MESSAGE_CONNECTED)
+        1 for scc in report.leaf_sccs
+        if report.classes[scc] is graphs.LeafClass.MESSAGE_CONNECTED)
     assert trace.n_connected == n_connected
     # each report has dicts of its own
     fresh = scc_decompose(g)

@@ -131,8 +131,8 @@ def _matches_the_subset_search(g) -> bool:
 
 def tree_family_is_valid(g, trees):
     report = graphs.classify_all(g)
-    connected_sccs = [frozenset(bits(report.sccs[k])) for k in report.leaf_sccs
-                      if report.classes[k] is graphs.LeafClass.MESSAGE_CONNECTED]
+    connected_sccs = [frozenset(bits(scc)) for scc in report.leaf_sccs
+                      if report.classes[scc] is graphs.LeafClass.MESSAGE_CONNECTED]
     taken = set()
     for t in trees:
         vs = frozenset(bits(t.vertices))

@@ -82,8 +82,7 @@ _LOOP_CAP = 1000
 
 
 def _leaf_scc_sets(trace: GroundingTrace) -> list[int]:
-    g = trace.graphs
-    return [g.scc_masks[k] for k in g.leaf_sccs]
+    return list(trace.graphs.leaf_sccs)
 
 
 def _phase2_branch_options(trace: GroundingTrace) -> list[tuple]:

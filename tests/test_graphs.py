@@ -87,13 +87,13 @@ def test_scc_three_pairs(three_pairs):
     _, g = simplified_graphs(three_pairs)
     report = scc_decompose(g)
     assert report.sccs == [mask_of({1, 2}), mask_of({3, 4}), mask_of({5, 6})]
-    assert report.leaf_sccs == [0, 1, 2]
+    assert report.leaf_sccs == [mask_of({1, 2}), mask_of({3, 4}), mask_of({5, 6})]
 
 
 def test_scc_triangle(triangle):
     _, g = simplified_graphs(triangle)
     report = scc_decompose(g)
-    assert [report.sccs[k] for k in report.leaf_sccs] == [mask_of({1, 2, 3})]
+    assert report.leaf_sccs == [mask_of({1, 2, 3})]
 
 
 def test_scc_path_has_no_leaf_scc():
@@ -111,8 +111,8 @@ def test_scc_matches_brute_force(g):
 def test_leaf_sccs_contain_no_leaf_vertex(g):
     report = scc_decompose(g)
     leaves = leaf_vertices(g)
-    for k in report.leaf_sccs:
-        assert not report.sccs[k] & leaves
+    for scc in report.leaf_sccs:
+        assert not scc & leaves
 
 
 # --- predecessors and groundedness ---------------------------------------
@@ -183,7 +183,7 @@ def test_m_neighbors_examples(three_pairs):
 def test_classify_three_pairs_all_semi(three_pairs):
     _, g = simplified_graphs(three_pairs)
     report = classify_all(g)
-    assert [report.classes[k] for k in report.leaf_sccs] == \
+    assert [report.classes[scc] for scc in report.leaf_sccs] == \
         [LeafClass.SEMI_NON_DEGENERATED] * 3
 
 
@@ -240,8 +240,7 @@ def test_is_degenerated_rejects_connected(triangle):
 @given(graph_pairs(max_n=6))
 def test_degeneracy_matches_brute_force(g):
     report = scc_decompose(g)
-    for k in report.leaf_sccs:
-        scc = report.sccs[k]
+    for scc in report.leaf_sccs:
         if graphs.classify_without_degeneracy(g, scc) is not None:
             continue
         cls, witness = classify_leaf_scc(g, scc)
@@ -256,8 +255,7 @@ def test_degeneracy_matches_brute_force(g):
 def test_degeneracy_witness_monotone_in_leaves(g):
     report = scc_decompose(g)
     leaves = leaf_vertices(g)
-    for k in report.leaf_sccs:
-        scc = report.sccs[k]
+    for scc in report.leaf_sccs:
         if graphs.classify_without_degeneracy(g, scc) is not None:
             continue
         cls, witness = classify_leaf_scc(g, scc)
@@ -275,8 +273,8 @@ def test_single_sender_leaf_sccs_all_connected(inst):
     simple, _ = simplify(single)
     g = build_graphs(simple)
     report = classify_all(g)
-    for k in report.leaf_sccs:
-        assert report.classes[k] is LeafClass.MESSAGE_CONNECTED
+    for scc in report.leaf_sccs:
+        assert report.classes[scc] is LeafClass.MESSAGE_CONNECTED
 
 
 @given(instances(max_m=6))
@@ -294,21 +292,23 @@ def test_partitioned_senders_never_semi(inst):
                        wants=inst.wants)
     simple, _ = simplify(split)
     report = classify_all(build_graphs(simple))
-    for k in report.leaf_sccs:
-        assert report.classes[k] in (LeafClass.MESSAGE_CONNECTED,
-                                     LeafClass.MESSAGE_DISCONNECTED)
+    for scc in report.leaf_sccs:
+        assert report.classes[scc] in (LeafClass.MESSAGE_CONNECTED,
+                                       LeafClass.MESSAGE_DISCONNECTED)
 
 
 # --- kernel caches under grounding steps -----------------------------------
 
 def kernel_queries(g):
     report = classify_all(g)
+    assert list(report.classes) == report.leaf_sccs
     return {
         "sccs": report.sccs,
-        "leaf_sccs": [report.sccs[k] for k in report.leaf_sccs],
-        "classes": [report.classes[k] for k in report.leaf_sccs],
-        "witnesses": [report.witnesses.get(k) for k in report.leaf_sccs],
+        "leaf_sccs": report.leaf_sccs,
+        "classes": [report.classes[scc] for scc in report.leaf_sccs],
+        "witnesses": [report.witnesses.get(scc) for scc in report.leaf_sccs],
         "is_leaf_scc": [graphs.is_leaf_scc(g, c) for c in report.sccs],
+        "table_leaf": [entry["leaf"] for entry in graphs.scc_table(g)],
         "leaves": leaf_vertices(g),
         "v_out": num_out_vertices(g),
         "predecessors": [g.ancestors(1 << (v - 1)) for v in g.vertices()],
@@ -338,6 +338,7 @@ def brute_queries(g):
         "sccs": list(map(mask_of, sccs)),
         "leaf_sccs": list(map(mask_of, leaf_sccs)),
         "is_leaf_scc": [c in leaf_sccs for c in sccs],
+        "table_leaf": [c in leaf_sccs for c in sccs],
         "leaves": mask_of(leaves),
         "v_out": g.n - len(leaves),
         "predecessors": [mask_of(u for u in g.vertices() if v in reach[u])
@@ -394,8 +395,7 @@ def _reference_witnesses(g, scc):
 
 
 def assert_witnesses_match(g):
-    for k in g.leaf_sccs:
-        scc = g.scc_masks[k]
+    for scc in g.leaf_sccs:
         assert list(graphs.iter_degeneracy_witnesses(g, scc)) == \
             _reference_witnesses(g, frozenset(bits(scc)))
 
@@ -417,7 +417,7 @@ def assert_leaf_test_matches_the_scan(g):
     probes = [*sccs, *(1 << (v - 1) for v in g.vertices()),
               *(a | b for a, b in zip(sccs, sccs[1:])), 0, g.vertex_mask]
     assert [graphs.is_leaf_scc(g, mask) for mask in probes] == \
-        [any(sccs[k] == mask for k in g.leaf_sccs) for mask in probes]
+        [mask in g.leaf_sccs for mask in probes]
 
 
 def assert_caches_fresh(state):
@@ -510,9 +510,7 @@ def test_engine_choices_carry_fresh_caches(g, data):
             break
         stage, options = point
         if stage == bound._OPEN:
-            state = trace.graphs
-            scc = data.draw(st.sampled_from([state.scc_masks[k]
-                                             for k in state.leaf_sccs]))
+            scc = data.draw(st.sampled_from(trace.graphs.leaf_sccs))
             options = (opening for opening in options
                        if not opening or opening[0] == scc)
         options = list(islice(options, 20 if stage == bound._OPEN else 40))
@@ -534,7 +532,7 @@ def _children(trace):
         children.append(twin)
 
     g = trace.graphs
-    for scc in (g.scc_masks[k] for k in g.leaf_sccs):
+    for scc in g.leaf_sccs:
         cls = graphs.classify_without_degeneracy(trace.graphs, scc)
         for v in bits(scc):
             child(bound._apply_prune, scc, v)

@@ -824,9 +824,9 @@ def _reference_check_decode_closure(code, inst):
     for v in bits(graphs.leaf_vertices(g)):
         for j in bits(g.ancestors(1 << (v - 1))):
             plain_targets.add(("leaf-predecessor", j))
-    for k in report.leaf_sccs:
-        if report.classes[k] is graphs.LeafClass.MESSAGE_DISCONNECTED:
-            for j in bits(report.sccs[k]):
+    for scc in report.leaf_sccs:
+        if report.classes[scc] is graphs.LeafClass.MESSAGE_DISCONNECTED:
+            for j in bits(scc):
                 plain_targets.add(("disconnected-scc", j))
     for rule, j in sorted(plain_targets):
         if base.solve(mask_of((j,))) is None:
