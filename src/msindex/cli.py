@@ -9,12 +9,12 @@ deterministic for fixed inputs and flags.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii as _escape
 
 from . import bound, graphs, verify
@@ -250,7 +250,8 @@ def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     parse.__name__ = "int"  # argparse's message for a non-integer names the type
     return parse
@@ -282,15 +283,17 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 @functools.cache
-def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
+def _parsers():
     """The parser and its subparser per command, built from ``_COMMANDS``
-    on first use and reused: parsing keeps no state in them."""
+    on first use and reused: parsing keeps no state in them.  Only a
+    command line off the fast path imports argparse."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="msindex",
                      description="bounds and codes for multi-sender index coding")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -307,8 +310,8 @@ def _parsers() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-def _spelled_out(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives a command line made of a command name,
+def _spelled_out(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse gives a command line made of a command name,
     its positionals (tokens not starting with "-") and its flags spelled
     in full; None for any other command line, and for any that holds
     ``--max-len``, whose value argparse converts."""
@@ -327,10 +330,10 @@ def _spelled_out(argv: list[str]) -> argparse.Namespace | None:
             values[token[2:]] = True
     if len(given) != len(positionals):
         return None
-    return argparse.Namespace(func=run, **dict(zip(positionals, given)), **values)
+    return SimpleNamespace(func=run, **dict(zip(positionals, given)), **values)
 
 
-def _argparsed(argv: list[str]) -> argparse.Namespace:
+def _argparsed(argv: list[str]):
     """The namespace argparse gives ``argv``, or ``_UsageError`` with its
     message.  The arguments after a command name go to that command's
     parser, as the top-level parser would hand them on."""

@@ -223,23 +223,19 @@ def plan_code(g: GraphPair, trees: list[Tree]) -> CodeBlueprint:
 
 
 def assign_senders(inst: ProblemInstance, blueprint: CodeBlueprint) -> LinearIndexCode:
-    """Attach each planned bit to the smallest sender that can produce it.
-    Each message lists its owners in index order, so a bit scans only the
-    senders that own its first message."""
-    owners: dict[int, list[int]] = {}
-    for s, ms in enumerate(inst.senders, start=1):
-        for v in ms:
-            owners.setdefault(v, []).append(s)
+    """Attach each planned bit to the smallest sender that can produce it:
+    the lowest of the senders that hold all of its messages."""
+    m, holders = inst.num_messages, inst.incidence[1]  # bit s-1 per holder s
 
     def row(kind: str, i: int, j: int | None = None) -> CodeRow:
-        for s in owners.get(i, ()):
-            if j is None:
-                return CodeRow(s, 1 << (i - 1), kind)
-            pair = 1 << (i - 1) | 1 << (j - 1)
-            if inst.sender_masks[s - 1] & pair == pair:
-                return CodeRow(s, pair, kind)
-        raise ValueError(f"no sender owns message {i}" if j is None
-                         else f"no sender owns both messages {i} and {j}")
+        held = holders[i] if 1 <= i <= m else 0
+        if j is not None:
+            held &= holders[j] if 1 <= j <= m else 0
+        if not held:
+            raise ValueError(f"no sender owns message {i}" if j is None
+                             else f"no sender owns both messages {i} and {j}")
+        coeffs = 1 << (i - 1) if j is None else 1 << (i - 1) | 1 << (j - 1)
+        return CodeRow((held & -held).bit_length(), coeffs, kind)
 
     rows = [row("tree-xor", i, j)
             for tree in blueprint.connecting_trees for i, j in tree.edges]

@@ -37,14 +37,37 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _incidence(m: int, senders, sender_masks, wants) -> tuple:
+    """The incidence of the sender and want lists, one pass over each:
+    ``(wanters, holders, sharers)``, each with an int per message i (index
+    0 unused, 0): the receivers that want i, the senders that hold i (bit
+    s-1 for sender s), and the messages that share a sender with i, i
+    itself included when some sender holds it."""
+    wanters, holders, sharers = [0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
+    for s, (ms, owned) in enumerate(zip(senders, sender_masks)):
+        bit = 1 << s
+        for i in ms:
+            holders[i] |= bit
+            sharers[i] |= owned
+    for r, wr in enumerate(wants):
+        bit = 1 << r
+        for i in wr:
+            wanters[i] |= bit
+    return tuple(wanters), tuple(holders), tuple(sharers)
+
+
 class ProblemInstance:
     """A multi-sender uniprior multicast problem.
 
     Receiver indices, message indices, and vertex indices share the space
     1..num_messages.  Receiver r's prior is always {r} and is not stored.
-    An instance is immutable.  Its mask views of the sets (``carried_mask``
-    is the union of ``sender_masks``) are filled once at construction; they
-    are no arguments, and equality, hashing and repr ignore them.
+    An instance is immutable.  It is its masks ``sender_masks``,
+    ``want_masks`` and their union ``carried_mask``, and its ``incidence``
+    (`_incidence`), which `parse_instance` and `simplify` fill at once and
+    a constructed instance derives on first read.  The sets ``senders``
+    and ``wants`` are kept when given, and else built from the masks on
+    first read.  Equality and hashing are over the masks; repr is over the
+    sets.
     """
 
     def __init__(self, num_messages: int, senders: tuple[frozenset[int], ...],
@@ -56,7 +79,7 @@ class ProblemInstance:
                           carried_mask=reduce(or_, sender_masks, 0))
 
     def _key(self) -> tuple:
-        return self.num_messages, self.senders, self.wants, self.simplified
+        return self.num_messages, self.sender_masks, self.want_masks, self.simplified
 
     def __eq__(self, other):
         if not isinstance(other, ProblemInstance):
@@ -67,8 +90,9 @@ class ProblemInstance:
         return hash(self._key())
 
     def __repr__(self):
+        fields = self.num_messages, self.senders, self.wants, self.simplified
         return ("ProblemInstance(num_messages={!r}, senders={!r}, wants={!r}, "
-                "simplified={!r})".format(*self._key()))
+                "simplified={!r})".format(*fields))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"ProblemInstance is immutable: cannot set or delete {name!r}")
@@ -77,17 +101,31 @@ class ProblemInstance:
 
     @classmethod
     def _of_masks(cls, **fields) -> "ProblemInstance":
-        """An instance from every field and mask view, which the caller
+        """An instance from its masks and incidence, which the caller
         built to agree; nothing is checked or derived again."""
         inst = object.__new__(cls)
         vars(inst).update(fields)
         return inst
 
+    @cached_property
+    def senders(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits(owned)) for owned in self.sender_masks)
+
+    @cached_property
+    def wants(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(bits(wanted)) for wanted in self.want_masks)
+
+    @cached_property
+    def incidence(self) -> tuple:
+        return _incidence(self.num_messages, self.senders, self.sender_masks, self.wants)
+
     @property
     def num_senders(self) -> int:
-        return len(self.senders)
+        return len(self.sender_masks)
 
     def to_document(self) -> dict[str, Any]:
+        """The instance document, written from the sets: a constructed
+        instance keeps them, and sorting a set runs in C."""
         return {
             "schema": SCHEMA_VERSION,
             "num_messages": self.num_messages,
@@ -458,8 +496,8 @@ def _whole_document(m: int, raw_senders: Any, raw_wants: Any) -> ProblemInstance
     None.  Each check is one pass over the whole document that runs in C:
     the entry types, the element types, the masks (an index outside 1..m
     has no unit), the bit counts (a duplicate index carries into another
-    bit), the empty senders, the self-wants and the coverage.  The sets
-    and their mask views are built here once."""
+    bit), the empty senders, the self-wants and the coverage.  The masks
+    and the incidence are built here once, and no set is."""
     if not (type(raw_senders) is list and raw_senders
             and type(raw_wants) is list and len(raw_wants) == m):
         return None
@@ -481,9 +519,9 @@ def _whole_document(m: int, raw_senders: Any, raw_wants: Any) -> ProblemInstance
             or carried != (1 << m) - 1):
         return None
     return ProblemInstance._of_masks(
-        num_messages=m, senders=tuple(map(frozenset, raw_senders)),
-        wants=tuple(map(frozenset, raw_wants)), simplified=False,
-        sender_masks=sender_masks, want_masks=want_masks, carried_mask=carried)
+        num_messages=m, simplified=False, sender_masks=sender_masks,
+        want_masks=want_masks, carried_mask=carried,
+        incidence=_incidence(m, raw_senders, sender_masks, raw_wants))
 
 
 def parse_instance(document: str | Mapping[str, Any]) -> ProblemInstance:
@@ -553,43 +591,42 @@ def simplify(inst: ProblemInstance) -> tuple[ProblemInstance, frozenset[int]]:
     Receiver vertices stay in place (their message becomes empty); sender
     slots are kept even if emptied, so sender indices remain stable for
     code attribution.  Returns the simplified instance and the removed
-    message indices.  Idempotent.
+    message indices.  Idempotent.  The masks and the incidence are the
+    original's ANDed with the wanted messages; no set is built.
     """
     keep = reduce(or_, inst.want_masks, 0)
     gone = inst.carried_mask & ~keep
-    senders, sender_masks = inst.senders, inst.sender_masks
+    sender_masks, incidence = inst.sender_masks, inst.incidence
     if gone:  # else every sender set lies inside the wanted messages
-        wanted = frozenset().union(*inst.wants)
-        senders = tuple(map(wanted.__and__, senders))
         sender_masks = tuple(owned & keep for owned in sender_masks)
+        wanters, holders, sharers = incidence
+        holders, sharers = list(holders), [a & keep for a in sharers]
+        for i in bits(gone):
+            holders[i] = sharers[i] = 0
+        incidence = wanters, tuple(holders), tuple(sharers)
     simple = ProblemInstance._of_masks(
-        **{**vars(inst), "senders": senders, "simplified": True,
-           "sender_masks": sender_masks, "carried_mask": inst.carried_mask & keep})
+        num_messages=inst.num_messages, simplified=True, sender_masks=sender_masks,
+        want_masks=inst.want_masks, carried_mask=inst.carried_mask & keep,
+        incidence=incidence)
     return simple, frozenset(bits(gone))
 
 
 def build_graphs(inst: ProblemInstance) -> GraphPair:
-    """Derive the information-flow digraph and message graph of an
-    instance from its sets: ``pred[j]`` is the mask of W_j, ``succ`` its
-    transpose, and ``adj[v]`` the union of the sender masks that hold v,
-    less v.  No pair is built."""
+    """Read the information-flow digraph and message graph off the
+    instance's incidence: ``pred[j]`` is the mask of W_j, ``succ[i]`` the
+    receivers that want i, and ``adj[v]`` the messages that share a sender
+    with v, less v.  No pair is built."""
     if not inst.simplified:
         raise ValueError("instance must be simplified before building graphs")
     n = inst.num_messages
-    pred = (0,) + inst.want_masks
-    succ, adj = [0] * (n + 1), [0] * (n + 1)
-    for j, wr in enumerate(inst.wants, start=1):
-        bit = 1 << (j - 1)
-        if pred[j] & bit or pred[j] >> n:
-            raise ValueError(f"receiver {j} wants {sorted(wr)} "
+    for j, wanted in enumerate(inst.want_masks, start=1):
+        if wanted >> (j - 1) & 1 or wanted >> n:
+            raise ValueError(f"receiver {j} wants {list(bits(wanted))} "
                              f"outside 1..{n} less {j}")
-        for i in wr:
-            succ[i] |= bit
-    for ms, owned in zip(inst.senders, inst.sender_masks):
+    for owned in inst.sender_masks:
         if owned >> n:
-            raise ValueError(f"sender set {sorted(ms)} out of range 1..{n}")
-        for v in ms:
-            adj[v] |= owned
+            raise ValueError(f"sender set {list(bits(owned))} out of range 1..{n}")
+    wanters, _, sharers = inst.incidence
     return GraphPair._of_masks(
-        n, tuple(succ), pred,
-        (0,) + tuple(a & ~(1 << k) for k, a in enumerate(adj[1:])), {})
+        n, wanters, (0,) + inst.want_masks,
+        (0,) + tuple(a & ~(1 << k) for k, a in enumerate(sharers[1:])), {})

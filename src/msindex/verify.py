@@ -150,8 +150,8 @@ def _certificate_entries(inst: ProblemInstance, red: list[int],
     """The certificate entries in (receiver, wanted) index order, for a
     code every receiver decodes."""
     messages = (1 << offset) - 1
-    for r, wanted in enumerate(inst.wants, start=1):
-        for j in sorted(wanted):
+    for r, wanted in enumerate(inst.want_masks, start=1):
+        for j in bits(wanted):
             t = red[j]
             uses_prior = bool(t & messages)
             if uses_prior:
@@ -212,11 +212,7 @@ def _allowed_set(inst: ProblemInstance) -> int:
     each t of K, y lacks t or holds N_t = {t} ∪ wanters(t): the
     submasks of K ∖ N_t shifted by N_t, which fall outside the submasks
     of K, where the AND starts, unless N_t ⊆ K."""
-    carried = inst.carried_mask
-    wanters = [0] * (inst.num_messages + 1)
-    for r, wanted in enumerate(inst.want_masks):
-        for t in bits(wanted):
-            wanters[t] |= 1 << r
+    carried, wanters = inst.carried_mask, inst.incidence[0]
     allowed = _submasks(carried)
     for t in bits(carried):
         closed = 1 << (t - 1) | wanters[t]

@@ -504,11 +504,14 @@ def test_drawn_command_lines_match_the_argparse_reference(argv):
 
 
 def _outcome_of(parse, argv):
-    """A parse's namespace (or None), or the message of its usage error."""
+    """The attributes of a parse's namespace (or None), or the message of
+    its usage error.  The fast path's namespace is no ``argparse.Namespace``,
+    so the two compare by their attributes."""
     try:
-        return parse(argv)
+        args = parse(argv)
     except cli._UsageError as exc:
         return str(exc)
+    return None if args is None else vars(args)
 
 
 def _subparser(argv):

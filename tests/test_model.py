@@ -9,6 +9,7 @@ import sys
 from collections.abc import Mapping
 from enum import IntEnum
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -16,10 +17,12 @@ from hypothesis import given, settings
 
 import msindex
 from msindex import generate
+from msindex.analysis import analyze
+from msindex.graphs import scc_table
 from msindex.model import (GraphPair, InstanceError, ProblemInstance,
                            _parse_index_set, _require, build_graphs,
                            check_schema, mask_of, parse_instance, simplify)
-from msindex.verify import oracle_min_linear
+from msindex.verify import ORACLE_LIMIT, oracle_min_linear, rank_decodable
 
 from conftest import make_instance
 from strategies import instances
@@ -466,6 +469,69 @@ def test_mask_views_hold_after_simplify(inst):
         _assert_mask_views(case)
 
 
+def _brute_incidence(m, senders, wants):
+    """The incidence by its definition from the sets: per message, the
+    receivers that want it, the senders that hold it, and the union of
+    the sender sets that hold it."""
+    messages = range(1, m + 1)
+    return (
+        (0,) + tuple(mask_of(r for r, wr in enumerate(wants, 1) if i in wr)
+                     for i in messages),
+        (0,) + tuple(mask_of(s for s, ms in enumerate(senders, 1) if i in ms)
+                     for i in messages),
+        (0,) + tuple(mask_of(frozenset().union(*(ms for ms in senders if i in ms)))
+                     for i in messages))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_m=7), st.booleans())
+def test_incidence_matches_the_sets(inst, read_first):
+    """Through the constructor and through the document, before and after
+    simplify, with or without the set views read before simplify: each
+    incidence mask is its definition, the views are the sets, and the
+    graphs are the pair loops'."""
+    m, senders, wants = inst.num_messages, inst.senders, inst.wants
+    wanted = frozenset().union(*wants)
+    kept = tuple(ms & wanted for ms in senders)
+    for case in (type(inst)(m, senders, wants), parse_instance(inst.to_document())):
+        if read_first:
+            assert (case.senders, case.wants) == (senders, wants)
+        simple, _ = simplify(case)
+        twice, _ = simplify(simple)
+        for each, owned in ((simple, kept), (twice, kept), (case, senders)):
+            assert each.incidence == _brute_incidence(m, owned, wants)
+            assert (each.senders, each.wants) == (owned, wants)
+            _assert_mask_views(each)
+        g = build_graphs(simple)
+        assert (g.arcs, g.edges) == _reference_build_graphs(
+            SimpleNamespace(senders=kept, wants=wants))
+
+
+def _unread_views(*insts):
+    return [sorted({"senders", "wants"} & vars(inst).keys()) for inst in insts]
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_a_report_builds_no_set_view(exhaustive):
+    """A whole report of a parsed document (both bounds, the SCC table,
+    the rank check with its certificate, and the oracle when it fits)
+    reads the masks only: no set view is ever built."""
+    rng = random.Random("no-set-views")
+    docs = [json.loads(path.read_text()) for path in
+            sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))]
+    docs += [make(rng, m).to_document() for m in (6, 12) for make in (
+        generate.random_instance, generate.random_partitioned_instance)]
+    for doc in docs:
+        a = analyze(parse_instance(doc), exhaustive)
+        assert a.lower_bound <= a.upper_bound
+        scc_table(a.graphs)
+        if a.simple.num_messages <= ORACLE_LIMIT:
+            assert a.oracle[0] >= a.lower_bound
+        check = rank_decodable(a.planned, a.simple)
+        assert len(check.entries) == sum(map(int.bit_count, a.simple.want_masks))
+        assert _unread_views(a.instance, a.simple) == [[], []]
+
+
 @pytest.mark.parametrize("name", sorted(
     module.name for module in pkgutil.iter_modules(msindex.__path__)))
 def test_every_exported_name_resolves(name):
@@ -474,14 +540,39 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_import_loads_no_code_generator():
-    """A fresh interpreter imports the package, its command line and a
-    script with ``dataclasses`` blocked, so no class is generated."""
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src"), str(root / "scripts")])}
-    done = subprocess.run(
-        [sys.executable, "-c", 'import sys; sys.modules["dataclasses"] = None; '
-         "import msindex, msindex.cli, find_gaps"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=root, timeout=60)
+
+
+def test_import_loads_no_code_generator():
+    """A fresh interpreter imports the package, its command line and a
+    script with ``dataclasses`` blocked, so no class is generated."""
+    done = _fresh_interpreter('import sys; sys.modules["dataclasses"] = None; '
+                              "import msindex, msindex.cli, find_gaps")
     assert done.returncode == 0, done.stderr
+
+
+def test_spelled_out_command_runs_without_argparse():
+    """With ``argparse`` blocked, a fresh interpreter imports the command
+    line and runs a spelled-out report to exit 0."""
+    done = _fresh_interpreter(
+        'import sys; sys.modules["argparse"] = None; import msindex.cli; '
+        'sys.exit(msindex.cli.main(["report", '
+        '"instances/triangle_single_sender.json", "--json", "--exhaustive"]))')
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["lower_bound"] == 2
+
+
+def test_usage_error_imports_argparse_for_its_message():
+    """The import leaves argparse out, and a usage error still gets
+    argparse's message."""
+    done = _fresh_interpreter(
+        "import sys, msindex.cli; loaded = 'argparse' in sys.modules; "
+        'rc = msindex.cli.main(["report", "instances/triangle_single_sender.json", '
+        '"--bogus"]); print(loaded, rc, "argparse" in sys.modules)')
+    assert done.stdout.split() == ["False", "1", "True"], done.stderr
+    assert done.stderr == "usage error: unrecognized arguments: --bogus\n"
