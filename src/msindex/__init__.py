@@ -5,8 +5,7 @@ from .model import (GraphPair, InstanceError, ProblemInstance, build_graphs,
 from .graphs import (DegeneracyWitness, LeafClass, SccReport, classify_all,
                      classify_leaf_scc, grounded_set, is_grounded_digraph,
                      scc_decompose, to_dot)
-from .bound import (GroundingTrace, break_leaf_sccs, lower_bound,
-                    lower_bound_prune_all, run_grounding)
+from .bound import GroundingTrace, break_leaf_sccs, lower_bound, run_grounding
 from .code import (CodeBlueprint, CodeRow, LinearIndexCode, Tree,
                    assign_senders, find_connecting_trees, plan_code,
                    upper_bound)

@@ -507,20 +507,7 @@ def lower_bound(trace: GroundingTrace) -> int:
     return value
 
 
-def lower_bound_prune_all(g: GraphPair) -> int:
-    """The sender-oblivious bound: prune every leaf SCC at its smallest
-    vertex and count surviving out-vertices.  Never exceeds the bound from
-    a full grounding run."""
-    trace = GroundingTrace.from_graphs(g)
-    for scc in g.leaf_sccs:
-        _apply_prune(trace, scc, next(bits(scc)))
-    if trace.graphs.leaf_sccs:
-        raise AssertionError("pruning every leaf SCC left a leaf SCC behind")
-    return graphs.num_out_vertices(trace.graphs)
-
-
 __all__ = [
     "GroundingTrace", "final_state", "break_leaf_sccs", "run_grounding",
-    "lower_bound", "lower_bound_prune_all", "DEFAULT_STATE_BUDGET",
-    "TRACE_VERTEX_LIMIT",
+    "lower_bound", "DEFAULT_STATE_BUDGET", "TRACE_VERTEX_LIMIT",
 ]

@@ -64,7 +64,9 @@ class ProblemInstance:
     An instance is immutable.  It is its masks ``sender_masks``,
     ``want_masks`` and their union ``carried_mask``, and its ``incidence``
     (`_incidence`), which `parse_instance` and `simplify` fill at once and
-    a constructed instance derives on first read.  The sets ``senders``
+    a constructed instance derives on first read, after checking that no
+    receiver wants its own message or one outside 1..num_messages and no
+    sender holds one outside it (`ValueError`).  The sets ``senders``
     and ``wants`` are kept when given, and else built from the masks on
     first read.  Equality and hashing are over the masks; repr is over the
     sets.
@@ -117,7 +119,15 @@ class ProblemInstance:
 
     @cached_property
     def incidence(self) -> tuple:
-        return _incidence(self.num_messages, self.senders, self.sender_masks, self.wants)
+        n = self.num_messages
+        for j, wanted in enumerate(self.want_masks, start=1):
+            if wanted >> (j - 1) & 1 or wanted >> n:
+                raise ValueError(f"receiver {j} wants {list(bits(wanted))} "
+                                 f"outside 1..{n} less {j}")
+        for owned in self.sender_masks:
+            if owned >> n:
+                raise ValueError(f"sender set {list(bits(owned))} out of range 1..{n}")
+        return _incidence(n, self.senders, self.sender_masks, self.wants)
 
     @property
     def num_senders(self) -> int:
@@ -618,15 +628,7 @@ def build_graphs(inst: ProblemInstance) -> GraphPair:
     with v, less v.  No pair is built."""
     if not inst.simplified:
         raise ValueError("instance must be simplified before building graphs")
-    n = inst.num_messages
-    for j, wanted in enumerate(inst.want_masks, start=1):
-        if wanted >> (j - 1) & 1 or wanted >> n:
-            raise ValueError(f"receiver {j} wants {list(bits(wanted))} "
-                             f"outside 1..{n} less {j}")
-    for owned in inst.sender_masks:
-        if owned >> n:
-            raise ValueError(f"sender set {list(bits(owned))} out of range 1..{n}")
     wanters, _, sharers = inst.incidence
     return GraphPair._of_masks(
-        n, wanters, (0,) + inst.want_masks,
+        inst.num_messages, wanters, (0,) + inst.want_masks,
         (0,) + tuple(a & ~(1 << k) for k, a in enumerate(sharers[1:])), {})

@@ -9,8 +9,7 @@ from msindex import graphs
 from msindex.bound import (GroundingTrace, _all_edge_options,
                            _apply_degenerate_arc, _apply_dummy, _apply_edges,
                            _apply_prune, _degenerated_options, _witness_action,
-                           break_leaf_sccs, lower_bound, lower_bound_prune_all,
-                           run_grounding)
+                           break_leaf_sccs, lower_bound, run_grounding)
 from msindex.graphs import (LeafClass, classify_leaf_scc, grounded_set,
                             is_grounded_digraph, num_out_vertices, scc_decompose)
 
@@ -244,15 +243,6 @@ def test_lower_bound_requires_completed_trace(three_pairs):
         lower_bound(GroundingTrace.from_graphs(g))
 
 
-def test_prune_all_bounds(three_pairs, triangle):
-    _, g = simplified_graphs(three_pairs)
-    assert lower_bound_prune_all(g) == 3
-    _, g = simplified_graphs(triangle)
-    assert lower_bound_prune_all(g) == 2
-    acyclic = gp(4, arcs=[(1, 2), (2, 3), (2, 4)])
-    assert lower_bound_prune_all(acyclic) == num_out_vertices(acyclic) == 2
-
-
 def test_exhaustive_budget_fallback(three_pairs):
     _, g = simplified_graphs(three_pairs)
     with pytest.warns(UserWarning, match="falling back"):
@@ -430,13 +420,6 @@ def test_exhaustive_never_worse(g):
     assert not exh.fell_back
     assert exh.n_iv <= det.n_iv
     assert lower_bound(exh) >= lower_bound(det)
-
-
-@settings(max_examples=80, deadline=None)
-@given(graph_pairs(max_n=7))
-def test_prune_all_never_beats_grounding(g):
-    trace = run_grounding(g)
-    assert lower_bound_prune_all(g) <= lower_bound(trace)
 
 
 @settings(max_examples=50, deadline=None)

@@ -396,6 +396,24 @@ def test_build_graphs_requires_simplified(three_pairs):
         build_graphs(three_pairs)
 
 
+@pytest.mark.parametrize("senders, wants, message", [
+    ([{1, 2}, {3}], [{2}, {1}], "sender set [3] out of range 1..2"),
+    ([{1, 2}], [{2}, {5}], "receiver 2 wants [5] outside 1..2 less 2"),
+    ([{1, 2}], [{1}, {1}], "receiver 1 wants [1] outside 1..2 less 1"),
+], ids=["sender-above-m", "want-above-m", "self-want"])
+@pytest.mark.parametrize("run", [analyze, simplify], ids=["analyze", "simplify"])
+def test_constructed_instance_out_of_range_is_a_value_error(senders, wants,
+                                                            message, run):
+    # parse_instance rejects such documents; a constructed instance is
+    # checked before its incidence is derived, which would index past m
+    # (a self-want indexes nothing, but is the same check)
+    inst = ProblemInstance(2, tuple(map(frozenset, senders)),
+                           tuple(map(frozenset, wants)))
+    with pytest.raises(ValueError) as exc:
+        run(inst)
+    assert str(exc.value) == message
+
+
 @given(instances())
 def test_simplify_idempotent(inst):
     once, removed = simplify(inst)

@@ -1,7 +1,7 @@
-"""The experiment scripts end to end, run in-process.
+"""The gap hunter end to end, run in-process.
 
-The golden outputs were recorded before the scripts moved onto
-``msindex.analyze``; they must keep matching byte for byte.
+The golden output was recorded before the script moved onto
+``msindex.analyze``; it must keep matching byte for byte.
 """
 
 import hashlib
@@ -13,18 +13,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import find_gaps  # noqa: E402
-import survey_bounds  # noqa: E402
-
-SURVEY_GOLDEN = """\
-instances: 150 (style=mixed, m<=2..6)
-bounds meet outright:        150
-bounds leave a gap:          0
-  linear optimum = lower:    0
-  linear optimum = upper:    0
-  linear optimum in between: 0
-deterministic < exhaustive:  0
-prune-all < exhaustive:      27
-"""
 
 GAPS_GOLDEN = """\
 # lower-gap: lower=6 linear-optimal=7 upper=7
@@ -38,11 +26,6 @@ GAPS_GOLDEN = """\
 def _stdout(capsys, script, *argv) -> str:
     assert script.main(list(argv)) == 0
     return capsys.readouterr().out
-
-
-def test_survey_bounds_golden(capsys):
-    assert _stdout(capsys, survey_bounds,
-                   "--count", "150", "--max-m", "6") == SURVEY_GOLDEN
 
 
 def test_find_gaps_golden(capsys):
@@ -64,22 +47,18 @@ def test_find_gaps_skips_the_oracle_past_its_guard(capsys):
                    "1 past the oracle guard (m > 8)\n")
 
 
-@pytest.mark.parametrize("script, argv, message", [
-    (find_gaps, ["--count", "0"], "argument --count: must be at least 1, got 0"),
-    (find_gaps, ["--count", "-2"], "argument --count: must be at least 1, got -2"),
-    (find_gaps, ["--max-m", "3"], "argument --max-m: must be at least 4, got 3"),
-    (find_gaps, ["--stop-after", "0"],
-     "argument --stop-after: must be at least 1, got 0"),
-    (survey_bounds, ["--max-m", "1"], "argument --max-m: must be at least 2, got 1"),
-    (survey_bounds, ["--count", "0"],
-     "argument --count: must be at least 1, got 0"),
+@pytest.mark.parametrize("argv, message", [
+    (["--count", "0"], "argument --count: must be at least 1, got 0"),
+    (["--count", "-2"], "argument --count: must be at least 1, got -2"),
+    (["--max-m", "3"], "argument --max-m: must be at least 4, got 3"),
+    (["--stop-after", "0"], "argument --stop-after: must be at least 1, got 0"),
 ], ids=["gaps-count-0", "gaps-count-negative", "gaps-max-m-3",
-        "gaps-stop-after-0", "survey-max-m-1", "survey-count-0"])
-def test_out_of_range_arguments_are_usage_errors(capsys, script, argv, message):
+        "gaps-stop-after-0"])
+def test_out_of_range_arguments_are_usage_errors(capsys, argv, message):
     # each would otherwise crash or misbehave only after drawing instances:
     # an empty scan has no last index, and randint(4, 3) has no value
     with pytest.raises(SystemExit) as exc:
-        script.main(["--count", "3", *argv])
+        find_gaps.main(["--count", "3", *argv])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
